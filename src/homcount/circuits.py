@@ -10,6 +10,7 @@ preservation at every stage is the package's acceptance contract.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from . import perms
 from .counting import WorkBoundExceeded, DEFAULT_LIMITS
@@ -91,6 +92,8 @@ def parse_boolean_text(text):
             continue
         head, _, tail = ln.partition("->")
         toks = head.split()
+        if not toks:
+            raise CircuitError("gate line without an op: %r" % ln)
         gates.append((toks[0], tuple(int(t) for t in toks[1:]),
                       tuple(int(t) for t in tail.split())))
     if output is None:
@@ -119,6 +122,40 @@ def decode_word(code, q, k):
         out[i] = code % q
         code //= q
     return tuple(out)
+
+
+def apply_gates(q, gates, word):
+    """The image of a word over range(q) under gates applied in order, as a
+    list.  A gate is (wires, perm), with perm a permutation of the base-q
+    codes of the symbols on those wires, first wire most significant."""
+    word = list(word)
+    for wires, perm in gates:
+        if len(wires) == 2:
+            a, b = wires
+            word[a], word[b] = divmod(perm[word[a] * q + word[b]], q)
+        elif len(wires) == 1:
+            a, = wires
+            word[a] = perm[word[a]]
+        else:
+            code = 0
+            for w in wires:
+                code = code * q + word[w]
+            code = perm[code]
+            for w in reversed(wires):
+                code, word[w] = divmod(code, q)
+    return word
+
+
+def count_accepted(q, gates, inputs, accepts, limits, stage):
+    """Number of words in product(*inputs) whose image under gates has
+    every wire in its own accept set; inputs and accepts give one symbol
+    collection per wire."""
+    if math.prod(map(len, inputs)) > limits.max_enumeration:
+        raise WorkBoundExceeded("%s enumeration over budget" % stage)
+    accepts = [frozenset(acc) for acc in accepts]
+    return sum(all(map(frozenset.__contains__, accepts,
+                       apply_gates(q, gates, word)))
+               for word in itertools.product(*inputs))
 
 
 class ReversibleCircuit:
@@ -150,11 +187,8 @@ class ReversibleCircuit:
             raise CircuitError("word width mismatch")
         if any(not (0 <= x < self.q) for x in word):
             raise CircuitError("symbol out of alphabet")
-        word = list(word)
-        for pos, k, perm in self.gates:
-            code = encode_word(word[pos:pos + k], self.q)
-            word[pos:pos + k] = decode_word(perm[code], self.q, k)
-        return tuple(word)
+        gates = [(range(pos, pos + k), perm) for pos, k, perm in self.gates]
+        return tuple(apply_gates(self.q, gates, word))
 
     def inverse(self):
         inv = ReversibleCircuit(self.q, self.width)
@@ -172,6 +206,10 @@ class ReversibleCircuit:
         return "\n".join(lines) + "\n"
 
 
+# tokens needed by each reversible-file keyword, the keyword included
+_REVERSIBLE_FIELDS = {"alphabet": 2, "width": 2, "gate": 3}
+
+
 def parse_reversible_text(text):
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
@@ -180,6 +218,8 @@ def parse_reversible_text(text):
     gates = []
     for ln in lines:
         toks = ln.split()
+        if len(toks) < _REVERSIBLE_FIELDS.get(toks[0], 1):
+            raise CircuitError("too few fields in circuit line %r" % ln)
         if toks[0] == "alphabet":
             q = int(toks[1])
         elif toks[0] == "width":
@@ -207,68 +247,22 @@ def load_reversible(path):
 # -- structural bit-level circuits (stages 1 and 2) -------------------------------------
 
 
-def _apply_opcodes(opcodes, bits):
-    bits = list(bits)
-    for op in opcodes:
-        if op[0] == "NOT":
-            bits[op[1]] ^= 1
-        elif op[0] == "CNOT":
-            bits[op[2]] ^= bits[op[1]]
-        else:  # CCNOT
-            bits[op[3]] ^= bits[op[1]] & bits[op[2]]
-    return bits
+# NOT, CNOT and CCNOT as permutations of the bit codes of their wires,
+# controls first and target last
+_BIT_TABLES = {"NOT": (1, 0), "CNOT": (0, 1, 3, 2),
+               "CCNOT": (0, 1, 2, 3, 4, 5, 7, 6)}
 
 
-def _opcode_window_circuit(width, opcodes):
-    """Planar window form of a NOT/CNOT/CCNOT opcode list, with SWAP routing."""
-    circ = ReversibleCircuit(2, width)
-    swap = (0, 2, 1, 3)
-    not1 = (1, 0)
-    cnot = (0, 1, 3, 2)                      # (c,t): t ^= c
-    ccnot = tuple(code ^ 1 if code >> 1 == 3 else code for code in range(8))
+def _bit_gates(opcodes):
+    return [(op[1:], _BIT_TABLES[op[0]]) for op in opcodes]
 
-    def route(src, dst):
-        """Emit SWAPs moving wire src adjacent to position dst (src > dst)."""
-        for p in range(src - 1, dst - 1, -1):
-            circ.add_gate(p, 2, swap)
 
-    for op in opcodes:
-        if op[0] == "NOT":
-            circ.add_gate(op[1], 1, not1)
-            continue
-        wires = sorted(set(op[1:]))
-        if len(wires) != len(op) - 1:
-            raise CircuitError("opcode with repeated wires")
-        # bring wires together at the lowest position, apply, undo
-        moves = []
-        base = wires[0]
-        for offset, w in enumerate(wires[1:], start=1):
-            target = base + offset
-            for p in range(w - 1, target - 1, -1):
-                circ.add_gate(p, 2, swap)
-                moves.append(p)
-        relabel = {w: base + i for i, w in enumerate(wires)}
-        if op[0] == "CNOT":
-            c, t = relabel[op[1]], relabel[op[2]]
-            lo = min(c, t)
-            table = []
-            for code in range(4):
-                b = list(decode_word(code, 2, 2))
-                b[t - lo] ^= b[c - lo]
-                table.append(encode_word(b, 2))
-            circ.add_gate(lo, 2, tuple(table))
-        else:
-            c1, c2, t = (relabel[op[1]], relabel[op[2]], relabel[op[3]])
-            lo = min(c1, c2, t)
-            table = []
-            for code in range(8):
-                b = list(decode_word(code, 2, 3))
-                b[t - lo] ^= b[c1 - lo] & b[c2 - lo]
-                table.append(encode_word(b, 2))
-            circ.add_gate(lo, 3, tuple(table))
-        for p in reversed(moves):
-            circ.add_gate(p, 2, swap)
-    return circ
+def _window_circuit(width, opcodes):
+    """Planar window form of an opcode list: its q=2 RsatIF, planarized."""
+    inst = RsatIF(2, width, (0, 1), (0, 1))
+    for wires, perm in _bit_gates(opcodes):
+        inst.add_gate(wires, perm)
+    return inst.planarize()
 
 
 @dataclass
@@ -284,17 +278,14 @@ class Rsat1:
         return list(range(self.n_ancillas, self.width))
 
     def count(self, limits=DEFAULT_LIMITS):
-        nvar = self.width - self.n_ancillas
-        if 2 ** nvar > limits.max_enumeration:
-            raise WorkBoundExceeded("RSAT1 enumeration over budget")
-        total = 0
-        for bits in itertools.product((0, 1), repeat=nvar):
-            word = [0] * self.n_ancillas + list(bits)
-            total += _apply_opcodes(self.opcodes, word)[0]
-        return total
+        inputs = ([(0,)] * self.n_ancillas
+                  + [(0, 1)] * (self.width - self.n_ancillas))
+        accepts = [(1,)] + [(0, 1)] * (self.width - 1)
+        return count_accepted(2, _bit_gates(self.opcodes), inputs, accepts,
+                              limits, "RSAT1")
 
     def window_circuit(self):
-        return _opcode_window_circuit(self.width, self.opcodes)
+        return _window_circuit(self.width, self.opcodes)
 
 
 @dataclass
@@ -314,22 +305,13 @@ class Rsat2:
         return [w for w in range(self.width) if w not in zs]
 
     def count(self, limits=DEFAULT_LIMITS):
-        var = self.variable_wires
-        if 2 ** len(var) > limits.max_enumeration:
-            raise WorkBoundExceeded("RSAT2 enumeration over budget")
-        zs = list(self.zero_wires)
-        total = 0
-        for bits in itertools.product((0, 1), repeat=len(var)):
-            word = [0] * self.width
-            for w, b in zip(var, bits):
-                word[w] = b
-            out = _apply_opcodes(self.opcodes, word)
-            if all(out[z] == 0 for z in zs):
-                total += 1
-        return total
+        zs = set(self.zero_wires)
+        bits = [(0,) if w in zs else (0, 1) for w in range(self.width)]
+        return count_accepted(2, _bit_gates(self.opcodes), bits, bits,
+                              limits, "RSAT2")
 
     def window_circuit(self):
-        return _opcode_window_circuit(self.width, self.opcodes)
+        return _window_circuit(self.width, self.opcodes)
 
 
 def dilate_to_reversible(bc):
@@ -443,25 +425,11 @@ class RsatIF:
         self.gates.append((wires, perm))
 
     def eval(self, word):
-        word = list(word)
-        q = self.q
-        for wires, perm in self.gates:
-            code = encode_word([word[w] for w in wires], q)
-            sub = decode_word(perm[code], q, len(wires))
-            for w, x in zip(wires, sub):
-                word[w] = x
-        return tuple(word)
+        return tuple(apply_gates(self.q, self.gates, word))
 
     def count(self, limits=DEFAULT_LIMITS):
-        if len(self.init) ** self.width > limits.max_enumeration:
-            raise WorkBoundExceeded("RSAT enumeration over budget")
-        fin = set(self.final)
-        total = 0
-        for word in itertools.product(self.init, repeat=self.width):
-            out = self.eval(word)
-            if all(x in fin for x in out):
-                total += 1
-        return total
+        return count_accepted(self.q, self.gates, [self.init] * self.width,
+                              [self.final] * self.width, limits, "RSAT")
 
     def planarize(self):
         """Window form: SWAP-conjugate every gate onto contiguous wires."""
@@ -481,18 +449,12 @@ class RsatIF:
                 for p in range(w - 1, target - 1, -1):
                     circ.add_gate(p, 2, swap)
                     moves.append(p)
-            relabel = {w: base + i for i, w in enumerate(order)}
+            local = [(tuple(order.index(w) for w in wires), perm)]
             k = len(wires)
-            table = [0] * (q ** k)
-            for code in range(q ** k):
-                window = decode_word(code, q, k)
-                local = [window[relabel[w] - base] for w in wires]
-                image = decode_word(perm[encode_word(local, q)], q, k)
-                out = list(window)
-                for w, x in zip(wires, image):
-                    out[relabel[w] - base] = x
-                table[code] = encode_word(out, q)
-            circ.add_gate(base, k, tuple(table))
+            table = tuple(
+                encode_word(apply_gates(q, local, decode_word(code, q, k)), q)
+                for code in range(q ** k))
+            circ.add_gate(base, k, table)
             for p in reversed(moves):
                 circ.add_gate(p, 2, swap)
         return circ
@@ -529,13 +491,7 @@ def regroup_embed(r2, q2, init2, final2):
     if len(init2) < 2 or len(final2) < 2:
         raise CircuitError("init and final need at least two symbols")
 
-    zeros = sorted(r2.zero_wires)
-    return _regroup_embed_impl(r2, q2, init2, final2, spares, zeros)
-
-
-def _regroup_embed_impl(r2, q2, init2, final2, spares, zeros):
-    varw = r2.variable_wires
-    pairs = list(zip(varw, zeros))
+    pairs = list(zip(r2.variable_wires, sorted(r2.zero_wires)))
     m = len(pairs)
     slot = {}
     for s, (dv, zv) in enumerate(pairs):

@@ -8,13 +8,14 @@ a warning alphabet with two distinguished orbits, and enough scratch orbits
 to repair parity and anti-diagonal defects when extending partial gates.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from . import perms
-from .groups import FiniteGroup, GroupError
 from .gsets import GSetAction, rubik_membership, equivariant_perm, _ab_map
-from .counting import WorkBoundExceeded, DEFAULT_LIMITS
-from .circuits import CircuitError, RsatIF, encode_word, decode_word
+from .counting import DEFAULT_LIMITS
+from .circuits import (RsatIF, apply_gates, count_accepted, encode_word,
+                       decode_word)
 
 
 class ZsatError(ValueError):
@@ -44,9 +45,6 @@ class ZAlphabet:
         self.size = 1 + q * n_orbits
         self.zombie = 0
 
-        def orbit_ids(base, count):
-            return tuple(range(1 + base * q, 1 + (base + q * 0 + count) * q))
-
         base = 0
         self.init = tuple(range(1 + base * q, 1 + (base + n_init_orbits) * q))
         base += n_init_orbits
@@ -73,6 +71,23 @@ class ZAlphabet:
                     row[b + h] = b + G.mul(g, h)
             table.append(tuple(row))
         return GSetAction(G, self.size, table)
+
+    @functools.cached_property
+    def square_action(self):
+        """The diagonal action on ordered pairs of symbols, with pair
+        encoding (a, b) -> a*|A| + b."""
+        A = self.size
+        G = self.gamma
+        table = []
+        for g in G.elements():
+            row = self.action.table[g]
+            pair_row = [0] * (A * A)
+            for a in range(A):
+                ra = row[a] * A
+                for b in range(A):
+                    pair_row[a * A + b] = ra + row[b]
+            table.append(tuple(pair_row))
+        return GSetAction(G, A * A, table)
 
     def _check_inequalities(self):
         q = self.gamma.order
@@ -127,61 +142,25 @@ class ZAlphabet:
 class ZsatInstance:
     alphabet: ZAlphabet
     width: int
-    gates: list          # (position, permutation of A^2) on adjacent pairs
+    gates: list          # ((pos, pos + 1), permutation of A^2)
 
     def eval(self, word):
-        word = list(word)
-        A = self.alphabet.size
-        for pos, perm in self.gates:
-            code = word[pos] * A + word[pos + 1]
-            img = perm[code]
-            word[pos], word[pos + 1] = img // A, img % A
-        return tuple(word)
+        return tuple(apply_gates(self.alphabet.size, self.gates, word))
 
     def count(self, limits=DEFAULT_LIMITS):
         zal = self.alphabet
-        inputs = (zal.zombie,) + zal.init
-        if len(inputs) ** self.width > limits.max_enumeration:
-            raise WorkBoundExceeded("ZSAT enumeration over budget")
-        fin = set(zal.final) | {zal.zombie}
-        total = 0
-        for word in itertools.product(inputs, repeat=self.width):
-            if all(x in fin for x in self.eval(word)):
-                total += 1
-        return total
+        inputs = [(zal.zombie,) + zal.init] * self.width
+        accepts = [(zal.zombie,) + zal.final] * self.width
+        return count_accepted(zal.size, self.gates, inputs, accepts, limits,
+                              "ZSAT")
 
 
 # -- gate extension into the Rubik group -------------------------------------------
 
 
-def _square_action(zal):
-    """The diagonal action on ordered pairs of symbols, with pair encoding
-    (a, b) -> a*|A| + b."""
-    A = zal.size
-    G = zal.gamma
-    table = []
-    for g in G.elements():
-        row = zal.action.table[g]
-        pair_row = [0] * (A * A)
-        for a in range(A):
-            ra = row[a] * A
-            for b in range(A):
-                pair_row[a * A + b] = ra + row[b]
-        table.append(tuple(pair_row))
-    return GSetAction(G, A * A, table)
-
-
-_SQUARE_CACHE = {}
-
-
 def square_action(zal):
-    # keep a strong reference to the alphabet so id() keys stay unique
-    key = id(zal)
-    hit = _SQUARE_CACHE.get(key)
-    if hit is None or hit[0] is not zal:
-        hit = (zal, _square_action(zal))
-        _SQUARE_CACHE[key] = hit
-    return hit[1]
+    """The squared action of zal, built once per alphabet."""
+    return zal.square_action
 
 
 def extend_to_rubik(partial, zal):
@@ -320,16 +299,14 @@ def compile_zsat(circuit, zal):
     gates = []
     lift_cache = {}
     for wires, perm in circuit.gates:
-        if len(wires) == 2 and wires[1] == wires[0] + 1:
-            pos = wires[0]
-        else:
+        if len(wires) != 2 or wires[1] != wires[0] + 1:
             raise ZsatError("zombie compilation needs adjacent binary gates")
         if perm not in lift_cache:
             lift_cache[perm] = compile_gate(perm, zal)
-        gates.append((pos, lift_cache[perm]))
+        gates.append((wires, lift_cache[perm]))
     alpha = postcomputation_gate(zal)
     for i in range(circuit.width - 1):
-        gates.append((i, alpha))
+        gates.append(((i, i + 1), alpha))
     inst = ZsatInstance(zal, circuit.width, gates)
     return inst
 
@@ -341,10 +318,6 @@ def verify_gates(inst):
         if not rubik_membership(perm, act):
             return False
     return True
-
-
-def count_zsat(inst, limits=DEFAULT_LIMITS):
-    return inst.count(limits)
 
 
 # -- direct RSAT instances over the data quotient ---------------------------------------

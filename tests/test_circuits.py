@@ -8,10 +8,24 @@ from homcount.circuits import (BooleanCircuit, CircuitError, ReversibleCircuit,
                                pack_parameters, parse_boolean_text,
                                parse_reversible_text, reduce_pipeline,
                                regroup_embed, uncompute_wrap, verify_parsimony,
-                               _apply_opcodes, encode_word, decode_word)
+                               encode_word, decode_word)
+from homcount.counting import CountingLimits, WorkBoundExceeded
 
 AND2 = BooleanCircuit(2, [("AND", (0, 1), (2,))], 2)
 OR2 = BooleanCircuit(2, [("OR", (0, 1), (2,))], 2)
+
+
+def _apply_opcodes(opcodes, bits):
+    """Bit-level oracle for NOT/CNOT/CCNOT opcode lists."""
+    bits = list(bits)
+    for op in opcodes:
+        if op[0] == "NOT":
+            bits[op[1]] ^= 1
+        elif op[0] == "CNOT":
+            bits[op[2]] ^= bits[op[1]]
+        else:  # CCNOT
+            bits[op[3]] ^= bits[op[1]] & bits[op[2]]
+    return bits
 
 
 def random_circuit(rng, n_inputs, n_gates):
@@ -232,6 +246,18 @@ def test_formal_inverse_exhaustive_sweep():
         inv = circ.inverse()
         for word in itertools.product(range(q), repeat=width):
             assert inv.eval(circ.eval(word)) == word
+
+
+def test_stage_budget_messages():
+    # every stage stops before enumerating when its word count exceeds the
+    # bound; RSAT1 has as many words as CSAT, so no CLI run can reach it
+    tight = CountingLimits(max_enumeration=1)
+    r1, r2, r3, r4 = reduce_pipeline(AND2)
+    for stage, inst in (("RSAT1", r1), ("RSAT2", r2), ("RSAT", r3),
+                        ("RSAT", r4)):
+        with pytest.raises(WorkBoundExceeded) as exc:
+            inst.count(tight)
+        assert str(exc.value) == "%s enumeration over budget" % stage
 
 
 def test_eval_errors():

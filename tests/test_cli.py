@@ -154,3 +154,46 @@ def test_invert_lattice_complex(capsys):
     rep = parse_report(out)
     assert code == 0
     assert rep["total-homs"] == "18"
+
+
+def run_circuit(capsys, tmp_path, command, text, *options):
+    """Run a circuit command on text written to a file; compile-zsat gets
+    the Z2 alphabet."""
+    path = tmp_path / "circuit"
+    path.write_text(text)
+    argv = list(options) + [command, "--circuit", str(path)]
+    if command == "compile-zsat":
+        argv += ["--gamma", "z2.grp"]
+    code, out = run(capsys, *argv)
+    return code, parse_report(out)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("reduce", "in 2\n-> 3\nout 2\n"),
+    ("compile-zsat", "alphabet\nwidth 2\n"),
+    ("compile-zsat", "alphabet 4\nwidth 2\ngate\n"),
+])
+def test_malformed_circuit_exit_code(capsys, tmp_path, command, text):
+    code, rep = run_circuit(capsys, tmp_path, command, text)
+    assert code == 2
+    assert rep["error"].startswith("CircuitError: ")
+
+
+NOT1 = "in 1\nNOT 0 -> 1\nout 1\n"
+IDENT2 = "alphabet 4\nwidth 2\n"
+
+
+@pytest.mark.parametrize("bound, command, text, stage", [
+    ("1", "reduce", NOT1, "CSAT"),
+    ("2", "reduce", NOT1, "RSAT2"),
+    ("4", "reduce", NOT1, "RSAT"),
+    ("1", "compile-zsat", IDENT2, "RSAT"),
+    ("1", "compile-zsat", IDENT2 + "init 0\n", "ZSAT"),
+])
+def test_stage_budget_messages(capsys, tmp_path, bound, command, text,
+                               stage):
+    code, rep = run_circuit(capsys, tmp_path, command, text,
+                            "--max-enumeration", bound)
+    assert code == 2
+    assert rep["error"] == \
+        "WorkBoundExceeded: %s enumeration over budget" % stage
