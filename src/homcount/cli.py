@@ -44,20 +44,16 @@ def _limits(args):
                           max_states=args.max_states)
 
 
-def _load_group_arg(path):
-    if not os.path.exists(path):
-        candidate = os.path.join(data_dir(), path)
-        if os.path.exists(candidate):
-            path = candidate
-    return groups.load_group(path)
-
-
 def _resolve(path):
     if not os.path.exists(path):
         candidate = os.path.join(data_dir(), path)
         if os.path.exists(candidate):
             return candidate
     return path
+
+
+def _load_group_arg(path):
+    return groups.load_group(_resolve(path))
 
 
 def cmd_homology(args, rep):
@@ -78,8 +74,13 @@ def cmd_count_hom(args, rep):
     G = _load_group_arg(args.group)
     lim = _limits(args)
     P = complexes.load_presentation(_resolve(args.presentation))
-    homs = counting.count_homs(P, G, limits=lim)
-    surj = counting.count_surjections(P, G, limits=lim)
+    surj = 0
+
+    def check(images):
+        nonlocal surj
+        surj += groups.generates(G, images)
+
+    homs = counting.count_homs(P, G, limits=lim, per_solution=check)
     rep.add("homs", homs)
     rep.add("surjections", surj)
     rep.add("quotients", surj // len(groups.automorphisms(G)))

@@ -6,11 +6,10 @@ bounded-width dynamic program over ordered complexes counting 1-cocycles.
 Their agreement is the package's central cross-check.
 """
 
-from dataclasses import dataclass, field
-from .groups import (FiniteGroup, GroupError, automorphisms, close_under_product,
-                     find_isomorphism, subgroup_lattice)
-from .complexes import (ComplexError, Presentation, faces, greedy_ordering,
-                        validate_ordering)
+from dataclasses import dataclass
+from .groups import (FiniteGroup, GroupError, automorphisms, find_isomorphism,
+                     generates, subgroup_lattice)
+from .complexes import ComplexError, greedy_ordering, validate_ordering
 
 
 class WorkBoundExceeded(ValueError):
@@ -170,9 +169,6 @@ def count_homs(P, G, limits=DEFAULT_LIMITS, per_solution=None):
                     per_solution(tuple(img[1:]))
                 return
             # generators not occurring in any relator are free
-            total_before = count[0]
-            sub = 1
-
             def fill(j):
                 if j == len(free):
                     count[0] += 1
@@ -208,7 +204,7 @@ def count_surjections(P, G, limits=DEFAULT_LIMITS):
     hits = [0]
 
     def check(images):
-        if len(close_under_product(G, images)) == G.order:
+        if generates(G, images):
             hits[0] += 1
 
     count_homs(P, G, limits=limits, per_solution=check)
@@ -236,7 +232,7 @@ def count_quotients_canonical(P, G, limits=DEFAULT_LIMITS):
     hits = [0]
 
     def check(images):
-        if len(close_under_product(G, images)) != G.order:
+        if not generates(G, images):
             return
         for phi in auts:
             moved = tuple(phi[g] for g in images)
@@ -451,7 +447,6 @@ def narrow_ordering(X, G=None, extra_candidates=(), probe_limit=200_000):
 
     Candidates: the greedy ordering plus vertex sweeps from a few seeds.
     """
-    from .groups import FiniteGroup
     probe = G if G is not None and G.order <= 2 else FiniteGroup.cyclic(2)
     candidates = [greedy_ordering(X)]
     seeds = sorted(set([0, X.nvertices - 1, X.nvertices // 2]))

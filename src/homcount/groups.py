@@ -36,6 +36,8 @@ class FiniteGroup:
         self._abelian = None
         self._element_orders = None
         self._autcache = None
+        self._membership_masks = None
+        self._ab_map = None
         if validate:
             self.check()
 
@@ -239,26 +241,68 @@ class FiniteGroup:
             self._words = steps
         return self._gen_ids, self._words
 
+    # -- lazily built invariants -----------------------------------------------
+    # Cached in attributes set in __init__, not by functools.cached_property:
+    # that writes through instance.__dict__, which on CPython 3.11 gives up
+    # the compact attribute layout and makes every later attribute load
+    # (mul's self._table and self.order) markedly slower.
+
+    @property
+    def membership_masks(self):
+        """(masks, full_bit): bit i of masks[e] is set when the i-th subgroup
+        of the lattice contains e.  A tuple generates the group exactly when
+        the AND of its masks is the full group's bit alone."""
+        if self._membership_masks is None:
+            lattice = subgroup_lattice(self)
+            masks = [0] * self.order
+            for i, H in enumerate(lattice.subgroups):
+                for e in H.members:
+                    masks[e] |= 1 << i
+            self._membership_masks = (masks,
+                                      1 << (len(lattice.subgroups) - 1))
+        return self._membership_masks
+
+    @property
+    def ab_map(self):
+        """The abelianization map of the group."""
+        if self._ab_map is None:
+            self._ab_map = abelianization(self)
+        return self._ab_map
+
     def __repr__(self):
         return "FiniteGroup(%s, order=%d)" % (self.name, self.order)
 
 
 def close_under_product(G, seed_ids):
-    """Subgroup closure of a set of element ids, as a sorted tuple."""
-    members = set(seed_ids)
-    members.add(0)
-    queue = list(members)
-    while queue:
-        a = queue.pop()
-        for b in list(members):
-            for c in (G.mul(a, b), G.mul(b, a)):
-                if c not in members:
-                    members.add(c)
-                    queue.append(c)
-        c = G.inv(a)
-        if c not in members:
-            members.add(c)
-            queue.append(c)
+    """Subgroup closure of a set of element ids, as a sorted tuple.
+
+    Dimino's algorithm: a seed not yet reached becomes a generator, and the
+    closure grows as a union of right cosets prev*r of the previous closure,
+    with representatives r found breadth-first over r*t for every generator
+    t.  This costs O(|closure| * #generators) products, and at most
+    log2 |G| seeds ever become generators.
+    """
+    n, table = G.order, G._table
+    members = [0]
+    reached = bytearray(n)
+    reached[0] = 1
+    gens = []
+    for s in seed_ids:
+        if reached[s]:
+            continue
+        gens.append(s)
+        prev = members[:]
+        reps = [0]
+        for r in reps:
+            row = r * n
+            for t in gens:
+                c = table[row + t]
+                if not reached[c]:
+                    reps.append(c)
+                    for h in prev:
+                        x = table[h * n + c]
+                        reached[x] = 1
+                        members.append(x)
     return tuple(sorted(members))
 
 
@@ -353,21 +397,15 @@ def subgroup_lattice(G, order_bound=DEFAULT_ORDER_BOUND):
     return SubgroupLattice(G, subs, contains)
 
 
-def subgroup_membership_masks(G, order_bound=DEFAULT_ORDER_BOUND):
-    """Per-element bitmasks over the subgroup lattice: bit i of mask[e] is
-    set when subgroups[i] contains e.  A tuple generates G exactly when the
-    AND of its masks is the full group's bit alone."""
-    cached = getattr(G, "_mask_cache", None)
-    if cached is not None:
-        return cached
-    lattice = subgroup_lattice(G, order_bound=order_bound)
-    masks = [0] * G.order
-    for i, H in enumerate(lattice.subgroups):
-        for e in H.members:
-            masks[e] |= 1 << i
-    full_bit = 1 << (len(lattice.subgroups) - 1)
-    G._mask_cache = (masks, full_bit)
-    return G._mask_cache
+def subgroup_membership_masks(G):
+    """Per-element bitmasks over the subgroup lattice, built once per group
+    (see FiniteGroup.membership_masks)."""
+    return G.membership_masks
+
+
+def generates(G, ids):
+    """True when the element ids generate all of G."""
+    return len(close_under_product(G, ids)) == G.order
 
 
 def commutator_subgroup(G):
@@ -423,19 +461,23 @@ def abelianization(G):
 # -- automorphisms ------------------------------------------------------------
 
 
-def _hom_from_gen_images(G, H, steps, images):
+def _hom_from_gen_images(G, H, gen_ids, steps, images):
     """Extend generator images to a full map G -> H via build steps.
 
     Returns the image list, or None if the extension is not multiplicative.
+    The steps define img along generator words, so img[a*g] == img[a]*phi(g)
+    for every a and every generator g is, by induction on word length,
+    equivalent to img[a*b] == img[a]*img[b] for all a, b.
     """
     img = [None] * G.order
     img[0] = 0
     for elem, parent, gi in steps:
         img[elem] = H.mul(img[parent], images[gi])
-    for a in range(G.order):
-        ia = img[a]
-        for b in range(G.order):
-            if img[G.mul(a, b)] != H.mul(ia, img[b]):
+    n, m = G.order, H.order
+    gt, ht = G._table, H._table
+    for g, x in zip(gen_ids, images):
+        for a in range(n):
+            if img[gt[a * n + g]] != ht[img[a] * m + x]:
                 return None
     return img
 
@@ -454,7 +496,7 @@ def find_isomorphism(G, H):
 
     def rec(k, chosen):
         if k == len(gen_ids):
-            img = _hom_from_gen_images(G, H, steps, chosen)
+            img = _hom_from_gen_images(G, H, gen_ids, steps, chosen)
             if img is not None and len(set(img)) == G.order:
                 return img
             return None
@@ -481,7 +523,7 @@ def automorphisms(G, order_bound=DEFAULT_ORDER_BOUND):
 
     def rec(k, chosen):
         if k == len(gen_ids):
-            img = _hom_from_gen_images(G, G, steps, chosen)
+            img = _hom_from_gen_images(G, G, gen_ids, steps, chosen)
             if img is not None and len(set(img)) == G.order:
                 out.append(tuple(img))
             return
@@ -489,11 +531,13 @@ def automorphisms(G, order_bound=DEFAULT_ORDER_BOUND):
             rec(k + 1, chosen + [h])
 
     rec(0, [])
+    n, table = G.order, G._table
     for phi in out:
-        for a in G.elements():
-            for b in G.elements():
-                if phi[G.mul(a, b)] != G.mul(phi[a], phi[b]):
-                    raise GroupError("automorphism search produced a non-hom")
+        for a in range(n):
+            row, prow = a * n, phi[a] * n
+            if ([phi[c] for c in table[row:row + n]]
+                    != [table[prow + pb] for pb in phi]):
+                raise GroupError("automorphism search produced a non-hom")
     G._autcache = out
     return out
 
@@ -552,8 +596,9 @@ def parse_group_text(text, name_hint="G"):
     toks = text.split()
     if not toks:
         raise GroupError("empty group description")
-    if toks[0] != "group":
-        raise GroupError("group file must start with 'group <name> <order>'")
+    if toks[0] != "group" or len(toks) < 4:
+        raise GroupError("group file must start with 'group <name> <order>' "
+                         "and a mode line")
     name, order = toks[1], int(toks[2])
     mode = toks[3]
     if mode == "table":

@@ -9,8 +9,7 @@ section of orbit representatives.
 from dataclasses import dataclass
 from math import factorial
 from . import perms
-from .groups import (FiniteGroup, Subgroup, GroupError, abelianization,
-                     close_under_product)
+from .groups import Subgroup, GroupError, close_under_product
 
 
 class ActionError(ValueError):
@@ -158,17 +157,9 @@ def rubik_membership(p, act):
     return acc == 0
 
 
-_AB_CACHE = {}
-
-
 def _ab_map(G):
-    # keep a strong reference to G so id() keys can never be recycled
-    key = id(G)
-    hit = _AB_CACHE.get(key)
-    if hit is None or hit[0] is not G:
-        hit = (G, abelianization(G))
-        _AB_CACHE[key] = hit
-    return hit[1]
+    """The abelianization map of G, built once per group."""
+    return G.ab_map
 
 
 def rubik_order(n, gamma):

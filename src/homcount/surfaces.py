@@ -505,9 +505,10 @@ class HeegaardGluing:
 def parse_gluing_text(text):
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
-    if not lines or not lines[0].startswith("genus"):
+    head = lines[0].split() if lines else []
+    if len(head) < 2 or not head[0].startswith("genus"):
         raise SurfaceError("gluing file must start with 'genus g'")
-    g = int(lines[0].split()[1])
+    g = int(head[1])
     word = []
     for ln in lines[1:]:
         if not ln.startswith("word"):

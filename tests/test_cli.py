@@ -179,6 +179,22 @@ def test_malformed_circuit_exit_code(capsys, tmp_path, command, text):
     assert rep["error"].startswith("CircuitError: ")
 
 
+@pytest.mark.parametrize("argv, name, text, error", [
+    (["count-hom", "--presentation", "poincare.pres", "--group"], "bad.grp",
+     "group foo", "GroupError"),
+    (["count-hom", "--presentation", "poincare.pres", "--group"], "bad.grp",
+     "group foo 6", "GroupError"),
+    (["heegaard-count", "--group", "a5.grp", "--gluing"], "bad.glu",
+     "genus", "SurfaceError"),
+])
+def test_malformed_header_exit_code(capsys, tmp_path, argv, name, text, error):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out = run(capsys, *argv, str(path))
+    assert code == 2
+    assert parse_report(out)["error"].startswith(error + ": ")
+
+
 NOT1 = "in 1\nNOT 0 -> 1\nout 1\n"
 IDENT2 = "alphabet 4\nwidth 2\n"
 

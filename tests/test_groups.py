@@ -1,14 +1,95 @@
+import gc
+import itertools
 import random
+import weakref
 
 import pytest
 
 from homcount import perms
-from homcount.groups import (FiniteGroup, GroupError, Subgroup, abelianization,
+from homcount.groups import (FiniteGroup, GroupError, Subgroup,
+                             _hom_from_gen_images, abelianization,
                              automorphisms, close_under_product,
                              commutator_subgroup, direct_product,
                              find_isomorphism, load_group, parse_group_text,
-                             subgroup_lattice, write_group_file)
+                             subgroup_lattice, subgroup_membership_masks,
+                             write_group_file)
+from homcount.gsets import _ab_map
 from conftest import data_path
+
+
+# -- independent oracles: pairwise closure and the full |G|^2 hom check ---------
+
+
+def oracle_close(G, seed_ids):
+    """Subgroup closure by multiplying every pair until nothing new appears."""
+    members = set(seed_ids)
+    members.add(0)
+    queue = list(members)
+    while queue:
+        a = queue.pop()
+        for b in list(members):
+            for c in (G.mul(a, b), G.mul(b, a)):
+                if c not in members:
+                    members.add(c)
+                    queue.append(c)
+        c = G.inv(a)
+        if c not in members:
+            members.add(c)
+            queue.append(c)
+    return tuple(sorted(members))
+
+
+def oracle_hom_from_gen_images(G, H, steps, images):
+    """Extend generator images via build steps; check all |G|^2 products."""
+    img = [None] * G.order
+    img[0] = 0
+    for elem, parent, gi in steps:
+        img[elem] = H.mul(img[parent], images[gi])
+    for a in range(G.order):
+        for b in range(G.order):
+            if img[G.mul(a, b)] != H.mul(img[a], img[b]):
+                return None
+    return img
+
+
+def oracle_automorphisms(G):
+    """Every bijective extension of order-preserving generator images,
+    in the package's search order."""
+    gen_ids, steps = G.generator_data()
+    pools = [[h for h in G.elements()
+              if G.element_order(h) == G.element_order(g)] for g in gen_ids]
+    out = []
+
+    def rec(chosen):
+        if len(chosen) == len(gen_ids):
+            img = oracle_hom_from_gen_images(G, G, steps, chosen)
+            if img is not None and len(set(img)) == G.order:
+                out.append(tuple(img))
+            return
+        for h in pools[len(chosen)]:
+            rec(chosen + [h])
+
+    rec([])
+    return out
+
+
+def _s4():
+    return FiniteGroup.from_perm_gens(
+        "S4", [perms.parse_cycles("(0 1)", 4),
+               perms.parse_cycles("(0 1 2 3)", 4)])
+
+
+def _sl23():
+    """SL(2,3) acting on the eight non-zero vectors of F_3^2."""
+    vecs = [(x, y) for x in range(3) for y in range(3) if (x, y) != (0, 0)]
+    index = {v: i for i, v in enumerate(vecs)}
+
+    def image(m):
+        return tuple(index[((m[0][0] * x + m[0][1] * y) % 3,
+                            (m[1][0] * x + m[1][1] * y) % 3)] for x, y in vecs)
+
+    return FiniteGroup.from_perm_gens(
+        "SL23", [image(((1, 1), (0, 1))), image(((0, 2), (1, 0)))])
 
 
 def test_cyclic_table():
@@ -66,24 +147,47 @@ def test_subgroup_lattice_counts(z4, s3, a5):
     lat = subgroup_lattice(a5)
     # exhaustive closure oracle: subgroups generated by all element pairs,
     # saturated under one more generator
-    found = {close_under_product(a5, [])}
+    found = {oracle_close(a5, [])}
     for a in a5.elements():
         for b in a5.elements():
-            found.add(close_under_product(a5, [a, b]))
+            found.add(oracle_close(a5, [a, b]))
     grew = True
     while grew:
         grew = False
         for H in list(found):
             for g in a5.elements():
-                K = close_under_product(a5, list(H) + [g])
+                K = oracle_close(a5, list(H) + [g])
                 if K not in found:
                     found.add(K)
                     grew = True
-    assert len(lat.subgroups) == len(found)
+    assert sorted(H.members for H in lat.subgroups) == sorted(found)
     # containment agrees with set inclusion
     for i, A in enumerate(lat.subgroups):
         for j, B in enumerate(lat.subgroups):
             assert lat.contains[i][j] == (set(B.members) <= set(A.members))
+
+
+def test_closure_matches_oracle(a5):
+    rng = random.Random(11)
+    for G in (a5, _s4(), _sl23()):
+        for _ in range(400):
+            seeds = [rng.randrange(G.order) for _ in range(rng.randint(0, 5))]
+            assert close_under_product(G, seeds) == oracle_close(G, seeds)
+
+
+def test_hom_extension_matches_oracle(s3, a4):
+    targets = (s3, a4, _s4(), _sl23())
+    for G in targets:
+        gen_ids, steps = G.generator_data()
+        for H in targets:
+            for images in itertools.product(H.elements(), repeat=len(gen_ids)):
+                assert (_hom_from_gen_images(G, H, gen_ids, steps, images)
+                        == oracle_hom_from_gen_images(G, H, steps, images))
+
+
+def test_automorphisms_match_oracle(s3, a4, a5):
+    for G in (s3, a4, _s4(), a5):
+        assert automorphisms(G) == oracle_automorphisms(G)
 
 
 def test_lattice_bound(a5):
@@ -167,3 +271,14 @@ def test_stem_extension_rejects_bad_center(a5, sl25_ext):
     bad = StemExtension(sl25_ext.cover, sl25_ext.projection, (0,))
     with pytest.raises(GroupError):
         bad.validate(a5)
+
+
+def test_invariant_caches_live_on_the_group():
+    G = direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(3))
+    ab, masks = _ab_map(G), subgroup_membership_masks(G)
+    assert _ab_map(G) is ab and subgroup_membership_masks(G) is masks
+    assert ab.quotient.order == 6 and len(masks[0]) == 6
+    ref = weakref.ref(G)
+    del G
+    gc.collect()
+    assert ref() is None
