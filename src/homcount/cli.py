@@ -293,8 +293,6 @@ def build_parser():
                     "complexes, circuits and Heegaard gluings.")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap (counting runs single-threaded)")
     p.add_argument("--max-enumeration", type=int, default=5_000_000)
     p.add_argument("--max-states", type=int, default=2_000_000)
     sub = p.add_subparsers(dest="command", required=True)
@@ -371,8 +369,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be positive")
     rep = Report()
     try:
         code = args.func(args, rep)

@@ -7,7 +7,7 @@ u < v < w reads g(u,v) * g(v,w) = g(u,w).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations
 
 
 class ComplexError(ValueError):
@@ -106,19 +106,32 @@ class SimplicialComplex:
         return M
 
 
+def _int_tokens(tokens, line):
+    try:
+        return tuple(int(t) for t in tokens)
+    except ValueError:
+        raise ComplexError("expected integers in line %r" % line) from None
+
+
+def _header_count(lines, kind, header):
+    """The count n of a first line reading `header`, e.g. 'vertices n'."""
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != header.split()[0]:
+        raise ComplexError("%s file must start with '%s'" % (kind, header))
+    return _int_tokens(head[1:], lines[0])[0]
+
+
 def parse_complex_text(text):
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
-    if not lines or not lines[0].startswith("vertices"):
-        raise ComplexError("complex file must start with 'vertices n'")
-    n = int(lines[0].split()[1])
+    n = _header_count(lines, "complex", "vertices n")
     maximal = []
     ordering_lines = None
     for ln in lines[1:]:
         if ln == "order":
             ordering_lines = []
             continue
-        ids = tuple(int(t) for t in ln.split())
+        ids = _int_tokens(ln.split(), ln)
         if ordering_lines is None:
             maximal.append(ids)
         else:
@@ -262,9 +275,7 @@ def parse_presentation_text(text):
     import re
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
-    if not lines or not lines[0].startswith("gens"):
-        raise ComplexError("presentation file must start with 'gens r'")
-    ngens = int(lines[0].split()[1])
+    ngens = _header_count(lines, "presentation", "gens r")
     rels = []
     for ln in lines[1:]:
         if ln == "e":
@@ -344,41 +355,43 @@ def validate_ordering(X, ordering):
     return ordering
 
 
-def prefix_boundary(X, prefix):
-    """bd of a subcomplex: closure minus interior, as a simplex set.
+class PrefixBoundary:
+    """Boundary sizes of a growing face-closed prefix of X.
 
-    A simplex of the prefix lies in the boundary iff some proper coface in X
-    is missing from the prefix; the boundary is closed under faces.
+    A prefix simplex lies on the boundary iff one of its proper cofaces is
+    still missing, and that set is already closed under faces; so the
+    number of missing cofaces per simplex is all the bookkeeping needed.
     """
-    prefix = set(prefix)
-    bd = set()
-    for s in prefix:
-        if any(t not in prefix for t in X.cofaces(s)):
-            stack = [s]
-            while stack:
-                t = stack.pop()
-                if t in bd:
-                    continue
-                bd.add(t)
-                stack.extend(faces(t))
-    return bd
 
+    def __init__(self, X):
+        self.below = {s: [f for k in range(1, len(s))
+                          for f in combinations(s, k)]
+                      for s in X.simplices()}
+        self.missing = dict.fromkeys(self.below, 0)
+        for fs in self.below.values():
+            for f in fs:
+                self.missing[f] += 1
+        self.size = 0       # boundary simplices of every dimension
+        self.edges = 0      # boundary edges
 
-def prefix_boundary_direct(X, prefix):
-    """Independent boundary computation: faces of missing simplices that lie
-    in the prefix."""
-    prefix = set(prefix)
-    bd = set()
-    for t in X.simplices():
-        if t in prefix:
-            continue
-        stack = faces(t)
-        while stack:
-            f = stack.pop()
-            if f in prefix and f not in bd:
-                bd.add(f)
-                stack.extend(faces(f))
-    return bd
+    def delta(self, s):
+        """(size change, edge change) that adding s would make."""
+        missing = self.missing
+        d = 1 if missing[s] else 0
+        de = d if len(s) == 2 else 0
+        for f in self.below[s]:
+            if missing[f] == 1:
+                d -= 1
+                if len(f) == 2:
+                    de -= 1
+        return d, de
+
+    def add(self, s):
+        d, de = self.delta(s)
+        self.size += d
+        self.edges += de
+        for f in self.below[s]:
+            self.missing[f] -= 1
 
 
 def ordering_width(X, ordering):
@@ -387,12 +400,11 @@ def ordering_width(X, ordering):
     ordering = validate_ordering(X, ordering)
     width = 0
     edge_width = 0
-    prefix = set()
+    bd = PrefixBoundary(X)
     for s in ordering:
-        prefix.add(s)
-        bd = prefix_boundary(X, prefix)
-        width = max(width, len(bd))
-        edge_width = max(edge_width, sum(1 for t in bd if len(t) == 2))
+        bd.add(s)
+        width = max(width, bd.size)
+        edge_width = max(edge_width, bd.edges)
     return width, edge_width
 
 
@@ -521,23 +533,25 @@ def greedy_ordering(X):
 
     At each step pick, among simplices whose faces are all placed, one that
     minimizes (boundary size, edge boundary size), breaking ties by dimension
-    then vertex tuple.  Quadratic and incremental; fine at package scales.
+    then vertex tuple.  Candidates are scored by the change they would make
+    to an incremental PrefixBoundary, so a step costs time linear in the
+    number of candidates.
     """
-    placed = set()
+    bd = PrefixBoundary(X)
+    unplaced = {s: len(faces(s)) for s in X.simplices()}
+    candidates = {s for s, k in unplaced.items() if k == 0}
     ordering = []
-    remaining = set(X.simplices())
-    while remaining:
-        candidates = [s for s in remaining
-                      if all(f in placed for f in faces(s))]
-        best = None
-        for s in sorted(candidates, key=lambda t: (len(t), t)):
-            trial = placed | {s}
-            bd = prefix_boundary(X, trial)
-            key = (len(bd), sum(1 for t in bd if len(t) == 2), len(s), s)
-            if best is None or key < best[0]:
-                best = (key, s)
-        s = best[1]
-        placed.add(s)
-        remaining.discard(s)
+
+    def score(s):
+        return bd.delta(s) + (len(s), s)
+
+    while candidates:
+        s = min(candidates, key=score)
+        candidates.remove(s)
+        bd.add(s)
         ordering.append(s)
+        for t in X._cofaces[s]:
+            unplaced[t] -= 1
+            if not unplaced[t]:
+                candidates.add(t)
     return ordering

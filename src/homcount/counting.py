@@ -7,6 +7,7 @@ Their agreement is the package's central cross-check.
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 from .groups import (FiniteGroup, GroupError, automorphisms, find_isomorphism,
                      generates, subgroup_lattice)
 from .complexes import ComplexError, greedy_ordering, validate_ordering
@@ -258,10 +259,15 @@ def dp_cocycle_count(X, ordering=None, G=None, limits=DEFAULT_LIMITS,
     """Count 1-cocycles of X with values in G by a prefix sweep.
 
     The state maps labelings of the current boundary edges to extension
-    counts: an edge step makes |G| copies, a triangle step filters by the
-    coboundary condition, and edges whose cofaces are completed are summed
-    out.  With tree_gauge the spanning-tree edges are pinned to the identity,
-    which counts tree-gauged cocycles, i.e. homomorphisms, directly.
+    counts.  A triangle u < v < w carries the cocycle condition a*b = c on
+    its edge labels a = g(u,v), b = g(v,w), c = g(u,w).  It is checked at
+    the step of its last edge when no other edge comes between the two, and
+    at its own step otherwise.  A constrained edge step solves its label
+    from the first such triangle (a = c*b^-1, b = a^-1*c or c = a*b), so
+    each state extends in at most one way; a free edge step makes |G|
+    copies.  Edges whose cofaces are completed are summed out.  With
+    tree_gauge the spanning-tree edges are pinned to the identity, which
+    counts tree-gauged cocycles, i.e. homomorphisms, directly.
     """
     if G is None:
         raise ValueError("group required")
@@ -290,124 +296,105 @@ def dp_cocycle_count(X, ordering=None, G=None, limits=DEFAULT_LIMITS,
                     parent[ru] = rv
                     tree.add(s)
 
-    departure = {}
+    dangling = set()
+    leaving = {}            # step -> edges whose last coface is placed there
     for e in X.by_dim[1]:
         cof = X.cofaces(e)
-        departure[e] = max(pos[t] for t in cof) if cof else None
+        if cof:
+            leaving.setdefault(max(pos[t] for t in cof), []).append(e)
+        else:
+            dangling.add(e)
 
-    # fuse each edge with the triangles that become checkable before the next
-    # edge step and contain it; this avoids the transient |G|-fold blowup of
-    # expanding an edge whose label is immediately constrained
-    next_edge_pos = [None] * (len(ordering) + 1)
-    nxt = None
-    for i in range(len(ordering) - 1, -1, -1):
-        next_edge_pos[i] = nxt
-        if len(ordering[i]) == 2:
-            nxt = i
-    fused_with = {}
+    # fuse each edge with the triangles that contain it and come before the
+    # next edge step; this avoids the transient |G|-fold blowup of expanding
+    # an edge whose label is immediately constrained
+    imminent = {}           # edge step -> triangles checked right after it
+    fused = set()           # triangle steps already checked at an edge step
+    last_edge = None
     for i, s in enumerate(ordering):
-        if len(s) != 3:
-            continue
-        for e in ((s[0], s[1]), (s[1], s[2]), (s[0], s[2])):
-            j = pos[e]
-            horizon = next_edge_pos[j]        # first edge strictly after j
-            if j < i and (horizon is None or i < horizon):
-                fused_with.setdefault(j, []).append(s)
-                fused_with[i] = "done"
-                break
+        if len(s) == 2:
+            last_edge = s
+        elif len(s) == 3 and last_edge in ((s[0], s[1]), (s[1], s[2]),
+                                           (s[0], s[2])):
+            imminent.setdefault(pos[last_edge], []).append(s)
+            fused.add(i)
 
-    tracked = []            # boundary edges carrying a key coordinate
-    pinned = {}             # tree edges currently on the boundary -> label 0
-    states = {(): 1}
+    # key[0] is a constant identity label that pinned edges read; tracked
+    # boundary edge t has its label at key[t + 1]
+    tracked = []
+    pinned = set()
+    states = {(0,): 1}
     multiplier = 1
     if stats is None:
         stats = DpStats()
+    n, table, inv = G.order, G._table, G._inv
+    ident = list(range(n))
 
-    def label_getter(e, idxs):
-        if e in pinned:
-            return None
-        return idxs[e]
-
-    def triangle_checker(tri, idxs, own_edge=None):
-        """Returns f(key, own_label) testing the cocycle condition."""
+    def slots(tri):
+        """Key positions of the labels a, b, c of tri."""
         u, v, w = tri
-        spots = []
-        for e in ((u, v), (v, w), (u, w)):
-            if e == own_edge:
-                spots.append(("own", None))
-            elif e in pinned:
-                spots.append(("pin", 0))
-            else:
-                spots.append(("key", idxs[e]))
+        return [0 if e in pinned else 1 + tracked.index(e)
+                for e in ((u, v), (v, w), (u, w))]
 
-        def get(spot, key, own):
-            kind, val = spot
-            if kind == "own":
-                return own
-            if kind == "pin":
-                return val
-            return key[val]
-
-        def check(key, own=None):
-            a = get(spots[0], key, own)
-            b = get(spots[1], key, own)
-            c = get(spots[2], key, own)
-            return G.mul(a, b) == c
-
-        return check
-
-    def drop_edges(step):
-        nonlocal states
-        gone_idx = [i for i, e in enumerate(tracked) if departure[e] == step]
-        for e in [e for e in pinned if departure[e] == step]:
-            del pinned[e]
-        if gone_idx:
-            keep = [i for i in range(len(tracked)) if i not in gone_idx]
-            new = {}
-            for key, c in states.items():
-                nk = tuple(key[i] for i in keep)
-                new[nk] = new.get(nk, 0) + c
-            states = new
-            for i in reversed(gone_idx):
-                del tracked[i]
+    def holds(check):
+        i, j, k = check
+        return {key: c for key, c in states.items()
+                if table[key[i] * n + key[j]] == key[k]}
 
     for step, s in enumerate(ordering):
-        k = len(s) - 1
-        if k == 1:
-            imminent = fused_with.get(step, [])
-            imminent = imminent if isinstance(imminent, list) else []
-            if departure[s] is None:
+        dim = len(s) - 1
+        if dim == 1:
+            if s in dangling:
                 # dangling edge: label free, never constrained
                 if s not in tree:
-                    multiplier *= G.order
+                    multiplier *= n
             elif s in tree:
-                pinned[s] = 0
-                if imminent:
-                    idxs = {e: i for i, e in enumerate(tracked)}
-                    checks = [triangle_checker(t, idxs) for t in imminent]
-                    states = {key: c for key, c in states.items()
-                              if all(ch(key) for ch in checks)}
+                pinned.add(s)
+                for tri in imminent.get(step, ()):
+                    states = holds(slots(tri))
             else:
-                idxs = {e: i for i, e in enumerate(tracked)}
-                checks = [triangle_checker(t, idxs, own_edge=s)
-                          for t in imminent]
+                tracked.append(s)
+                checks = [slots(tri) for tri in imminent.get(step, ())]
+                if not checks:
+                    states = {key + (g,): c for key, c in states.items()
+                              for g in range(n)}
+                else:
+                    # the first check fixes the new label as one product
+                    # left[key[p]] * right[key[q]]
+                    ka, kb, kc = checks[0]
+                    own = len(tracked)
+                    if kc == own:           # c = a * b
+                        p, q, left, right = ka, kb, ident, ident
+                    elif ka == own:         # a = c * b^-1
+                        p, q, left, right = kc, kb, ident, inv
+                    else:                   # b = a^-1 * c
+                        p, q, left, right = ka, kc, inv, ident
+                    rest = checks[1:]
+                    new = {}
+                    for key, c in states.items():
+                        nk = key + (table[left[key[p]] * n + right[key[q]]],)
+                        for i, j, k in rest:
+                            if table[nk[i] * n + nk[j]] != nk[k]:
+                                break
+                        else:
+                            new[nk] = c
+                    states = new
+        elif dim == 2 and step not in fused:
+            states = holds(slots(s))
+        # vertices and tetrahedra add no constraint
+        gone = leaving.get(step)
+        if gone:
+            pinned.difference_update(gone)
+            keep = [t for t, e in enumerate(tracked) if e not in gone]
+            if len(keep) < len(tracked):
+                tracked = [tracked[t] for t in keep]
+                project = (itemgetter(0, *(t + 1 for t in keep)) if keep
+                           else lambda key: (0,))
                 new = {}
                 for key, c in states.items():
-                    for g in G.elements():
-                        if all(ch(key, g) for ch in checks):
-                            new[key + (g,)] = c
+                    nk = project(key)
+                    new[nk] = new.get(nk, 0) + c
                 states = new
-                tracked.append(s)
-        elif k == 2 and fused_with.get(step) != "done":
-            idxs = {e: i for i, e in enumerate(tracked)}
-            check = triangle_checker(s, idxs)
-            new = {}
-            for key, c in states.items():
-                if check(key):
-                    new[key] = new.get(key, 0) + c
-            states = new
-        # vertices and tetrahedra add no constraint
-        drop_edges(step)
         stats.max_states = max(stats.max_states, len(states))
         stats.max_tracked_edges = max(stats.max_tracked_edges, len(tracked))
         if len(states) > limits.max_states:

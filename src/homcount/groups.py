@@ -592,6 +592,14 @@ def direct_product(G, H, name=None):
 # -- file formats -----------------------------------------------------------------
 
 
+def _group_ints(tokens):
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise GroupError("expected integers in group file, got %r"
+                         % " ".join(tokens)) from None
+
+
 def parse_group_text(text, name_hint="G"):
     toks = text.split()
     if not toks:
@@ -599,18 +607,23 @@ def parse_group_text(text, name_hint="G"):
     if toks[0] != "group" or len(toks) < 4:
         raise GroupError("group file must start with 'group <name> <order>' "
                          "and a mode line")
-    name, order = toks[1], int(toks[2])
-    mode = toks[3]
+    name, mode = toks[1], toks[3]
+    (order,) = _group_ints(toks[2:3])
     if mode == "table":
-        ids = [int(t) for t in toks[4:]]
+        ids = _group_ints(toks[4:])
         if len(ids) != order * order:
             raise GroupError("expected %d table entries, got %d"
                              % (order * order, len(ids)))
         return FiniteGroup.from_table(name, ids)
     if mode == "perm-gens":
         body = text.split("perm-gens", 1)[1]
-        gens = [perms.parse_cycles(line)
-                for line in body.splitlines() if line.strip()]
+        try:
+            gens = [perms.parse_cycles(line)
+                    for line in body.splitlines() if line.strip()]
+        except ValueError as exc:
+            raise GroupError(str(exc)) from None
+        if not gens:
+            raise GroupError("perm-gens needs at least one generator line")
         degree = max(len(g) for g in gens)
         G = FiniteGroup.from_perm_gens(name, gens, degree=degree)
         if G.order != order:

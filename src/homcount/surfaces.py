@@ -508,7 +508,11 @@ def parse_gluing_text(text):
     head = lines[0].split() if lines else []
     if len(head) < 2 or not head[0].startswith("genus"):
         raise SurfaceError("gluing file must start with 'genus g'")
-    g = int(head[1])
+    try:
+        g = int(head[1])
+    except ValueError:
+        raise SurfaceError("genus must be an integer, got %r"
+                           % head[1]) from None
     word = []
     for ln in lines[1:]:
         if not ln.startswith("word"):

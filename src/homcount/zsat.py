@@ -8,7 +8,6 @@ a warning alphabet with two distinguished orbits, and enough scratch orbits
 to repair parity and anti-diagonal defects when extending partial gates.
 """
 
-import functools
 import itertools
 from dataclasses import dataclass
 from . import perms
@@ -57,6 +56,7 @@ class ZAlphabet:
         self.scratch = tuple(range(1 + base * q, 1 + (base + n_scratch_orbits) * q))
 
         self.action = self._build_action()
+        self._square_action = None
         self._check_inequalities()
 
     def _build_action(self):
@@ -72,22 +72,28 @@ class ZAlphabet:
             table.append(tuple(row))
         return GSetAction(G, self.size, table)
 
-    @functools.cached_property
+    # Cached in an attribute set in __init__, as FiniteGroup's invariants
+    # are: functools.cached_property writes through instance.__dict__,
+    # which on CPython 3.11 slows every later attribute load.
+
+    @property
     def square_action(self):
         """The diagonal action on ordered pairs of symbols, with pair
         encoding (a, b) -> a*|A| + b."""
-        A = self.size
-        G = self.gamma
-        table = []
-        for g in G.elements():
-            row = self.action.table[g]
-            pair_row = [0] * (A * A)
-            for a in range(A):
-                ra = row[a] * A
-                for b in range(A):
-                    pair_row[a * A + b] = ra + row[b]
-            table.append(tuple(pair_row))
-        return GSetAction(G, A * A, table)
+        if self._square_action is None:
+            A = self.size
+            G = self.gamma
+            table = []
+            for g in G.elements():
+                row = self.action.table[g]
+                pair_row = [0] * (A * A)
+                for a in range(A):
+                    ra = row[a] * A
+                    for b in range(A):
+                        pair_row[a * A + b] = ra + row[b]
+                table.append(tuple(pair_row))
+            self._square_action = GSetAction(G, A * A, table)
+        return self._square_action
 
     def _check_inequalities(self):
         q = self.gamma.order

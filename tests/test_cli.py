@@ -186,6 +186,26 @@ def test_malformed_circuit_exit_code(capsys, tmp_path, command, text):
      "group foo 6", "GroupError"),
     (["heegaard-count", "--group", "a5.grp", "--gluing"], "bad.glu",
      "genus", "SurfaceError"),
+    (["dp-count", "--group", "s3.grp", "--complex"], "bad.cx",
+     "vertices\n0 1 2\n", "ComplexError"),
+    (["dp-count", "--group", "s3.grp", "--complex"], "bad.cx",
+     "vertices x\n0 1 2\n", "ComplexError"),
+    (["dp-count", "--group", "s3.grp", "--complex"], "bad.cx",
+     "vertices 3\n0 1 x\n", "ComplexError"),
+    (["dp-count", "--group", "s3.grp", "--complex"], "bad.cx",
+     "vertices 3 4\n0 1 2\n", "ComplexError"),
+    (["dp-count", "--group", "s3.grp", "--complex"], "bad.cx",
+     "vertices 3\n0 1 2\norder\n0 z\n", "ComplexError"),
+    (["count-hom", "--group", "s3.grp", "--presentation"], "bad.pres",
+     "gens\nx1\n", "ComplexError"),
+    (["count-hom", "--group", "s3.grp", "--presentation"], "bad.pres",
+     "gens x\nx1\n", "ComplexError"),
+    (["count-hom", "--presentation", "poincare.pres", "--group"], "bad.grp",
+     "group foo x table", "GroupError"),
+    (["count-hom", "--presentation", "poincare.pres", "--group"], "bad.grp",
+     "group foo 6 perm-gens\n", "GroupError"),
+    (["heegaard-count", "--group", "a5.grp", "--gluing"], "bad.glu",
+     "genus x", "SurfaceError"),
 ])
 def test_malformed_header_exit_code(capsys, tmp_path, argv, name, text, error):
     path = tmp_path / name

@@ -2,20 +2,95 @@ import random
 
 import pytest
 
-from homcount.complexes import (ComplexError, Presentation, SimplicialComplex,
-                                band_ordering, csaszar_torus, faces,
-                                genus2_ordering, genus2_surface,
-                                greedy_ordering, grid_torus, homology,
-                                load_complex, ordering_width,
+from homcount.complexes import (ComplexError, Presentation, PrefixBoundary,
+                                SimplicialComplex, band_ordering,
+                                csaszar_torus, faces, genus2_ordering,
+                                genus2_surface, greedy_ordering, grid_torus,
+                                homology, load_complex, ordering_width,
                                 parse_presentation_text,
-                                presentation_from_complex, prefix_boundary,
-                                prefix_boundary_direct, smith_normal_form,
+                                presentation_from_complex, smith_normal_form,
                                 validate_ordering)
 from conftest import data_path
 
 
 def sphere():
     return SimplicialComplex(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
+# -- oracles: prefix boundaries recomputed from scratch ------------------------
+
+
+def prefix_boundary(X, prefix):
+    """bd of a subcomplex: closure minus interior, as a simplex set.
+
+    A simplex of the prefix lies in the boundary iff some proper coface in X
+    is missing from the prefix; the boundary is closed under faces.
+    """
+    prefix = set(prefix)
+    bd = set()
+    for s in prefix:
+        if any(t not in prefix for t in X.cofaces(s)):
+            stack = [s]
+            while stack:
+                t = stack.pop()
+                if t in bd:
+                    continue
+                bd.add(t)
+                stack.extend(faces(t))
+    return bd
+
+
+def prefix_boundary_direct(X, prefix):
+    """Independent boundary computation: faces of missing simplices that lie
+    in the prefix."""
+    prefix = set(prefix)
+    bd = set()
+    for t in X.simplices():
+        if t in prefix:
+            continue
+        stack = faces(t)
+        while stack:
+            f = stack.pop()
+            if f in prefix and f not in bd:
+                bd.add(f)
+                stack.extend(faces(f))
+    return bd
+
+
+def oracle_greedy_ordering(X):
+    """The greedy ordering with every candidate's boundary recomputed."""
+    placed = set()
+    ordering = []
+    remaining = set(X.simplices())
+    while remaining:
+        candidates = [s for s in remaining
+                      if all(f in placed for f in faces(s))]
+        best = None
+        for s in sorted(candidates, key=lambda t: (len(t), t)):
+            bd = prefix_boundary(X, placed | {s})
+            key = (len(bd), sum(1 for t in bd if len(t) == 2), len(s), s)
+            if best is None or key < best[0]:
+                best = (key, s)
+        s = best[1]
+        placed.add(s)
+        remaining.discard(s)
+        ordering.append(s)
+    return ordering
+
+
+def random_complex(rng):
+    """A seeded random complex of dimension at most 3, maybe disconnected."""
+    nv = rng.randint(3, 8)
+    simplices = [tuple(rng.sample(range(nv), min(rng.choice((2, 3, 3, 4)),
+                                                 nv)))
+                 for _ in range(rng.randint(1, 9))]
+    return SimplicialComplex(nv, simplices)
+
+
+def boundary_test_complexes():
+    rng = random.Random(41)
+    return ([csaszar_torus(), genus2_surface(), grid_torus(4, 4)]
+            + [random_complex(rng) for _ in range(120)])
 
 
 def test_closure_and_size():
@@ -173,3 +248,25 @@ def test_complex_file_with_ordering(tmp_path):
     Y, ordering = load_complex(str(path))
     assert ordering is not None
     validate_ordering(Y, ordering)
+
+
+def test_greedy_ordering_matches_oracle():
+    for X in boundary_test_complexes():
+        assert greedy_ordering(X) == oracle_greedy_ordering(X)
+
+
+def test_prefix_boundary_counts_match_oracle():
+    orderings = [(X, greedy_ordering(X)) for X in boundary_test_complexes()]
+    orderings += [(grid_torus(4, 4), band_ordering(4, 4)),
+                  (genus2_surface(), genus2_ordering())]
+    for X, ordering in orderings:
+        bd = PrefixBoundary(X)
+        width = edge_width = 0
+        for i, s in enumerate(ordering):
+            bd.add(s)
+            direct = prefix_boundary_direct(X, ordering[:i + 1])
+            edges = sum(1 for t in direct if len(t) == 2)
+            assert (bd.size, bd.edges) == (len(direct), edges)
+            width = max(width, len(direct))
+            edge_width = max(edge_width, edges)
+        assert ordering_width(X, ordering) == (width, edge_width)

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from homcount.complexes import (Presentation, SimplicialComplex, band_ordering,
-                                csaszar_torus, genus2_ordering, genus2_surface,
-                                greedy_ordering, grid_torus,
-                                presentation_from_complex)
+                                csaszar_torus, faces, genus2_ordering,
+                                genus2_surface, greedy_ordering, grid_torus,
+                                load_complex, presentation_from_complex)
 from homcount.counting import (CountingLimits, DpStats, WorkBoundExceeded,
                                count_homs, count_quotients,
                                count_quotients_canonical, count_surjections,
@@ -13,6 +13,7 @@ from homcount.counting import (CountingLimits, DpStats, WorkBoundExceeded,
                                dp_count_homs_ungauged, narrow_ordering,
                                quotient_counts_via_inversion)
 from homcount.groups import GroupError
+from conftest import data_path
 
 TORUS_P = Presentation(2, [(1, 2, -1, -2)])
 POINCARE = Presentation(2, [(1, 1, 1, -2, -2, -2, -2, -2),
@@ -116,6 +117,41 @@ def test_dp_state_budget(a4):
     with pytest.raises(WorkBoundExceeded):
         dp_count_homs(X, genus2_ordering(), a4,
                       limits=CountingLimits(max_states=10))
+
+
+def edge_sweep(X, edges):
+    """The vertices, then each edge followed by the triangles it completes."""
+    ordering = list(X.by_dim[0])
+    placed = set()
+    for e in edges:
+        ordering.append(e)
+        placed.add(e)
+        ordering.extend(t for t in X.by_dim[2] if e in faces(t)
+                        and all(f in placed for f in faces(t)))
+    return ordering
+
+
+# an edge order whose fused triangles solve for each of the three edges
+# while the other two labels stay on the boundary
+CSASZAR_EDGES = [(0, 2), (3, 6), (1, 5), (1, 2), (1, 4), (0, 6), (1, 6),
+                 (0, 1), (2, 5), (4, 5), (0, 5), (2, 6), (2, 4), (0, 3),
+                 (0, 4), (4, 6), (3, 4), (1, 3), (3, 5), (5, 6), (2, 3)]
+
+
+@pytest.mark.parametrize("build, group, expected", [
+    (lambda: (csaszar_torus(), None), "a4", (48, 20736, 9)),
+    (lambda: (grid_torus(3, 3), band_ordering(3, 3)), "a5", (300, 3600, 5)),
+    (lambda: (load_complex(data_path("rp2.cx"))[0], None), "a4", (4, 1728, 7)),
+    (lambda: (csaszar_torus(), edge_sweep(csaszar_torus(), CSASZAR_EDGES)),
+     "s3", (18, 1296, 7)),
+], ids=["csaszar-A4", "grid3x3-A5", "rp2-A4", "csaszar-edge-sweep-S3"])
+def test_dp_counts_and_state_peaks(request, build, group, expected):
+    # pinned from the sweep that expanded every edge into |G| labels
+    X, ordering = build()
+    stats = DpStats()
+    homs = dp_count_homs(X, ordering, request.getfixturevalue(group),
+                         stats=stats)
+    assert (homs, stats.max_states, stats.max_tracked_edges) == expected
 
 
 def test_dp_dangling_edges(s3):

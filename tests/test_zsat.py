@@ -122,6 +122,10 @@ def test_all_compiled_gates_pass_membership(z3):
     zi = compile_zsat(inst, zal)
     assert verify_gates(zi)
     act = square_action(zal)
+    # built once, in the attribute set in __init__, never in the __dict__
+    # slot a functools.cached_property would write
+    assert square_action(zal) is act is zal._square_action
+    assert "square_action" not in vars(zal)
     alpha = postcomputation_gate(zal)
     assert rubik_membership(alpha, act)
 
