@@ -246,7 +246,7 @@ def cmd_heegaard_count(args, rep):
     parts = ["Z^%d" % rank] if rank else []
     parts += ["Z/%d" % d for d in torsion]
     rep.add("manifold-h1", " + ".join(parts) if parts else "0")
-    rep.add("homology-sphere", surfaces.is_homology_sphere_gluing(h))
+    rep.add("homology-sphere", rank == 0 and not torsion)
     rep.add("homs", out.homs)
     rep.add("surjections", out.surjections)
     rep.add("quotients", out.quotients)
@@ -272,12 +272,23 @@ def cmd_rubik_check(args, rep):
     return 0 if ok else 1
 
 
+def _id_pair(line, G1, G2):
+    """An (a, b) element-id pair of G1 x G2 from a subgroup-file line."""
+    try:
+        a, b = (int(t) for t in line.split())
+    except ValueError:
+        a = b = -1
+    if not (0 <= a < G1.order and 0 <= b < G2.order):
+        raise groups.GroupError("subgroup line must be two element ids of "
+                                "the groups, got %r" % line.strip())
+    return a, b
+
+
 def cmd_goursat(args, rep):
     G1 = _load_group_arg(args.group)
     G2 = _load_group_arg(args.group2)
     with open(_resolve(args.subgroup)) as fh:
-        pairs = [tuple(int(t) for t in ln.split())
-                 for ln in fh if ln.strip()]
+        pairs = [_id_pair(ln, G1, G2) for ln in fh if ln.strip()]
     dec = gsets.goursat_decompose(pairs, G1, G2)
     rep.add("n1-order", dec.n1.order)
     rep.add("n2-order", dec.n2.order)

@@ -34,6 +34,7 @@ class FiniteGroup:
         self._gen_ids = gen_ids
         self._words = words
         self._abelian = None
+        self._perfect = None
         self._element_orders = None
         self._autcache = None
         self._membership_masks = None
@@ -99,7 +100,10 @@ class FiniteGroup:
         return self._abelian
 
     def is_perfect(self):
-        return len(commutator_subgroup(self).members) == self.order
+        if self._perfect is None:
+            self._perfect = (len(commutator_subgroup(self).members)
+                             == self.order)
+        return self._perfect
 
     # -- validation ------------------------------------------------------------
 
@@ -550,6 +554,13 @@ class StemExtension:
     cover: FiniteGroup
     projection: tuple     # cover element id -> base element id
     center_ids: tuple
+
+    def __post_init__(self):
+        # lifts[x]: the cover ids over base id x, in increasing order
+        self.lifts = {}
+        for c, x in enumerate(self.projection):
+            self.lifts.setdefault(x, []).append(c)
+        self.center = frozenset(self.center_ids)
 
     def validate(self, base):
         C, proj, Z = self.cover, self.projection, set(self.center_ids)

@@ -3,14 +3,15 @@ mapping-class generator actions, orbit exploration, and Heegaard counting.
 
 A genus-g representation is a 2g-tuple (a1, b1, ..., ag, bg) of group element
 ids satisfying prod [ai, bi] = 1.  Generator substitution rules are written
-against an abstract (mul, inv) interface so the same rule acts on group
-tuples and, abelianized, on integer homology vectors.
+against an abstract (mul, inv) interface so the same rule acts on integer
+homology vectors (abelianized) and, run once on symbolic slot names, compiles
+into a straight-line program over a group's table.
 """
 
-import random
 from dataclasses import dataclass
-from .groups import (FiniteGroup, GroupError, StemExtension, automorphisms,
-                     close_under_product)
+from itertools import product
+
+from .groups import GroupError, automorphisms, subgroup_membership_masks
 from .counting import WorkBoundExceeded, DEFAULT_LIMITS
 
 
@@ -71,7 +72,6 @@ def enumerate_reps(g, G, filter="all", limits=DEFAULT_LIMITS, ext=None):
         for b in G.elements():
             sols_by_target.setdefault(G.comm(a, b), []).append((a, b))
     if filter in ("surjective", "schur-zero"):
-        from .groups import subgroup_membership_masks
         masks, full_bit = subgroup_membership_masks(G)
     else:
         masks = full_bit = None
@@ -116,6 +116,8 @@ class RepSampler:
 
     def draw(self, rng):
         G, g = self.G, self.g
+        if g == 0:
+            return ()
         while True:
             prefix = tuple(rng.randrange(G.order) for _ in range(2 * g - 2))
             acc = 0
@@ -141,27 +143,19 @@ def schur_invariant(tup, G, ext, rng=None):
     Lifts every entry arbitrarily to the cover and multiplies the lifted
     commutators; for a perfect target the result is independent of lifts.
     """
-    cache = getattr(ext, "_schur_cache", None)
-    if cache is None or cache[0] is not G:
-        if not G.is_perfect():
-            raise GroupError("Schur invariant requires a perfect target group")
-        preim = {}
-        for c in range(ext.cover.order):
-            preim.setdefault(ext.projection[c], []).append(c)
-        cache = (G, preim, frozenset(ext.center_ids))
-        ext._schur_cache = cache
-    _, preim, center = cache
+    if not G.is_perfect():
+        raise GroupError("Schur invariant requires a perfect target group")
     if not surface_relation_holds(G, tup):
         raise SurfaceError("tuple violates the surface relation")
-    C = ext.cover
+    C, lifts = ext.cover, ext.lifts
     if rng is None:
-        lift = {x: preim[x][0] for x in set(tup)}
+        lift = {x: lifts[x][0] for x in set(tup)}
     else:
-        lift = {x: preim[x][rng.randrange(len(preim[x]))] for x in set(tup)}
+        lift = {x: lifts[x][rng.randrange(len(lifts[x]))] for x in set(tup)}
     acc = 0
     for i in range(0, len(tup), 2):
         acc = C.mul(acc, C.comm(lift[tup[i]], lift[tup[i + 1]]))
-    if acc not in center:
+    if acc not in ext.center:
         raise GroupError("lifted relator product escaped the center")
     return acc
 
@@ -304,44 +298,158 @@ def _handle_swap(i, g):
     return MCGGenerator("swap%d" % (i + 1), rule, unrule)
 
 
-_GEN_CACHE = {}
-
-
 def standard_generators(g):
     """The package's mapping-class generator set for genus g."""
-    if g not in _GEN_CACHE:
-        gens = []
-        for i in range(g):
-            gens.append(_twist_a(i, g))
-            gens.append(_twist_b(i, g))
-        for i in range(g - 1):
-            gens.append(_chain_twist(i, g))
-            gens.append(_separating_twist(i, g))
-            gens.append(_handle_swap(i, g))
-        _GEN_CACHE[g] = (gens, {gen.name: gen for gen in gens})
-    return list(_GEN_CACHE[g][0])
+    gens = []
+    for i in range(g):
+        gens.append(_twist_a(i, g))
+        gens.append(_twist_b(i, g))
+    for i in range(g - 1):
+        gens.append(_chain_twist(i, g))
+        gens.append(_separating_twist(i, g))
+        gens.append(_handle_swap(i, g))
+    return gens
 
 
 def generators_by_name(g):
-    standard_generators(g)
-    return _GEN_CACHE[g][1]
+    return {gen.name: gen for gen in standard_generators(g)}
+
+
+# -- words and their straight-line programs ----------------------------------------
+
+
+def resolve_word(word, g):
+    """Resolve a word of generator names (a trailing ' means inverse) into
+    (generator, inverted) letters; an unknown name is reported as written."""
+    table = generators_by_name(g)
+    letters = []
+    for name in word:
+        inverted = name.endswith("'")
+        gen = table.get(name[:-1] if inverted else name)
+        if gen is None:
+            raise SurfaceError("unknown mapping class generator %r" % name)
+        letters.append((gen, inverted))
+    return letters
+
+
+def inverse_word(letters):
+    """The resolved letters of the inverse mapping class."""
+    return [(gen, not inverted) for gen, inverted in reversed(letters)]
+
+
+def run_word(letters, tup, mul, inv):
+    """Apply resolved letters in order through the (mul, inv) interface."""
+    for gen, inverted in letters:
+        tup = (gen.inverse_rule if inverted else gen.rule)(tup, mul, inv)
+    return tup
+
+
+IDENTITY = "0"      # symbolic name of the identity, also its source text
+
+
+class _Tracer:
+    """The (mul, inv) interface over symbolic names, recording one line of
+    a straight-line program per distinct product or inverse.
+
+    Products with the identity and inverses of inverses fold away, so the
+    identity slots of a Heegaard tuple cost nothing.  Names are the slot
+    names x0.., IDENTITY and the recorded v0..; nothing else is accepted,
+    so no text but those names and integers reaches the program source.
+    """
+
+    def __init__(self, slots):
+        self.lines = []
+        self.memo = {}          # (x, y) -> name of x*y; x -> name of x^-1
+        self.known = set(slots) | {IDENTITY}
+
+    def _check(self, x):
+        if x not in self.known:
+            raise SurfaceError("generator rule left the (mul, inv) interface")
+        return x
+
+    def _record(self, key, expr):
+        name = "v%d" % len(self.lines)
+        self.lines.append("%s = %s" % (name, expr))
+        self.memo[key] = name
+        self.known.add(name)
+        return name
+
+    def mul(self, x, y):
+        if self._check(x) == IDENTITY:
+            return self._check(y)
+        if self._check(y) == IDENTITY:
+            return x
+        key = (x, y)
+        if key not in self.memo:
+            self._record(key, "T[%s][%s]" % key)
+        return self.memo[key]
+
+    def inv(self, x):
+        if self._check(x) == IDENTITY:
+            return x
+        if x not in self.memo:
+            self.memo[self._record(x, "I[%s]" % x)] = x
+        return self.memo[x]
+
+    def relator(self, tup):
+        """prod [a_i, b_i], associated as surface_relation_holds does."""
+        acc = IDENTITY
+        for i in range(0, len(tup), 2):
+            a, b = tup[i], tup[i + 1]
+            acc = self.mul(acc, self.mul(self.mul(a, b),
+                                         self.mul(self.inv(a), self.inv(b))))
+        return acc
+
+    def source(self, out):
+        if isinstance(out, tuple):
+            return "(%s)" % "".join(self.source(x) + ", " for x in out)
+        return self._check(out)
+
+
+def compile_program(G, n_slots, build):
+    """Trace build(tracer, slots) once and compile the straight-line function
+    it records over the rows of G's table and its inverse list.
+
+    build runs (mul, inv) rules on the slot names and returns a name or a
+    nested tuple of names; the function maps n_slots element ids to the
+    same structure of element ids.
+    """
+    slots = tuple("x%d" % k for k in range(n_slots))
+    tr = _Tracer(slots)
+    ret = tr.source(build(tr, slots))
+    src = "def make(T, I):\n def program(%s):\n%s  return %s\n return program\n" \
+        % (", ".join(slots), "".join("  %s\n" % ln for ln in tr.lines), ret)
+    namespace = {}
+    exec(compile(src, "<mapping class program>", "exec"), namespace)
+    # rows[a][b] = a*b: a row lookup allocates no int, a flat a*n + b does;
+    # popping make leaves no cycle, so the tables go with the program
+    n = G.order
+    return namespace.pop("make")(
+        [G._table[a * n:(a + 1) * n] for a in range(n)], G._inv)
+
+
+def generator_steps(G, gens, g):
+    """One program for a genus-g tuple's neighbours: each generator's step
+    and then its inverse step, in the order of gens."""
+    return compile_program(
+        G, 2 * g, lambda tr, t: tuple(rule(t, tr.mul, tr.inv) for gen in gens
+                                      for rule in (gen.rule, gen.inverse_rule)))
 
 
 def mcg_apply(word, G, tup, g=None):
     """Apply a word of generator names (trailing ' means inverse)."""
     if g is None:
         g = len(tup) // 2
-    table = generators_by_name(g)
-    for name in word:
-        invert = name.endswith("'")
-        base = name.rstrip("'")
-        if base not in table:
-            raise SurfaceError("unknown mapping class generator %r" % name)
-        gen = table[base]
-        tup = gen.unapply(G, tup) if invert else gen.apply(G, tup)
-    if not surface_relation_holds(G, tup):
+    letters = resolve_word(word, g)
+
+    def build(tr, slots):
+        out = run_word(letters, slots, tr.mul, tr.inv)
+        return out, tr.relator(out)
+
+    out, rel = compile_program(G, len(tup), build)(*tup)
+    if rel != 0:
         raise SurfaceError("generator broke the surface relation")
-    return tup
+    return out
 
 
 def _abelian_vector_ops(g):
@@ -356,23 +464,20 @@ def _abelian_vector_ops(g):
     return mul, inv
 
 
+def _h1_matrix(letters, g):
+    mul, inv = _abelian_vector_ops(g)
+    tup = tuple(tuple(1 if i == k else 0 for i in range(2 * g))
+                for k in range(2 * g))
+    return [list(v) for v in run_word(letters, tup, mul, inv)]
+
+
 def word_h1_matrix(word, g):
     """Induced action of a generator word on H_1(Sigma_g) = Z^(2g).
 
     The word is applied to the tuple of formal basis vectors with abelian
     vector operations, so row k of the result is the image of basis vector k.
     """
-    mul, inv = _abelian_vector_ops(g)
-    tup = tuple(tuple(1 if i == k else 0 for i in range(2 * g))
-                for k in range(2 * g))
-    table = generators_by_name(g)
-    for name in word:
-        invert = name.endswith("'")
-        base = name.rstrip("'")
-        gen = table[base]
-        tup = gen.inverse_rule(tup, mul, inv) if invert \
-            else gen.rule(tup, mul, inv)
-    return [list(v) for v in tup]
+    return _h1_matrix(resolve_word(word, g), g)
 
 
 def is_torelli_word(word, g):
@@ -391,8 +496,7 @@ def gluing_h1(h):
     """
     from .complexes import smith_normal_form
     g = h.genus
-    mat = word_h1_matrix([n[:-1] if n.endswith("'") else n + "'"
-                          for n in reversed(h.word)], g)
+    mat = _h1_matrix(inverse_word(resolve_word(h.word, g)), g)
     rows = []
     for i in range(g):
         row = [0] * (2 * g)
@@ -433,10 +537,11 @@ class OrbitReport:
 def orbit_report(seeds, G, g, gens=None, ext=None, max_visited=2_000_000):
     """Breadth-first orbit decomposition of seed tuples under the generator
     set, with per-orbit surjectivity, Schur class, and Aut-closure flags."""
+    if g < 0:
+        raise SurfaceError("genus must be non-negative, got %d" % g)
     if gens is None:
         gens = standard_generators(g)
     auts = automorphisms(G)
-    from .groups import subgroup_membership_masks
     masks, full_bit = subgroup_membership_masks(G)
 
     def surjective(tup):
@@ -445,33 +550,48 @@ def orbit_report(seeds, G, g, gens=None, ext=None, max_visited=2_000_000):
             acc &= masks[x]
         return acc == full_bit
 
+    neighbours = generator_steps(G, gens, g)
+    if ext is not None:
+        lifted_relator = compile_program(ext.cover, 2 * g,
+                                         lambda tr, t: tr.relator(t))
+        lift = [ext.lifts[x][0] for x in G.elements()].__getitem__
+
     seen = {}
     rows = []
     for seed in seeds:
         seed = tuple(seed)
+        if len(seed) != 2 * g:
+            raise SurfaceError("seed has %d entries, genus %d needs %d"
+                               % (len(seed), g, 2 * g))
         if not surface_relation_holds(G, seed):
             raise SurfaceError("seed violates the surface relation")
         if seed in seen:
             continue
         orbit = {seed}
         frontier = [seed]
+        room = max_visited - len(seen)
         while frontier:
-            tup = frontier.pop()
-            for gen in gens:
-                for nxt in (gen.apply(G, tup), gen.unapply(G, tup)):
-                    if nxt not in orbit:
-                        orbit.add(nxt)
-                        frontier.append(nxt)
-                        if len(seen) + len(orbit) > max_visited:
-                            raise WorkBoundExceeded("orbit memory bound hit")
+            for nxt in neighbours(*frontier.pop()):
+                if nxt not in orbit:
+                    orbit.add(nxt)
+                    frontier.append(nxt)
+                    if len(orbit) > room:
+                        raise WorkBoundExceeded("orbit memory bound hit")
         for t in orbit:
             seen[t] = len(rows)
         surj = surjective(seed)
         sch = schur_invariant(seed, G, ext) if (ext is not None
                                                 and surj) else -1
         if ext is not None and surj:
-            classes = {schur_invariant(t, G, ext) for t in orbit
-                       if surjective(t)}
+            # schur_invariant(t, G, ext) for every surjective t, as one
+            # traced relator over the cover on first lifts
+            classes = set()
+            for t in orbit:
+                if surjective(t):
+                    acc = lifted_relator(*map(lift, t))
+                    if acc not in ext.center:
+                        schur_invariant(t, G, ext)  # raises the typed error
+                    classes.add(acc)
             if len(classes) > 1:
                 raise SurfaceError("orbit mixes Schur classes")
         aut_closed = all(tuple(phi[x] for x in seed) in orbit for phi in auts)
@@ -497,6 +617,11 @@ class HomCount:
 class HeegaardGluing:
     genus: int
     word: list
+
+    def __post_init__(self):
+        if self.genus < 0:
+            raise SurfaceError("genus must be non-negative, got %d"
+                               % self.genus)
 
     def is_torelli(self):
         return is_torelli_word(self.word, self.genus)
@@ -538,27 +663,30 @@ def heegaard_count(h, G, limits=DEFAULT_LIMITS):
     if G.order ** g > limits.max_enumeration:
         raise WorkBoundExceeded("heegaard enumeration %d^%d over budget"
                                 % (G.order, g))
-    inverse_word = [name[:-1] if name.endswith("'") else name + "'"
-                    for name in reversed(h.word)]
-    from .groups import subgroup_membership_masks
+    pull_back = inverse_word(resolve_word(h.word, g))
+
+    def build(tr, bs):
+        tup = run_word(pull_back, tuple(x for b in bs for x in (IDENTITY, b)),
+                       tr.mul, tr.inv)
+        return (tr.relator(tup),) + tup[0::2]
+
+    # (b1..bg) -> (relator, a-slots) of the pulled-back tuple (1, b1, .., 1, bg)
+    program = compile_program(G, g, build)
     masks, full_bit = subgroup_membership_masks(G)
+    trivial = (0,) * (g + 1)
     homs = 0
     surj = 0
-    bs = [()]
-    for _ in range(g):
-        bs = [t + (x,) for t in bs for x in G.elements()]
-    for bvals in bs:
-        tup = ()
-        for b in bvals:
-            tup += (0, b)
-        pulled = mcg_apply(inverse_word, G, tup, g=g)
-        if all(pulled[2 * i] == 0 for i in range(g)):
+    for bvals in product(range(G.order), repeat=g):
+        out = program(*bvals)
+        if out == trivial:
             homs += 1
             acc = -1
             for b in bvals:
                 acc &= masks[b]
             if acc == full_bit:
                 surj += 1
+        elif out[0] != 0:
+            raise SurfaceError("generator broke the surface relation")
     naut = len(automorphisms(G))
     if surj % naut != 0:
         raise GroupError("surjection count %d not divisible by |Aut| = %d"

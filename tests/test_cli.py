@@ -118,6 +118,29 @@ def test_heegaard_command(capsys, tmp_path):
     assert code == 0 and rep["homs"] == "25"
 
 
+def test_heegaard_unknown_name_as_written(capsys, tmp_path):
+    path = tmp_path / "bad.glu"
+    path.write_text("genus 1\nword ta1 foo\n")
+    code, out = run(capsys, "heegaard-count", "--gluing", str(path),
+                    "--group", "s3.grp")
+    assert code == 2
+    assert parse_report(out)["error"] == \
+        "SurfaceError: unknown mapping class generator 'foo'"
+
+
+@pytest.mark.parametrize("genus, code, visited", [
+    ("0", 0, "1"), ("1", 0, "4"), ("-1", 2, None)])
+def test_orbit_genus_range(capsys, genus, code, visited):
+    got, out = run(capsys, "orbit", "--group", "s3.grp", "--genus", genus,
+                   "--orbit-seeds", "1")
+    rep = parse_report(out)
+    assert got == code
+    if visited is None:
+        assert rep["error"].startswith("SurfaceError: ")
+    else:
+        assert rep["visited"] == visited
+
+
 def test_compile_zsat_command(capsys, tmp_path):
     # identity data circuit of width 2 over the 4-orbit quotient
     path = tmp_path / "ident.rev"
@@ -206,6 +229,14 @@ def test_malformed_circuit_exit_code(capsys, tmp_path, command, text):
      "group foo 6 perm-gens\n", "GroupError"),
     (["heegaard-count", "--group", "a5.grp", "--gluing"], "bad.glu",
      "genus x", "SurfaceError"),
+    (["heegaard-count", "--group", "a5.grp", "--gluing"], "bad.glu",
+     "genus -1", "SurfaceError"),
+    (["goursat", "--group", "s3.grp", "--group2", "s3.grp", "--subgroup"],
+     "bad.pairs", "0 0\n0 x\n", "GroupError"),
+    (["goursat", "--group", "s3.grp", "--group2", "s3.grp", "--subgroup"],
+     "bad.pairs", "1\n", "GroupError"),
+    (["goursat", "--group", "s3.grp", "--group2", "s3.grp", "--subgroup"],
+     "bad.pairs", "1 6\n", "GroupError"),
 ])
 def test_malformed_header_exit_code(capsys, tmp_path, argv, name, text, error):
     path = tmp_path / name

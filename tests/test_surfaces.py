@@ -2,13 +2,66 @@ import random
 
 import pytest
 
-from homcount.groups import GroupError, automorphisms
-from homcount.surfaces import (HeegaardGluing, RepSampler, SurfaceError,
-                               count_reps, enumerate_reps, heegaard_count,
+from homcount import perms, surfaces
+from homcount.groups import (FiniteGroup, GroupError, automorphisms,
+                             subgroup_membership_masks)
+from homcount.surfaces import (HeegaardGluing, MCGGenerator, RepSampler,
+                               SurfaceError, count_reps, enumerate_reps,
+                               generator_steps, gluing_h1, heegaard_count,
                                is_torelli_word, mcg_apply, orbit_report,
-                               parse_gluing_text, schur_invariant,
+                               inverse_word, parse_gluing_text,
+                               resolve_word, run_word, schur_invariant,
                                standard_generators, surface_relation_holds,
                                word_h1_matrix)
+from homcount.counting import WorkBoundExceeded
+
+
+# -- oracles: the per-letter evaluator the compiled programs replaced ----------
+
+
+def oracle_mcg_apply(word, G, tup):
+    """Apply a word letter by letter with MCGGenerator.apply/unapply."""
+    table = {gen.name: gen for gen in standard_generators(len(tup) // 2)}
+    for name in word:
+        if name.endswith("'"):
+            tup = table[name[:-1]].unapply(G, tup)
+        else:
+            tup = table[name].apply(G, tup)
+    assert surface_relation_holds(G, tup)
+    return tup
+
+
+def oracle_heegaard(h, G):
+    """(homs, surjections): pull every (1, b1, .., 1, bg) back through the
+    inverse word one tuple at a time."""
+    inverse = [n[:-1] if n.endswith("'") else n + "'" for n in reversed(h.word)]
+    masks, full_bit = subgroup_membership_masks(G)
+    homs = surj = 0
+    bs = [()]
+    for _ in range(h.genus):
+        bs = [t + (x,) for t in bs for x in G.elements()]
+    for bvals in bs:
+        pulled = oracle_mcg_apply(inverse, G,
+                                  tuple(x for b in bvals for x in (0, b)))
+        if all(pulled[2 * i] == 0 for i in range(h.genus)):
+            homs += 1
+            acc = -1
+            for b in bvals:
+                acc &= masks[b]
+            surj += acc == full_bit
+    return homs, surj
+
+
+def s4_group():
+    return FiniteGroup.from_perm_gens(
+        "S4", [perms.parse_cycles("(0 1)", 4),
+               perms.parse_cycles("(0 1 2 3)", 4)])
+
+
+def random_word(rng, g, max_len=10):
+    names = [gen.name for gen in standard_generators(g)]
+    return [rng.choice(names) + rng.choice(["", "'"])
+            for _ in range(rng.randrange(max_len + 1))]
 
 
 def test_rep_counts_and_enumeration(s3, a5):
@@ -265,3 +318,151 @@ def test_heegaard_homology_sphere_profile(a5, s3, a4):
     assert heegaard_count(h, s3).homs == 1
     assert heegaard_count(h, a4).homs == 1
     assert out.homs == len(automorphisms(a5)) * out.quotients + 1
+
+
+# -- compiled programs against the oracles -------------------------------------
+
+
+def check_steps(G, tuples):
+    gens = standard_generators(2)
+    steps = generator_steps(G, gens, 2)
+    for t in tuples:
+        want = tuple(x for gen in gens
+                     for x in (gen.apply(G, t), gen.unapply(G, t)))
+        assert steps(*t) == want
+
+
+def test_compiled_steps_match_generators_s3(s3):
+    check_steps(s3, list(enumerate_reps(2, s3)))
+
+
+def test_compiled_steps_match_generators_a5(a5):
+    rng = random.Random(8)
+    sampler = RepSampler(2, a5)
+    check_steps(a5, [sampler.draw(rng) for _ in range(2000)])
+
+
+def test_heegaard_matches_oracle(s3, a4):
+    rng = random.Random(9)
+    cases = [(G, 1 + k % 2) for G in (s3, a4, s4_group()) for k in range(20)]
+    cases += [(s3, 3)] * 6
+    for G, g in cases:
+        h = HeegaardGluing(g, random_word(rng, g))
+        out = heegaard_count(h, G)
+        assert (out.homs, out.surjections) == oracle_heegaard(h, G), h
+
+
+def test_mcg_apply_matches_oracle(s3, a4):
+    rng = random.Random(10)
+    for G in (s3, a4):
+        for g in (1, 2, 3):
+            sampler = RepSampler(g, G)
+            for _ in range(15):
+                word, t = random_word(rng, g), sampler.draw(rng)
+                assert mcg_apply(word, G, t) == oracle_mcg_apply(word, G, t)
+
+
+def test_inverse_word_undoes_word(s3):
+    rng = random.Random(12)
+    sampler = RepSampler(2, s3)
+    for _ in range(50):
+        letters = resolve_word(random_word(rng, 2), 2)
+        t = sampler.draw(rng)
+        image = run_word(letters, t, s3.mul, s3.inv)
+        assert run_word(inverse_word(letters), image, s3.mul, s3.inv) == t
+
+
+def test_orbit_bound_counts_every_orbit(s3):
+    rng = random.Random(4)
+    sampler = RepSampler(2, s3)
+    seeds = [(0, 0, 0, 0)] + [sampler.draw(rng) for _ in range(5)]
+    visited = orbit_report(seeds, s3, 2).visited
+    assert orbit_report(seeds, s3, 2, max_visited=visited).visited == visited
+    with pytest.raises(WorkBoundExceeded):
+        orbit_report(seeds, s3, 2, max_visited=visited - 1)
+
+
+def broken_twist_a(i, g):
+    """ta with a_i replaced by the last slot: leaves the relation."""
+    def rule(t, mul, inv):
+        out = list(t)
+        out[2 * i] = t[-1]
+        return tuple(out)
+    return MCGGenerator("ta%d" % (i + 1), rule, rule)
+
+
+def test_broken_rule_is_caught(s3, monkeypatch):
+    monkeypatch.setattr(surfaces, "_twist_a", broken_twist_a)
+    with pytest.raises(SurfaceError, match="broke the surface relation"):
+        heegaard_count(HeegaardGluing(2, ["tb2", "ta1"]), s3)
+    with pytest.raises(SurfaceError, match="broke the surface relation"):
+        mcg_apply(["ta1"], s3, (0, 1, 0, 2))
+
+
+def test_traced_relator_matches_schur_invariant(a5, sl25_ext):
+    rng = random.Random(13)
+    sampler = RepSampler(2, a5)
+    relator = surfaces.compile_program(sl25_ext.cover, 4,
+                                       lambda tr, t: tr.relator(t))
+    for _ in range(300):
+        t = sampler.draw(rng)
+        lifted = [sl25_ext.lifts[x][0] for x in t]
+        assert relator(*lifted) == schur_invariant(t, a5, sl25_ext)
+
+
+def test_orbit_schur_check_catches_broken_rules(a5, sl25_ext):
+    masks, full_bit = subgroup_membership_masks(a5)
+
+    def surjective(t):
+        acc = -1
+        for x in t:
+            acc &= masks[x]
+        return acc == full_bit
+
+    broken = broken_twist_a(0, 2)
+    rng = random.Random(14)
+    sampler = RepSampler(2, a5)
+    while True:
+        seed = sampler.draw(rng)
+        image = broken.apply(a5, seed)
+        if (surjective(seed) and surjective(image)
+                and not surface_relation_holds(a5, image)):
+            break
+    with pytest.raises(SurfaceError, match="violates the surface relation"):
+        orbit_report([seed], a5, 2, gens=[broken], ext=sl25_ext)
+
+
+def test_rules_outside_the_interface_are_refused(s3):
+    gen = MCGGenerator("bad", lambda t, mul, inv: (t[0], "I[0]"), None)
+    with pytest.raises(SurfaceError, match="interface"):
+        surfaces.compile_program(s3, 2, lambda tr, t: gen.rule(t, tr.mul,
+                                                               tr.inv))
+
+
+def test_unknown_names_are_typed_errors():
+    for call in (lambda: gluing_h1(HeegaardGluing(1, ["ta1", "foo"])),
+                 lambda: is_torelli_word(["ta3"], 2),
+                 lambda: word_h1_matrix(["ta1''"], 1)):
+        with pytest.raises(SurfaceError, match="unknown mapping class"):
+            call()
+    with pytest.raises(SurfaceError, match="'foo'"):
+        heegaard_count(HeegaardGluing(1, ["ta1", "foo"]), FiniteGroup.trivial())
+
+
+def test_genus_and_seed_length_checked():
+    with pytest.raises(SurfaceError):
+        parse_gluing_text("genus -1\nword\n")
+    assert parse_gluing_text("genus 0\n").genus == 0
+    assert heegaard_count(HeegaardGluing(0, []), s4_group()).homs == 1
+    for seeds, g in (([(0, 0)], -1), ([(0, 0)], 2)):
+        with pytest.raises(SurfaceError):
+            orbit_report(seeds, s4_group(), g)
+
+
+def test_schur_invariant_leaves_the_extension_alone(a5, sl25_ext):
+    before = dict(vars(sl25_ext))
+    t = RepSampler(2, a5).draw(random.Random(11))
+    schur_invariant(t, a5, sl25_ext)
+    assert vars(sl25_ext).keys() == before.keys()
+    assert all(sl25_ext.projection[c] == x
+               for x, cs in sl25_ext.lifts.items() for c in cs)
