@@ -78,24 +78,31 @@ class BooleanCircuit:
         return "\n".join(lines) + "\n"
 
 
+def _int_tokens(tokens, line):
+    try:
+        return tuple(int(t) for t in tokens)
+    except ValueError:
+        raise CircuitError("expected integers in line %r" % line) from None
+
+
 def parse_boolean_text(text):
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines or not lines[0].startswith("in "):
         raise CircuitError("boolean circuit file must start with 'in n'")
-    n = int(lines[0].split()[1])
+    (n,) = _int_tokens(lines[0].split()[1:2], lines[0])
     gates = []
     output = None
     for ln in lines[1:]:
         if ln.startswith("out "):
-            output = int(ln.split()[1])
+            (output,) = _int_tokens(ln.split()[1:2], ln)
             continue
         head, _, tail = ln.partition("->")
         toks = head.split()
         if not toks:
             raise CircuitError("gate line without an op: %r" % ln)
-        gates.append((toks[0], tuple(int(t) for t in toks[1:]),
-                      tuple(int(t) for t in tail.split())))
+        gates.append((toks[0], _int_tokens(toks[1:], ln),
+                      _int_tokens(tail.split(), ln)))
     if output is None:
         raise CircuitError("missing 'out' line")
     return BooleanCircuit(n, gates, output)
@@ -221,16 +228,16 @@ def parse_reversible_text(text):
         if len(toks) < _REVERSIBLE_FIELDS.get(toks[0], 1):
             raise CircuitError("too few fields in circuit line %r" % ln)
         if toks[0] == "alphabet":
-            q = int(toks[1])
+            (q,) = _int_tokens(toks[1:2], ln)
         elif toks[0] == "width":
-            width = int(toks[1])
+            (width,) = _int_tokens(toks[1:2], ln)
         elif toks[0] == "init":
-            init = tuple(int(t) for t in toks[1:])
+            init = _int_tokens(toks[1:], ln)
         elif toks[0] == "final":
-            final = tuple(int(t) for t in toks[1:])
+            final = _int_tokens(toks[1:], ln)
         elif toks[0] == "gate":
-            gates.append((int(toks[1]), int(toks[2]),
-                          tuple(int(t) for t in toks[3:])))
+            pos, k, *perm = _int_tokens(toks[1:], ln)
+            gates.append((pos, k, tuple(perm)))
         else:
             raise CircuitError("unknown circuit line %r" % ln)
     if q is None or width is None:
@@ -500,13 +507,6 @@ def regroup_embed(r2, q2, init2, final2):
     psi = (init2[0], init2[1], spares[0], spares[1])
     f_images = (final2[0], final2[1])
     inst = RsatIF(q2, m, init2, final2)
-
-    def a1_of(sym_id):
-        """Inverse of psi on its image, else None."""
-        for a1, s in enumerate(psi):
-            if s == sym_id:
-                return a1
-        return None
 
     def lift_unary(fn):
         """A2 permutation acting as fn on A1 via psi, identity elsewhere."""

@@ -29,14 +29,6 @@ DEFAULT_LIMITS = CountingLimits()
 # -- presentation-side counting ------------------------------------------------
 
 
-class _RelatorState:
-    __slots__ = ("letters", "unassigned")
-
-    def __init__(self, letters):
-        self.letters = letters
-        self.unassigned = 0
-
-
 def _plan_branch_order(ngens, relators):
     """Static variable order maximizing forced assignments.
 
@@ -490,13 +482,6 @@ class InversionTable:
     group: FiniteGroup
     rows: list
     total_homs: int
-
-    def quotient_count(self, members):
-        key = tuple(sorted(members))
-        for row in self.rows:
-            if row.members == key:
-                return row.quotients
-        raise KeyError("subgroup not in table")
 
 
 class _IsoCache:

@@ -58,12 +58,6 @@ class FiniteGroup:
         """[a, b] = a b a^-1 b^-1"""
         return self.mul(self.mul(a, b), self.mul(self._inv[a], self._inv[b]))
 
-    def mul_word(self, ids):
-        acc = 0
-        for x in ids:
-            acc = self.mul(acc, x)
-        return acc
-
     def power(self, a, k):
         if k < 0:
             return self.power(self._inv[a], -k)
@@ -359,13 +353,6 @@ class SubgroupLattice:
     group: FiniteGroup
     subgroups: list        # list of Subgroup, sorted by (order, members)
     contains: list         # contains[i][j] True iff subgroups[j] <= subgroups[i]
-
-    def index_of(self, members):
-        key = tuple(sorted(members))
-        for i, H in enumerate(self.subgroups):
-            if H.members == key:
-                return i
-        raise KeyError("subgroup not in lattice")
 
 
 def subgroup_lattice(G, order_bound=DEFAULT_ORDER_BOUND):
@@ -667,22 +654,28 @@ def load_stem_extension(path, base):
     with open(path) as fh:
         text = fh.read()
     toks = text.split()
+    keys = ("cover", "project", "center")
     fields = {}
     i = 0
     while i < len(toks):
         key = toks[i]
         if key == "cover":
+            if i + 1 == len(toks):
+                raise GroupError("stem-extension 'cover' needs a file name")
             fields["cover"] = toks[i + 1]
             i += 2
         elif key in ("project", "center"):
-            vals = []
-            i += 1
-            while i < len(toks) and toks[i] not in ("cover", "project", "center"):
-                vals.append(int(toks[i]))
-                i += 1
-            fields[key] = vals
+            j = i + 1
+            while j < len(toks) and toks[j] not in keys:
+                j += 1
+            fields[key] = _group_ints(toks[i + 1:j])
+            i = j
         else:
             raise GroupError("unknown stem-extension key %r" % key)
+    missing = [key for key in keys if key not in fields]
+    if missing:
+        raise GroupError("stem-extension file lacks %s"
+                         % ", ".join(repr(key) for key in missing))
     cover_path = os.path.join(os.path.dirname(os.path.abspath(path)),
                               fields["cover"])
     cover = load_group(cover_path)

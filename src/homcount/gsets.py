@@ -150,23 +150,18 @@ def rubik_membership(p, act):
         return False
     if perms.perm_parity(orbit_perm) != 0:
         return False
-    ab = _ab_map(act.group)
+    ab = act.group.ab_map
     acc = 0
     for h in components:
         acc = ab.quotient.mul(acc, ab(h))
     return acc == 0
 
 
-def _ab_map(G):
-    """The abelianization map of G, built once per group."""
-    return G.ab_map
-
-
 def rubik_order(n, gamma):
     """|Rub(n, G)| = |G|^n / |G_ab| * n!/2 for n >= 2."""
     if n < 2:
         raise ValueError("rubik order needs n >= 2")
-    ab = _ab_map(gamma)
+    ab = gamma.ab_map
     return gamma.order ** n // ab.quotient.order * (factorial(n) // 2)
 
 

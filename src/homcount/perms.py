@@ -127,26 +127,6 @@ def format_cycles(p):
     return "".join(parts) if parts else "()"
 
 
-def mulclose(gens, maxsize=None):
-    """Breadth-first closure of a generator list under composition."""
-    if not gens:
-        return set()
-    els = {identity_perm(len(gens[0]))}
-    bdy = list(els)
-    while bdy:
-        new = []
-        for a in bdy:
-            for g in gens:
-                c = mult(a, g)
-                if c not in els:
-                    els.add(c)
-                    new.append(c)
-                    if maxsize is not None and len(els) > maxsize:
-                        raise ValueError("closure exceeds %d elements" % maxsize)
-        bdy = new
-    return els
-
-
 class _Node:
     """One level of a stabilizer chain: base point, own generators, orbit."""
 

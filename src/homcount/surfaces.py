@@ -19,20 +19,44 @@ class SurfaceError(ValueError):
     pass
 
 
-def surface_relation_holds(G, tup):
+def surface_relator(G, tup):
+    """prod [a_i, b_i] over the handles of a tuple (or of a prefix of whole
+    handles)."""
     acc = 0
     for i in range(0, len(tup), 2):
         acc = G.mul(acc, G.comm(tup[i], tup[i + 1]))
-    return acc == 0
+    return acc
+
+
+def surface_relation_holds(G, tup):
+    return surface_relator(G, tup) == 0
+
+
+def commutator_solutions(G):
+    """sols[c] = the pairs (a, b) with [a, b] = c, in (a, b) order."""
+    sols = [[] for _ in G.elements()]
+    for a in G.elements():
+        for b in G.elements():
+            sols[G.comm(a, b)].append((a, b))
+    return sols
 
 
 def commutator_table(G):
     """N[c] = number of pairs (a, b) with [a, b] = c."""
-    N = [0] * G.order
-    for a in G.elements():
-        for b in G.elements():
-            N[G.comm(a, b)] += 1
-    return N
+    return [len(pairs) for pairs in commutator_solutions(G)]
+
+
+def generation_test(G):
+    """generates(tup): whether the entries of tup generate G, read off the
+    subgroup-lattice membership masks."""
+    masks, full_bit = subgroup_membership_masks(G)
+
+    def generates(tup):
+        acc = -1
+        for x in tup:
+            acc &= masks[x]
+        return acc == full_bit
+    return generates
 
 
 def count_reps(g, G):
@@ -53,13 +77,16 @@ def count_reps(g, G):
 
 
 def enumerate_reps(g, G, filter="all", limits=DEFAULT_LIMITS, ext=None):
-    """Yield the genus-g representation tuples passing the filter.
+    """An iterator over the genus-g representation tuples passing the filter.
 
-    Enumerates |G|^(2g-2) prefixes and reads the solutions of the surface
-    relation in the last handle off a precomputed commutator table.  filter
-    is one of "all", "surjective", "schur-zero" (the latter needs a stem
+    Walks the |G|^(2g-2) prefixes in lexicographic order and reads the
+    solutions of the surface relation in the last handle off the
+    commutator-solution table; genus 0 has the one empty tuple.  filter is
+    one of "all", "surjective", "schur-zero" (the latter needs a stem
     extension and a perfect target).
     """
+    if g < 0:
+        raise SurfaceError("genus must be non-negative, got %d" % g)
     if filter not in ("all", "surjective", "schur-zero"):
         raise SurfaceError("unknown filter %r" % filter)
     if filter == "schur-zero" and ext is None:
@@ -67,40 +94,18 @@ def enumerate_reps(g, G, filter="all", limits=DEFAULT_LIMITS, ext=None):
     if G.order ** (2 * g - 1) > limits.max_enumeration:
         raise WorkBoundExceeded(
             "enumeration %d^%d exceeds budget" % (G.order, 2 * g - 1))
-    sols_by_target = {}
-    for a in G.elements():
-        for b in G.elements():
-            sols_by_target.setdefault(G.comm(a, b), []).append((a, b))
-    if filter in ("surjective", "schur-zero"):
-        masks, full_bit = subgroup_membership_masks(G)
+    if g == 0:
+        tuples = iter([()])
     else:
-        masks = full_bit = None
-
-    def emit(tup):
-        if masks is not None:
-            acc = -1
-            for x in tup:
-                acc &= masks[x]
-            if acc != full_bit:
-                return None
-        if filter == "schur-zero" and schur_invariant(tup, G, ext) != 0:
-            return None
-        return tup
-
-    def rec(prefix):
-        if len(prefix) == 2 * g - 2:
-            acc = 0
-            for i in range(0, len(prefix), 2):
-                acc = G.mul(acc, G.comm(prefix[i], prefix[i + 1]))
-            for a, b in sols_by_target.get(G.inv(acc), ()):
-                tup = emit(prefix + (a, b))
-                if tup is not None:
-                    yield tup
-            return
-        for x in G.elements():
-            yield from rec(prefix + (x,))
-
-    yield from rec(())
+        sols = commutator_solutions(G)
+        tuples = (prefix + ab
+                  for prefix in product(G.elements(), repeat=2 * g - 2)
+                  for ab in sols[G.inv(surface_relator(G, prefix))])
+    if filter == "all":
+        return tuples
+    generates = generation_test(G)
+    return (t for t in tuples if generates(t) and (
+        filter == "surjective" or schur_invariant(t, G, ext) == 0))
 
 
 class RepSampler:
@@ -109,10 +114,7 @@ class RepSampler:
 
     def __init__(self, g, G):
         self.g, self.G = g, G
-        self.sols_by_target = {}
-        for a in G.elements():
-            for b in G.elements():
-                self.sols_by_target.setdefault(G.comm(a, b), []).append((a, b))
+        self.sols = commutator_solutions(G)
 
     def draw(self, rng):
         G, g = self.G, self.g
@@ -120,17 +122,10 @@ class RepSampler:
             return ()
         while True:
             prefix = tuple(rng.randrange(G.order) for _ in range(2 * g - 2))
-            acc = 0
-            for i in range(0, len(prefix), 2):
-                acc = G.mul(acc, G.comm(prefix[i], prefix[i + 1]))
-            sols = self.sols_by_target.get(G.inv(acc))
+            sols = self.sols[G.inv(surface_relator(G, prefix))]
             if sols:
                 a, b = sols[rng.randrange(len(sols))]
                 return prefix + (a, b)
-
-
-def random_rep(g, G, rng):
-    return RepSampler(g, G).draw(rng)
 
 
 # -- Schur invariant ----------------------------------------------------------------
@@ -152,9 +147,7 @@ def schur_invariant(tup, G, ext, rng=None):
         lift = {x: lifts[x][0] for x in set(tup)}
     else:
         lift = {x: lifts[x][rng.randrange(len(lifts[x]))] for x in set(tup)}
-    acc = 0
-    for i in range(0, len(tup), 2):
-        acc = C.mul(acc, C.comm(lift[tup[i]], lift[tup[i + 1]]))
+    acc = surface_relator(C, [lift[x] for x in tup])
     if acc not in ext.center:
         raise GroupError("lifted relator product escaped the center")
     return acc
@@ -176,64 +169,43 @@ class MCGGenerator:
         return self.inverse_rule(tup, G.mul, G.inv)
 
 
-def _twist_a(i, g):
-    """Twist supported on handle i: (a, b) -> (a, b a)."""
-    def rule(t, mul, inv):
+def _rule_pair(body):
+    """A rule and its inverse rule from one body(t, mul, inv, flip), where
+    flip is the single inversion that tells them apart."""
+    return (lambda t, mul, inv: body(t, mul, inv, lambda x: x),
+            lambda t, mul, inv: body(t, mul, inv, inv))
+
+
+def _handle_twist(i, g, kind):
+    """Twists supported on handle i, each multiplying one slot on the right
+    by the other: ta is (a, b) -> (a, b a) and tb is (a, b) -> (a b, b)."""
+    dst, src = (2 * i + 1, 2 * i) if kind == "a" else (2 * i, 2 * i + 1)
+
+    def body(t, mul, inv, flip):
         out = list(t)
-        out[2 * i + 1] = mul(t[2 * i + 1], t[2 * i])
+        out[dst] = mul(t[dst], flip(t[src]))
         return tuple(out)
 
-    def unrule(t, mul, inv):
-        out = list(t)
-        out[2 * i + 1] = mul(t[2 * i + 1], inv(t[2 * i]))
-        return tuple(out)
-
-    return MCGGenerator("ta%d" % (i + 1), rule, unrule)
-
-
-def _twist_b(i, g):
-    """Dual twist on handle i: (a, b) -> (a b, b)."""
-    def rule(t, mul, inv):
-        out = list(t)
-        out[2 * i] = mul(t[2 * i], t[2 * i + 1])
-        return tuple(out)
-
-    def unrule(t, mul, inv):
-        out = list(t)
-        out[2 * i] = mul(t[2 * i], inv(t[2 * i + 1]))
-        return tuple(out)
-
-    return MCGGenerator("tb%d" % (i + 1), rule, unrule)
+    return MCGGenerator("t%s%d" % (kind, i + 1), *_rule_pair(body))
 
 
 def _separating_twist(i, g):
     """Twist along the separating curve after handle i: conjugates handles
-    1..i by the accumulated relator prefix."""
-    def prefix(t, mul, inv):
+    1..i by the accumulated relator prefix (by its inverse to undo)."""
+    def body(t, mul, inv, flip):
         acc = None
         for j in range(i + 1):
             a, b = t[2 * j], t[2 * j + 1]
             c = mul(mul(a, b), mul(inv(a), inv(b)))
             acc = c if acc is None else mul(acc, c)
-        return acc
-
-    def rule(t, mul, inv):
-        u = prefix(t, mul, inv)
+        u = flip(acc)
         out = list(t)
         for j in range(i + 1):
             out[2 * j] = mul(mul(u, t[2 * j]), inv(u))
             out[2 * j + 1] = mul(mul(u, t[2 * j + 1]), inv(u))
         return tuple(out)
 
-    def unrule(t, mul, inv):
-        u = inv(prefix(t, mul, inv))
-        out = list(t)
-        for j in range(i + 1):
-            out[2 * j] = mul(mul(u, t[2 * j]), inv(u))
-            out[2 * j + 1] = mul(mul(u, t[2 * j + 1]), inv(u))
-        return tuple(out)
-
-    return MCGGenerator("sep%d" % (i + 1), rule, unrule)
+    return MCGGenerator("sep%d" % (i + 1), *_rule_pair(body))
 
 
 _CHAIN_FWD = ((1,), (-3, 2, 1), (-3, 2, 1, -2, 3, 2, -1, -2, 3),
@@ -300,10 +272,7 @@ def _handle_swap(i, g):
 
 def standard_generators(g):
     """The package's mapping-class generator set for genus g."""
-    gens = []
-    for i in range(g):
-        gens.append(_twist_a(i, g))
-        gens.append(_twist_b(i, g))
+    gens = [_handle_twist(i, g, kind) for i in range(g) for kind in "ab"]
     for i in range(g - 1):
         gens.append(_chain_twist(i, g))
         gens.append(_separating_twist(i, g))
@@ -392,7 +361,7 @@ class _Tracer:
         return self.memo[x]
 
     def relator(self, tup):
-        """prod [a_i, b_i], associated as surface_relation_holds does."""
+        """prod [a_i, b_i], associated as surface_relator does."""
         acc = IDENTITY
         for i in range(0, len(tup), 2):
             a, b = tup[i], tup[i + 1]
@@ -429,11 +398,11 @@ def compile_program(G, n_slots, build):
 
 
 def generator_steps(G, gens, g):
-    """One program for a genus-g tuple's neighbours: each generator's step
-    and then its inverse step, in the order of gens."""
+    """One program for a genus-g tuple's neighbours: each generator's forward
+    step, in the order of gens."""
     return compile_program(
-        G, 2 * g, lambda tr, t: tuple(rule(t, tr.mul, tr.inv) for gen in gens
-                                      for rule in (gen.rule, gen.inverse_rule)))
+        G, 2 * g, lambda tr, t: tuple(gen.rule(t, tr.mul, tr.inv)
+                                      for gen in gens))
 
 
 def mcg_apply(word, G, tup, g=None):
@@ -535,21 +504,21 @@ class OrbitReport:
 
 
 def orbit_report(seeds, G, g, gens=None, ext=None, max_visited=2_000_000):
-    """Breadth-first orbit decomposition of seed tuples under the generator
-    set, with per-orbit surjectivity, Schur class, and Aut-closure flags."""
+    """Orbit decomposition of seed tuples under the mapping classes the
+    generator set generates, with per-orbit surjectivity, Schur class, and
+    Aut-closure flags.
+
+    Each orbit is closed under the forward generator steps only.  A step
+    permutes the finite set of genus-g tuples, so its inverse is one of its
+    powers, and the forward closure of a seed is its whole group orbit.
+    Every tuple visited, a seed's own included, counts toward max_visited.
+    """
     if g < 0:
         raise SurfaceError("genus must be non-negative, got %d" % g)
     if gens is None:
         gens = standard_generators(g)
     auts = automorphisms(G)
-    masks, full_bit = subgroup_membership_masks(G)
-
-    def surjective(tup):
-        acc = -1
-        for x in tup:
-            acc &= masks[x]
-        return acc == full_bit
-
+    surjective = generation_test(G)
     neighbours = generator_steps(G, gens, g)
     if ext is not None:
         lifted_relator = compile_program(ext.cover, 2 * g,
@@ -571,12 +540,12 @@ def orbit_report(seeds, G, g, gens=None, ext=None, max_visited=2_000_000):
         frontier = [seed]
         room = max_visited - len(seen)
         while frontier:
+            if len(orbit) > room:
+                raise WorkBoundExceeded("orbit memory bound hit")
             for nxt in neighbours(*frontier.pop()):
                 if nxt not in orbit:
                     orbit.add(nxt)
                     frontier.append(nxt)
-                    if len(orbit) > room:
-                        raise WorkBoundExceeded("orbit memory bound hit")
         for t in orbit:
             seen[t] = len(rows)
         surj = surjective(seed)
@@ -672,7 +641,7 @@ def heegaard_count(h, G, limits=DEFAULT_LIMITS):
 
     # (b1..bg) -> (relator, a-slots) of the pulled-back tuple (1, b1, .., 1, bg)
     program = compile_program(G, g, build)
-    masks, full_bit = subgroup_membership_masks(G)
+    generates = generation_test(G)
     trivial = (0,) * (g + 1)
     homs = 0
     surj = 0
@@ -680,11 +649,7 @@ def heegaard_count(h, G, limits=DEFAULT_LIMITS):
         out = program(*bvals)
         if out == trivial:
             homs += 1
-            acc = -1
-            for b in bvals:
-                acc &= masks[b]
-            if acc == full_bit:
-                surj += 1
+            surj += generates(bvals)
         elif out[0] != 0:
             raise SurfaceError("generator broke the surface relation")
     naut = len(automorphisms(G))

@@ -11,7 +11,7 @@ to repair parity and anti-diagonal defects when extending partial gates.
 import itertools
 from dataclasses import dataclass
 from . import perms
-from .gsets import GSetAction, rubik_membership, equivariant_perm, _ab_map
+from .gsets import GSetAction, rubik_membership, equivariant_perm
 from .counting import DEFAULT_LIMITS
 from .circuits import (RsatIF, apply_gates, count_accepted, encode_word,
                        decode_word)
@@ -164,11 +164,6 @@ class ZsatInstance:
 # -- gate extension into the Rubik group -------------------------------------------
 
 
-def square_action(zal):
-    """The squared action of zal, built once per alphabet."""
-    return zal.square_action
-
-
 def extend_to_rubik(partial, zal):
     """Extend an equivariant partial injection on symbol pairs to a full
     permutation in the Rubik group of the squared action.
@@ -178,7 +173,7 @@ def extend_to_rubik(partial, zal):
     twists; parity is repaired by swapping two scratch-pair orbits and the
     abelianized-product defect by twisting a scratch-pair orbit.
     """
-    act = square_action(zal)
+    act = zal.square_action
     G = zal.gamma
     n = len(act.free_orbits)
     orbit_img = [None] * n
@@ -223,7 +218,7 @@ def extend_to_rubik(partial, zal):
         s1, s2 = scratch_pair_orbits[0], scratch_pair_orbits[1]
         orbit_img[s1], orbit_img[s2] = orbit_img[s2], orbit_img[s1]
 
-    ab = _ab_map(G)
+    ab = G.ab_map
     defect = 0
     for h in comps:
         defect = ab.quotient.mul(defect, ab(h))
@@ -319,7 +314,7 @@ def compile_zsat(circuit, zal):
 
 def verify_gates(inst):
     """Every gate must commute with the action and pass Rubik membership."""
-    act = square_action(inst.alphabet)
+    act = inst.alphabet.square_action
     for _, perm in inst.gates:
         if not rubik_membership(perm, act):
             return False

@@ -15,6 +15,25 @@ def data_path(name):
     return os.path.join(DATA, name)
 
 
+def mulclose(gens):
+    """Oracle for group orders: breadth-first closure of permutation
+    generators under composition."""
+    if not gens:
+        return set()
+    els = {perms.identity_perm(len(gens[0]))}
+    bdy = list(els)
+    while bdy:
+        new = []
+        for a in bdy:
+            for g in gens:
+                c = perms.mult(a, g)
+                if c not in els:
+                    els.add(c)
+                    new.append(c)
+        bdy = new
+    return els
+
+
 @pytest.fixture(scope="session")
 def z2():
     return FiniteGroup.cyclic(2)

@@ -195,6 +195,10 @@ def run_circuit(capsys, tmp_path, command, text, *options):
     ("reduce", "in 2\n-> 3\nout 2\n"),
     ("compile-zsat", "alphabet\nwidth 2\n"),
     ("compile-zsat", "alphabet 4\nwidth 2\ngate\n"),
+    ("reduce", "in x\nout 0\n"),
+    ("reduce", "in 2\nAND 0 y -> 2\nout 2\n"),
+    ("compile-zsat", "alphabet x\nwidth 2\n"),
+    ("compile-zsat", "alphabet 4\nwidth 2\ngate 0 y 1 0\n"),
 ])
 def test_malformed_circuit_exit_code(capsys, tmp_path, command, text):
     code, rep = run_circuit(capsys, tmp_path, command, text)
@@ -237,6 +241,12 @@ def test_malformed_circuit_exit_code(capsys, tmp_path, command, text):
      "bad.pairs", "1\n", "GroupError"),
     (["goursat", "--group", "s3.grp", "--group2", "s3.grp", "--subgroup"],
      "bad.pairs", "1 6\n", "GroupError"),
+    (["orbit", "--group", "a5.grp", "--extension"], "bad.ext",
+     "project 0 1\ncenter 0\n", "GroupError"),
+    (["orbit", "--group", "a5.grp", "--extension"], "bad.ext",
+     "project 0 1\ncenter 0\ncover\n", "GroupError"),
+    (["orbit", "--group", "a5.grp", "--extension"], "bad.ext",
+     "cover sl25.grp\nproject 0 x\ncenter 0 6\n", "GroupError"),
 ])
 def test_malformed_header_exit_code(capsys, tmp_path, argv, name, text, error):
     path = tmp_path / name

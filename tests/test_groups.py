@@ -13,7 +13,6 @@ from homcount.groups import (FiniteGroup, GroupError, Subgroup,
                              find_isomorphism, load_group, parse_group_text,
                              subgroup_lattice, subgroup_membership_masks,
                              write_group_file)
-from homcount.gsets import _ab_map
 from conftest import data_path
 
 
@@ -275,8 +274,8 @@ def test_stem_extension_rejects_bad_center(a5, sl25_ext):
 
 def test_invariant_caches_live_on_the_group():
     G = direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(3))
-    ab, masks = _ab_map(G), subgroup_membership_masks(G)
-    assert _ab_map(G) is ab and subgroup_membership_masks(G) is masks
+    ab, masks = G.ab_map, subgroup_membership_masks(G)
+    assert G.ab_map is ab and subgroup_membership_masks(G) is masks
     assert ab.quotient.order == 6 and len(masks[0]) == 6
     ref = weakref.ref(G)
     del G

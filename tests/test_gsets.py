@@ -8,6 +8,7 @@ from homcount.gsets import (ActionError, GSetAction, equivariant_perm,
                             goursat_decompose, make_free_action,
                             rubik_generators, rubik_membership, rubik_order,
                             rubik_surjectivity_check)
+from conftest import mulclose
 
 
 def test_action_axioms(z3):
@@ -61,7 +62,7 @@ def test_membership_against_closure(z2):
     # equivariant permutation exactly as the membership test does
     act = make_free_action(z2, 3)
     gens = rubik_generators(act)
-    rub = perms.mulclose(gens)
+    rub = mulclose(gens)
     assert len(rub) == rubik_order(3, z2)
     import itertools
     count = 0

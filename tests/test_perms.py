@@ -5,8 +5,9 @@ import pytest
 
 from homcount.perms import (PermutationGroup, alt_generation_check,
                             classify_giant, cycle_perm, format_cycles,
-                            group_order, inverse, is_even, mulclose, mult,
+                            group_order, inverse, is_even, mult,
                             parse_cycles, perm_power)
+from conftest import mulclose
 
 
 def test_cycle_roundtrip():

@@ -324,12 +324,14 @@ def test_heegaard_homology_sphere_profile(a5, s3, a4):
 
 
 def check_steps(G, tuples):
+    """The forward steps against apply; each inverse rule, through its '
+    letter, against unapply."""
     gens = standard_generators(2)
     steps = generator_steps(G, gens, 2)
     for t in tuples:
-        want = tuple(x for gen in gens
-                     for x in (gen.apply(G, t), gen.unapply(G, t)))
-        assert steps(*t) == want
+        assert steps(*t) == tuple(gen.apply(G, t) for gen in gens)
+        for gen in gens:
+            assert mcg_apply([gen.name + "'"], G, t) == gen.unapply(G, t)
 
 
 def test_compiled_steps_match_generators_s3(s3):
@@ -375,11 +377,14 @@ def test_inverse_word_undoes_word(s3):
 def test_orbit_bound_counts_every_orbit(s3):
     rng = random.Random(4)
     sampler = RepSampler(2, s3)
-    seeds = [(0, 0, 0, 0)] + [sampler.draw(rng) for _ in range(5)]
-    visited = orbit_report(seeds, s3, 2).visited
-    assert orbit_report(seeds, s3, 2, max_visited=visited).visited == visited
-    with pytest.raises(WorkBoundExceeded):
-        orbit_report(seeds, s3, 2, max_visited=visited - 1)
+    drawn = [sampler.draw(rng) for _ in range(5)]
+    # the one-tuple orbit of the trivial seed first, and last
+    for seeds in ([(0, 0, 0, 0)] + drawn, drawn + [(0, 0, 0, 0)]):
+        visited = orbit_report(seeds, s3, 2).visited
+        assert orbit_report(seeds, s3, 2,
+                            max_visited=visited).visited == visited
+        with pytest.raises(WorkBoundExceeded):
+            orbit_report(seeds, s3, 2, max_visited=visited - 1)
 
 
 def broken_twist_a(i, g):
@@ -392,7 +397,10 @@ def broken_twist_a(i, g):
 
 
 def test_broken_rule_is_caught(s3, monkeypatch):
-    monkeypatch.setattr(surfaces, "_twist_a", broken_twist_a)
+    handle_twist = surfaces._handle_twist
+    monkeypatch.setattr(
+        surfaces, "_handle_twist", lambda i, g, kind: broken_twist_a(i, g)
+        if kind == "a" else handle_twist(i, g, kind))
     with pytest.raises(SurfaceError, match="broke the surface relation"):
         heegaard_count(HeegaardGluing(2, ["tb2", "ta1"]), s3)
     with pytest.raises(SurfaceError, match="broke the surface relation"):
@@ -450,6 +458,10 @@ def test_unknown_names_are_typed_errors():
 
 
 def test_genus_and_seed_length_checked():
+    G = FiniteGroup.cyclic(2)
+    assert list(enumerate_reps(0, G)) == [()] and count_reps(0, G) == 1
+    with pytest.raises(SurfaceError):
+        enumerate_reps(-1, G)
     with pytest.raises(SurfaceError):
         parse_gluing_text("genus -1\nword\n")
     assert parse_gluing_text("genus 0\n").genus == 0

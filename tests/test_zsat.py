@@ -8,7 +8,7 @@ from homcount.groups import FiniteGroup
 from homcount.gsets import rubik_membership
 from homcount.zsat import (ZAlphabet, ZsatError, compile_gate, compile_zsat,
                            data_rsat_instance, extend_to_rubik,
-                           postcomputation_gate, square_action, verify_gates,
+                           postcomputation_gate, verify_gates,
                            zsat_from_table)
 
 
@@ -121,10 +121,10 @@ def test_all_compiled_gates_pass_membership(z3):
                                        (1, predicate_gate(zal, rng))])
     zi = compile_zsat(inst, zal)
     assert verify_gates(zi)
-    act = square_action(zal)
+    act = zal.square_action
     # built once, in the attribute set in __init__, never in the __dict__
     # slot a functools.cached_property would write
-    assert square_action(zal) is act is zal._square_action
+    assert zal.square_action is act is zal._square_action
     assert "square_action" not in vars(zal)
     alpha = postcomputation_gate(zal)
     assert rubik_membership(alpha, act)
@@ -139,13 +139,13 @@ def test_extension_repairs_parity(z2):
     perm = list(range(nd * nd))
     perm[0], perm[1] = perm[1], perm[0]
     gate = compile_gate(tuple(perm), zal)
-    act = square_action(zal)
+    act = zal.square_action
     assert rubik_membership(gate, act)
 
 
 def test_extension_needs_scratch(z2):
     zal = ZAlphabet(z2)
-    act = square_action(zal)
+    act = zal.square_action
     # a partial map claiming the scratch orbits is rejected
     A = zal.size
     s = zal.scratch[0]
