@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from . import perms
 from .counting import WorkBoundExceeded, DEFAULT_LIMITS
+from .textformat import content_lines, int_fields, keyword_int
 
 
 class CircuitError(ValueError):
@@ -78,31 +79,21 @@ class BooleanCircuit:
         return "\n".join(lines) + "\n"
 
 
-def _int_tokens(tokens, line):
-    try:
-        return tuple(int(t) for t in tokens)
-    except ValueError:
-        raise CircuitError("expected integers in line %r" % line) from None
-
-
 def parse_boolean_text(text):
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or not lines[0].startswith("in "):
-        raise CircuitError("boolean circuit file must start with 'in n'")
-    (n,) = _int_tokens(lines[0].split()[1:2], lines[0])
+    lines = content_lines(text) or [""]
+    n = keyword_int(lines[0], "in", CircuitError)
     gates = []
     output = None
     for ln in lines[1:]:
-        if ln.startswith("out "):
-            (output,) = _int_tokens(ln.split()[1:2], ln)
+        if ln.split()[0] == "out":
+            output = keyword_int(ln, "out", CircuitError)
             continue
         head, _, tail = ln.partition("->")
         toks = head.split()
         if not toks:
             raise CircuitError("gate line without an op: %r" % ln)
-        gates.append((toks[0], _int_tokens(toks[1:], ln),
-                      _int_tokens(tail.split(), ln)))
+        gates.append((toks[0], int_fields(toks[1:], ln, CircuitError),
+                      int_fields(tail.split(), ln, CircuitError)))
     if output is None:
         raise CircuitError("missing 'out' line")
     return BooleanCircuit(n, gates, output)
@@ -185,7 +176,7 @@ class ReversibleCircuit:
         if not (0 <= pos and pos + k <= self.width):
             raise CircuitError("gate window out of range")
         perm = tuple(perm)
-        if sorted(perm) != list(range(self.q ** k)):
+        if len(perm) != self.q ** k or sorted(perm) != list(range(len(perm))):
             raise CircuitError("gate table is not a permutation")
         self.gates.append((pos, k, perm))
 
@@ -213,33 +204,25 @@ class ReversibleCircuit:
         return "\n".join(lines) + "\n"
 
 
-# tokens needed by each reversible-file keyword, the keyword included
-_REVERSIBLE_FIELDS = {"alphabet": 2, "width": 2, "gate": 3}
-
-
 def parse_reversible_text(text):
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
     q = width = None
     init = final = None
     gates = []
-    for ln in lines:
-        toks = ln.split()
-        if len(toks) < _REVERSIBLE_FIELDS.get(toks[0], 1):
-            raise CircuitError("too few fields in circuit line %r" % ln)
-        if toks[0] == "alphabet":
-            (q,) = _int_tokens(toks[1:2], ln)
-        elif toks[0] == "width":
-            (width,) = _int_tokens(toks[1:2], ln)
-        elif toks[0] == "init":
-            init = _int_tokens(toks[1:], ln)
-        elif toks[0] == "final":
-            final = _int_tokens(toks[1:], ln)
-        elif toks[0] == "gate":
-            pos, k, *perm = _int_tokens(toks[1:], ln)
+    for ln in content_lines(text):
+        key, *fields = ln.split()
+        if key == "alphabet":
+            q = keyword_int(ln, key, CircuitError)
+        elif key == "width":
+            width = keyword_int(ln, key, CircuitError)
+        elif key == "init":
+            init = int_fields(fields, ln, CircuitError)
+        elif key == "final":
+            final = int_fields(fields, ln, CircuitError)
+        elif key == "gate" and len(fields) >= 2:
+            pos, k, *perm = int_fields(fields, ln, CircuitError)
             gates.append((pos, k, tuple(perm)))
         else:
-            raise CircuitError("unknown circuit line %r" % ln)
+            raise CircuitError("unknown or short circuit line %r" % ln)
     if q is None or width is None:
         raise CircuitError("circuit file needs alphabet and width")
     circ = ReversibleCircuit(q, width, gates)

@@ -12,6 +12,7 @@ import sys
 
 from . import groups, complexes, counting, surfaces, circuits, zsat, gsets
 from .counting import CountingLimits, WorkBoundExceeded
+from .textformat import content_lines, int_fields
 
 DATA_ENV = "HOMCOUNT_DATA"
 
@@ -83,7 +84,7 @@ def cmd_count_hom(args, rep):
     homs = counting.count_homs(P, G, limits=lim, per_solution=check)
     rep.add("homs", homs)
     rep.add("surjections", surj)
-    rep.add("quotients", surj // len(groups.automorphisms(G)))
+    rep.add("quotients", counting.quotient_count(surj, G))
     return 0
 
 
@@ -274,21 +275,19 @@ def cmd_rubik_check(args, rep):
 
 def _id_pair(line, G1, G2):
     """An (a, b) element-id pair of G1 x G2 from a subgroup-file line."""
-    try:
-        a, b = (int(t) for t in line.split())
-    except ValueError:
-        a = b = -1
-    if not (0 <= a < G1.order and 0 <= b < G2.order):
+    ids = int_fields(line.split(), line, groups.GroupError)
+    if not (len(ids) == 2 and 0 <= ids[0] < G1.order
+            and 0 <= ids[1] < G2.order):
         raise groups.GroupError("subgroup line must be two element ids of "
-                                "the groups, got %r" % line.strip())
-    return a, b
+                                "the groups, got %r" % line)
+    return ids
 
 
 def cmd_goursat(args, rep):
     G1 = _load_group_arg(args.group)
     G2 = _load_group_arg(args.group2)
     with open(_resolve(args.subgroup)) as fh:
-        pairs = [_id_pair(ln, G1, G2) for ln in fh if ln.strip()]
+        pairs = [_id_pair(ln, G1, G2) for ln in content_lines(fh.read())]
     dec = gsets.goursat_decompose(pairs, G1, G2)
     rep.add("n1-order", dec.n1.order)
     rep.add("n2-order", dec.n2.order)

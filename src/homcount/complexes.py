@@ -8,6 +8,7 @@ u < v < w reads g(u,v) * g(v,w) = g(u,w).
 
 from dataclasses import dataclass
 from itertools import combinations
+from .textformat import content_lines, int_fields, keyword_int
 
 
 class ComplexError(ValueError):
@@ -106,38 +107,21 @@ class SimplicialComplex:
         return M
 
 
-def _int_tokens(tokens, line):
-    try:
-        return tuple(int(t) for t in tokens)
-    except ValueError:
-        raise ComplexError("expected integers in line %r" % line) from None
-
-
-def _header_count(lines, kind, header):
-    """The count n of a first line reading `header`, e.g. 'vertices n'."""
-    head = lines[0].split() if lines else []
-    if len(head) != 2 or head[0] != header.split()[0]:
-        raise ComplexError("%s file must start with '%s'" % (kind, header))
-    return _int_tokens(head[1:], lines[0])[0]
-
-
 def parse_complex_text(text):
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    n = _header_count(lines, "complex", "vertices n")
+    lines = content_lines(text) or [""]
+    n = keyword_int(lines[0], "vertices", ComplexError)
     maximal = []
     ordering_lines = None
     for ln in lines[1:]:
         if ln == "order":
             ordering_lines = []
             continue
-        ids = _int_tokens(ln.split(), ln)
+        ids = int_fields(ln.split(), ln, ComplexError)
         if ordering_lines is None:
             maximal.append(ids)
         else:
             ordering_lines.append(tuple(sorted(ids)))
-    X = SimplicialComplex(n, maximal)
-    return (X, ordering_lines) if ordering_lines is not None else (X, None)
+    return SimplicialComplex(n, maximal), ordering_lines
 
 
 def load_complex(path):
@@ -273,9 +257,8 @@ class Presentation:
 
 def parse_presentation_text(text):
     import re
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    ngens = _header_count(lines, "presentation", "gens r")
+    lines = content_lines(text) or [""]
+    ngens = keyword_int(lines[0], "gens", ComplexError)
     rels = []
     for ln in lines[1:]:
         if ln == "e":

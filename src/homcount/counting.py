@@ -210,10 +210,15 @@ def count_quotients(P, G, limits=DEFAULT_LIMITS):
     Surjections divided by |Aut(G)|; the division is asserted exact (the
     automorphism group acts freely on surjections).
     """
-    surj = count_surjections(P, G, limits=limits)
+    return quotient_count(count_surjections(P, G, limits=limits), G)
+
+
+def quotient_count(surj, G):
+    """The number of surjections onto G divided by |Aut(G)|, which acts
+    freely on them; raises GroupError when the division is not exact."""
     naut = len(automorphisms(G))
     if surj % naut != 0:
-        raise GroupError("surjection count %d not divisible by |Aut|=%d"
+        raise GroupError("surjection count %d not divisible by |Aut| = %d"
                          % (surj, naut))
     return surj // naut
 

@@ -8,7 +8,9 @@ code (automorphism search, stem extension data files) relies on.
 import os
 import random
 from dataclasses import dataclass
+from itertools import product
 from . import perms
+from .textformat import content_lines, int_fields
 
 DEFAULT_ORDER_BOUND = 120
 FULL_ASSOC_CHECK_BOUND = 128
@@ -473,31 +475,27 @@ def _hom_from_gen_images(G, H, gen_ids, steps, images):
     return img
 
 
-def find_isomorphism(G, H):
-    """An isomorphism G -> H as an image list, or None.
+def _isomorphisms(G, H):
+    """Every isomorphism G -> H as an image list.
 
-    Brute force over order-compatible images of a small generating set of G;
-    fine for the desk-scale orders this package targets.
+    Brute force over order-compatible images of a small generating set of G,
+    in lexicographic order of the image tuple; fine for the desk-scale
+    orders this package targets.
     """
     if G.order != H.order:
-        return None
+        return
     gen_ids, steps = G.generator_data()
-    orders = [G.element_order(g) for g in gen_ids]
-    pools = [[h for h in H.elements() if H.element_order(h) == o] for o in orders]
+    pools = [[h for h in H.elements()
+              if H.element_order(h) == G.element_order(g)] for g in gen_ids]
+    for images in product(*pools):
+        img = _hom_from_gen_images(G, H, gen_ids, steps, images)
+        if img is not None and len(set(img)) == G.order:
+            yield img
 
-    def rec(k, chosen):
-        if k == len(gen_ids):
-            img = _hom_from_gen_images(G, H, gen_ids, steps, chosen)
-            if img is not None and len(set(img)) == G.order:
-                return img
-            return None
-        for h in pools[k]:
-            out = rec(k + 1, chosen + [h])
-            if out is not None:
-                return out
-        return None
 
-    return rec(0, [])
+def find_isomorphism(G, H):
+    """An isomorphism G -> H as an image list, or None."""
+    return next(_isomorphisms(G, H), None)
 
 
 def automorphisms(G, order_bound=DEFAULT_ORDER_BOUND):
@@ -507,21 +505,7 @@ def automorphisms(G, order_bound=DEFAULT_ORDER_BOUND):
             "order %d exceeds automorphism bound %d" % (G.order, order_bound))
     if G._autcache is not None:
         return G._autcache
-    gen_ids, steps = G.generator_data()
-    pools = [[h for h in G.elements()
-              if G.element_order(h) == G.element_order(g)] for g in gen_ids]
-    out = []
-
-    def rec(k, chosen):
-        if k == len(gen_ids):
-            img = _hom_from_gen_images(G, G, gen_ids, steps, chosen)
-            if img is not None and len(set(img)) == G.order:
-                out.append(tuple(img))
-            return
-        for h in pools[k]:
-            rec(k + 1, chosen + [h])
-
-    rec(0, [])
+    out = [tuple(img) for img in _isomorphisms(G, G)]
     n, table = G.order, G._table
     for phi in out:
         for a in range(n):
@@ -590,34 +574,26 @@ def direct_product(G, H, name=None):
 # -- file formats -----------------------------------------------------------------
 
 
-def _group_ints(tokens):
-    try:
-        return [int(t) for t in tokens]
-    except ValueError:
-        raise GroupError("expected integers in group file, got %r"
-                         % " ".join(tokens)) from None
-
-
 def parse_group_text(text, name_hint="G"):
-    toks = text.split()
-    if not toks:
+    head = "\n".join(content_lines(text)).split(None, 4)
+    if not head:
         raise GroupError("empty group description")
-    if toks[0] != "group" or len(toks) < 4:
+    if head[0] != "group" or len(head) < 4:
         raise GroupError("group file must start with 'group <name> <order>' "
                          "and a mode line")
-    name, mode = toks[1], toks[3]
-    (order,) = _group_ints(toks[2:3])
+    name, mode = head[1], head[3]
+    (order,) = int_fields(head[2:3], " ".join(head[:4]), GroupError)
+    body = head[4].splitlines() if len(head) > 4 else []
     if mode == "table":
-        ids = _group_ints(toks[4:])
+        ids = [x for ln in body
+               for x in int_fields(ln.split(), ln, GroupError)]
         if len(ids) != order * order:
             raise GroupError("expected %d table entries, got %d"
                              % (order * order, len(ids)))
         return FiniteGroup.from_table(name, ids)
     if mode == "perm-gens":
-        body = text.split("perm-gens", 1)[1]
         try:
-            gens = [perms.parse_cycles(line)
-                    for line in body.splitlines() if line.strip()]
+            gens = [perms.parse_cycles(line) for line in body]
         except ValueError as exc:
             raise GroupError(str(exc)) from None
         if not gens:
@@ -652,8 +628,7 @@ def write_group_file(path, G, perm_gens=None):
 def load_stem_extension(path, base):
     """Read a stem-extension file and validate it against the base group."""
     with open(path) as fh:
-        text = fh.read()
-    toks = text.split()
+        toks = "\n".join(content_lines(fh.read())).split()
     keys = ("cover", "project", "center")
     fields = {}
     i = 0
@@ -668,7 +643,8 @@ def load_stem_extension(path, base):
             j = i + 1
             while j < len(toks) and toks[j] not in keys:
                 j += 1
-            fields[key] = _group_ints(toks[i + 1:j])
+            fields[key] = int_fields(toks[i + 1:j], " ".join(toks[i:j]),
+                                     GroupError)
             i = j
         else:
             raise GroupError("unknown stem-extension key %r" % key)

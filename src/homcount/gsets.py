@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from math import factorial
 from . import perms
 from .groups import Subgroup, GroupError, close_under_product
+from .textformat import content_lines, keyword_int
 
 
 class ActionError(ValueError):
@@ -44,9 +45,11 @@ class GSetAction:
         gen_ids, steps = group.generator_data()
         if len(gen_rows) != len(gen_ids):
             raise ActionError("expected %d generator rows" % len(gen_ids))
+        by_gen = [tuple(r) for r in gen_rows]
+        if any(len(r) != npoints for r in by_gen):
+            raise ActionError("action row length mismatch")
         rows = [None] * group.order
         rows[0] = perms.identity_perm(npoints)
-        by_gen = [tuple(r) for r in gen_rows]
         for elem, parent, gi in steps:
             # left action: (parent * gen) . x = parent . (gen . x)
             rows[elem] = perms.mult(by_gen[gi], rows[parent])
@@ -348,18 +351,20 @@ def goursat_decompose(pairs, G1, G2):
 def parse_action_text(text, group_loader):
     """Action file: `gamma <group-file>`, `points m`, then one `row` of
     cycle notation per group generator (in generator order)."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
     gamma = npoints = None
     rows = []
-    for ln in lines:
-        key, _, rest = ln.partition(" ")
+    for ln in content_lines(text):
+        key, *rest = ln.split(None, 1)
+        rest = "".join(rest)
         if key == "gamma":
-            gamma = group_loader(rest.strip())
+            gamma = group_loader(rest)
         elif key == "points":
-            npoints = int(rest)
+            npoints = keyword_int(ln, key, ActionError)
         elif key == "row":
-            rows.append(perms.parse_cycles(rest, npoints or 0))
+            try:
+                rows.append(perms.parse_cycles(rest, npoints or 0))
+            except ValueError as exc:
+                raise ActionError(str(exc)) from None
         else:
             raise ActionError("unknown action file line %r" % ln)
     if gamma is None or npoints is None:

@@ -98,8 +98,8 @@ def parse_cycles(text, degree=0):
         if not body:
             continue
         cyc = [int(tok) for tok in body]
-        if len(set(cyc)) != len(cyc):
-            raise ValueError("repeated point in cycle: %r" % text)
+        if len(set(cyc)) != len(cyc) or min(cyc) < 0:
+            raise ValueError("repeated or negative point in cycle: %r" % text)
         cycles.append(cyc)
     n = degree
     for c in cycles:

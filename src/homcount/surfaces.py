@@ -12,11 +12,17 @@ from dataclasses import dataclass
 from itertools import product
 
 from .groups import GroupError, automorphisms, subgroup_membership_masks
-from .counting import WorkBoundExceeded, DEFAULT_LIMITS
+from .counting import WorkBoundExceeded, DEFAULT_LIMITS, quotient_count
+from .textformat import content_lines, keyword_int
 
 
 class SurfaceError(ValueError):
     pass
+
+
+def _check_genus(g):
+    if g < 0:
+        raise SurfaceError("genus must be non-negative, got %d" % g)
 
 
 def surface_relator(G, tup):
@@ -61,6 +67,7 @@ def generation_test(G):
 
 def count_reps(g, G):
     """|R^_g(G)| by convolving the commutator-count table g times."""
+    _check_genus(g)
     N = commutator_table(G)
     acc = [0] * G.order
     acc[0] = 1
@@ -85,8 +92,7 @@ def enumerate_reps(g, G, filter="all", limits=DEFAULT_LIMITS, ext=None):
     one of "all", "surjective", "schur-zero" (the latter needs a stem
     extension and a perfect target).
     """
-    if g < 0:
-        raise SurfaceError("genus must be non-negative, got %d" % g)
+    _check_genus(g)
     if filter not in ("all", "surjective", "schur-zero"):
         raise SurfaceError("unknown filter %r" % filter)
     if filter == "schur-zero" and ext is None:
@@ -113,6 +119,7 @@ class RepSampler:
     the surface relation in the last handle (valid, not exactly uniform)."""
 
     def __init__(self, g, G):
+        _check_genus(g)
         self.g, self.G = g, G
         self.sols = commutator_solutions(G)
 
@@ -513,8 +520,7 @@ def orbit_report(seeds, G, g, gens=None, ext=None, max_visited=2_000_000):
     powers, and the forward closure of a seed is its whole group orbit.
     Every tuple visited, a seed's own included, counts toward max_visited.
     """
-    if g < 0:
-        raise SurfaceError("genus must be non-negative, got %d" % g)
+    _check_genus(g)
     if gens is None:
         gens = standard_generators(g)
     auts = automorphisms(G)
@@ -588,30 +594,21 @@ class HeegaardGluing:
     word: list
 
     def __post_init__(self):
-        if self.genus < 0:
-            raise SurfaceError("genus must be non-negative, got %d"
-                               % self.genus)
+        _check_genus(self.genus)
 
     def is_torelli(self):
         return is_torelli_word(self.word, self.genus)
 
 
 def parse_gluing_text(text):
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    head = lines[0].split() if lines else []
-    if len(head) < 2 or not head[0].startswith("genus"):
-        raise SurfaceError("gluing file must start with 'genus g'")
-    try:
-        g = int(head[1])
-    except ValueError:
-        raise SurfaceError("genus must be an integer, got %r"
-                           % head[1]) from None
+    lines = content_lines(text) or [""]
+    g = keyword_int(lines[0], "genus", SurfaceError)
     word = []
     for ln in lines[1:]:
-        if not ln.startswith("word"):
-            raise SurfaceError("expected 'word <names>' line")
-        word.extend(ln.split()[1:])
+        key, *names = ln.split()
+        if key != "word":
+            raise SurfaceError("expected 'word <names>' line, got %r" % ln)
+        word.extend(names)
     return HeegaardGluing(g, word)
 
 
@@ -652,8 +649,4 @@ def heegaard_count(h, G, limits=DEFAULT_LIMITS):
             surj += generates(bvals)
         elif out[0] != 0:
             raise SurfaceError("generator broke the surface relation")
-    naut = len(automorphisms(G))
-    if surj % naut != 0:
-        raise GroupError("surjection count %d not divisible by |Aut| = %d"
-                         % (surj, naut))
-    return HomCount(homs, surj, surj // naut)
+    return HomCount(homs, surj, quotient_count(surj, G))

@@ -1,5 +1,7 @@
 import json
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +201,8 @@ def run_circuit(capsys, tmp_path, command, text, *options):
     ("reduce", "in 2\nAND 0 y -> 2\nout 2\n"),
     ("compile-zsat", "alphabet x\nwidth 2\n"),
     ("compile-zsat", "alphabet 4\nwidth 2\ngate 0 y 1 0\n"),
+    ("reduce", "in 2 3\nAND 0 1 -> 2\nout 2\n"),
+    ("compile-zsat", "alphabet 4 5\nwidth 2\n"),
 ])
 def test_malformed_circuit_exit_code(capsys, tmp_path, command, text):
     code, rep = run_circuit(capsys, tmp_path, command, text)
@@ -247,13 +251,38 @@ def test_malformed_circuit_exit_code(capsys, tmp_path, command, text):
      "project 0 1\ncenter 0\ncover\n", "GroupError"),
     (["orbit", "--group", "a5.grp", "--extension"], "bad.ext",
      "cover sl25.grp\nproject 0 x\ncenter 0 6\n", "GroupError"),
+    (["heegaard-count", "--group", "a5.grp", "--gluing"], "bad.glu",
+     "genusfoo 2\n", "SurfaceError"),
+    (["heegaard-count", "--group", "a5.grp", "--gluing"], "bad.glu",
+     "genus 1 2\n", "SurfaceError"),
+    (["heegaard-count", "--group", "a5.grp", "--gluing"], "bad.glu",
+     "genus 1\nwordy ta1\n", "SurfaceError"),
+    # well-formed files with `#` comments: error None means exit 0
+    pytest.param(
+        ["count-hom", "--presentation", "poincare.pres", "--group"], "s3.grp",
+        "# S3 by generators\ngroup S3 6  # order\nperm-gens\n(0 1)\n(0 1 2)\n",
+        None, id="group-comments"),
+    pytest.param(
+        ["orbit", "--group", "a5.grp", "--genus", "1", "--orbit-seeds", "1",
+         "--extension"], "sl25-ext.ext",
+        "# SL(2,5) over A5\n" + Path(DATA, "sl25-ext.ext").read_text(),
+        None, id="extension-comments"),
+    pytest.param(
+        ["goursat", "--group", "s3.grp", "--group2", "s3.grp", "--subgroup"],
+        "diag.pairs", "# the diagonal\n0 0  # identity\n1 1\n2 2\n3 3\n"
+        "4 4\n5 5\n", None, id="pairs-comments"),
 ])
 def test_malformed_header_exit_code(capsys, tmp_path, argv, name, text, error):
+    # an extension file names its cover relative to its own directory
+    shutil.copy(os.path.join(DATA, "sl25.grp"), tmp_path)
     path = tmp_path / name
     path.write_text(text)
     code, out = run(capsys, *argv, str(path))
-    assert code == 2
-    assert parse_report(out)["error"].startswith(error + ": ")
+    if error is None:
+        assert code == 0
+    else:
+        assert code == 2
+        assert parse_report(out)["error"].startswith(error + ": ")
 
 
 NOT1 = "in 1\nNOT 0 -> 1\nout 1\n"

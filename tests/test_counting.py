@@ -11,7 +11,7 @@ from homcount.counting import (CountingLimits, DpStats, WorkBoundExceeded,
                                count_quotients_canonical, count_surjections,
                                dp_cocycle_count, dp_count_homs,
                                dp_count_homs_ungauged, narrow_ordering,
-                               quotient_counts_via_inversion)
+                               quotient_count, quotient_counts_via_inversion)
 from homcount.groups import GroupError
 from conftest import data_path
 
@@ -48,12 +48,15 @@ def test_poincare_counts(a5):
     assert count_quotients_canonical(POINCARE, a5) == 1
 
 
-def test_free_group_counts(z3):
+def test_free_group_counts(z3, s3):
     free1 = Presentation(1, [])
     assert count_homs(free1, z3) == 3
     assert count_surjections(free1, z3) == 2
     assert count_quotients(free1, z3) == 1
     assert count_quotients_canonical(free1, z3) == 1
+    assert quotient_count(12, s3) == 2
+    with pytest.raises(GroupError):
+        quotient_count(7, s3)
 
 
 def test_enumeration_budget(a5):

@@ -6,7 +6,8 @@ from homcount import perms
 from homcount.groups import FiniteGroup, GroupError, close_under_product
 from homcount.gsets import (ActionError, GSetAction, equivariant_perm,
                             goursat_decompose, make_free_action,
-                            rubik_generators, rubik_membership, rubik_order,
+                            parse_action_text, rubik_generators,
+                            rubik_membership, rubik_order,
                             rubik_surjectivity_check)
 from conftest import mulclose
 
@@ -164,6 +165,11 @@ def test_action_file_roundtrip(tmp_path, s3):
     loaded = load_action(str(tmp_path / "free2.act"))
     assert loaded.table == act.table
     assert loaded.free_orbits == act.free_orbits
+    # the last row replaced by a malformed line
+    for bad in ("points x", "points 3 4", "row (0 x)", "row (0 -1)",
+                "row (0 %d)" % act.npoints):
+        with pytest.raises(ActionError):
+            parse_action_text("\n".join(lines[:-1] + [bad]), lambda rel: s3)
 
 
 def test_goursat_random_reconstruction(s3, z3):

@@ -1,0 +1,79 @@
+"""Fuzz every file-format reader: a text built from a format's keywords,
+small integers, `#` and newlines either parses or raises the reader's own
+typed error, never a bare ValueError, IndexError or the like."""
+
+from hypothesis import given, settings, strategies as st
+
+from homcount.circuits import (CircuitError, parse_boolean_text,
+                               parse_reversible_text)
+from homcount.complexes import (ComplexError, parse_complex_text,
+                                parse_presentation_text)
+from homcount.groups import (FiniteGroup, GroupError, load_stem_extension,
+                             parse_group_text, write_group_file)
+from homcount.gsets import ActionError, parse_action_text
+from homcount.surfaces import SurfaceError, parse_gluing_text
+
+Z2 = FiniteGroup.cyclic(2)
+Z3 = FiniteGroup.cyclic(3)
+
+# keywords and other tokens of each format; integers stay below 200, so no
+# text declares an instance too big to build, and group files get no cycle
+# notation, since a few long cycles close to a huge symmetric group
+WORDS = {
+    "complex": ["vertices", "order"],
+    "presentation": ["gens", "e", "x1", "X2", "x1X1"],
+    "boolean": ["in", "out", "AND", "OR", "NOT", "COPY", "->"],
+    "reversible": ["alphabet", "width", "init", "final", "gate"],
+    "group": ["group", "G", "table", "perm-gens"],
+    "extension": ["cover", "project", "center", "z2.grp"],
+    "gluing": ["genus", "word", "ta1", "tb1'", "chain1", "foo"],
+    "action": ["gamma", "points", "row", "(", ")", "z3.grp"],
+}
+
+
+def texts(words):
+    """Lines of tokens, about half of them led by a keyword."""
+    token = st.one_of(st.sampled_from(words + ["#"]),
+                      st.integers(-3, 200).map(str))
+    free = st.lists(token, max_size=6)
+    led = st.tuples(st.sampled_from(words), free).map(
+        lambda kv: [kv[0]] + kv[1])
+    line = st.one_of(led, free).map(" ".join)
+    return st.lists(line, max_size=8).map("\n".join)
+
+
+def test_readers_raise_only_typed_errors(tmp_path):
+    write_group_file(str(tmp_path / "z2.grp"), Z2)
+    ext_path = tmp_path / "t.ext"
+
+    def load_extension(text):
+        ext_path.write_text(text)
+        try:
+            return load_stem_extension(str(ext_path), Z2)
+        except FileNotFoundError:
+            # a cover name that is an integer or a keyword names no file
+            return None
+
+    readers = [
+        (parse_complex_text, ComplexError),
+        (parse_presentation_text, ComplexError),
+        (parse_boolean_text, CircuitError),
+        (parse_reversible_text, CircuitError),
+        (parse_group_text, GroupError),
+        (load_extension, GroupError),
+        (parse_gluing_text, SurfaceError),
+        (lambda text: parse_action_text(text, lambda rel: Z3), ActionError),
+    ]
+
+    # each text, whichever format's words built it, goes to every reader
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=150)
+    @given(st.sampled_from(sorted(WORDS)).flatmap(lambda f: texts(WORDS[f])))
+    def check(text):
+        for read, error in readers:
+            try:
+                read(text)
+            except error:
+                pass
+
+    check()

@@ -460,8 +460,10 @@ def test_unknown_names_are_typed_errors():
 def test_genus_and_seed_length_checked():
     G = FiniteGroup.cyclic(2)
     assert list(enumerate_reps(0, G)) == [()] and count_reps(0, G) == 1
-    with pytest.raises(SurfaceError):
-        enumerate_reps(-1, G)
+    for call in (enumerate_reps, count_reps,
+                 lambda g, G: RepSampler(g, G).draw(random.Random(0))):
+        with pytest.raises(SurfaceError, match="non-negative, got -1"):
+            call(-1, G)
     with pytest.raises(SurfaceError):
         parse_gluing_text("genus -1\nword\n")
     assert parse_gluing_text("genus 0\n").genus == 0
