@@ -147,13 +147,58 @@ def apply_gates(q, gates, word):
 def count_accepted(q, gates, inputs, accepts, limits, stage):
     """Number of words in product(*inputs) whose image under gates has
     every wire in its own accept set; inputs and accepts give one symbol
-    collection per wire."""
+    collection per wire, and a repeated input symbol counts once per copy.
+
+    One column sweep over the gates in order.  The state is a column of
+    symbols per active wire plus a list of row multiplicities.  A wire
+    enters at its first gate, each row copied once per input symbol; each
+    gate maps its wires' columns through its table; after a wire's last
+    gate the rows it does not accept are dropped, its column goes, and
+    equal rows merge.  A wire no gate touches is a constant factor.  The
+    row count is bounded by limits.max_states before every entry.
+    """
     if math.prod(map(len, inputs)) > limits.max_enumeration:
         raise WorkBoundExceeded("%s enumeration over budget" % stage)
     accepts = [frozenset(acc) for acc in accepts]
-    return sum(all(map(frozenset.__contains__, accepts,
-                       apply_gates(q, gates, word)))
-               for word in itertools.product(*inputs))
+    last = {w: i for i, (wires, _) in enumerate(gates) for w in wires}
+    factor = math.prod(sum(map(accepts[w].__contains__, inputs[w]))
+                       for w in range(len(inputs)) if w not in last)
+    cols, mults = {}, [1]
+    for i, (wires, perm) in enumerate(gates):
+        for w in wires:
+            if w in cols:
+                continue
+            n, k = len(mults), len(inputs[w])
+            if n * k > limits.max_states:
+                raise WorkBoundExceeded("%s state budget %d exceeded"
+                                        % (stage, limits.max_states))
+            for v in cols:
+                cols[v] *= k
+            cols[w] = list(itertools.chain.from_iterable(
+                [s] * n for s in inputs[w]))
+            mults *= k
+        codes = cols[wires[0]]
+        for w in wires[1:]:
+            codes = [c * q + x for c, x in zip(codes, cols[w])]
+        codes = [perm[c] for c in codes]
+        for w in reversed(wires[1:]):
+            cols[w] = [c % q for c in codes]
+            codes = [c // q for c in codes]
+        cols[wires[0]] = codes
+        leaving = [w for w in wires if last[w] == i]
+        if leaving:
+            accs = [accepts[w] for w in leaving]
+            keep = [all(map(frozenset.__contains__, accs, syms))
+                    for syms in zip(*[cols.pop(w) for w in leaving])]
+            rows = zip(*cols.values()) if cols else itertools.repeat(())
+            merged = {}
+            for row, m in itertools.compress(zip(rows, mults), keep):
+                merged[row] = merged.get(row, 0) + m
+            if not merged:
+                return 0
+            cols = dict(zip(cols, map(list, zip(*merged))))
+            mults = list(merged.values())
+    return factor * sum(mults)
 
 
 class ReversibleCircuit:

@@ -583,6 +583,8 @@ def parse_group_text(text, name_hint="G"):
                          "and a mode line")
     name, mode = head[1], head[3]
     (order,) = int_fields(head[2:3], " ".join(head[:4]), GroupError)
+    if order < 1:
+        raise GroupError("group order must be at least 1, got %d" % order)
     body = head[4].splitlines() if len(head) > 4 else []
     if mode == "table":
         ids = [x for ln in body
@@ -599,11 +601,16 @@ def parse_group_text(text, name_hint="G"):
         if not gens:
             raise GroupError("perm-gens needs at least one generator line")
         degree = max(len(g) for g in gens)
-        G = FiniteGroup.from_perm_gens(name, gens, degree=degree)
-        if G.order != order:
+        # the stabilizer chain gives the order without the |G|^2 table
+        try:
+            closure = perms.PermutationGroup(
+                degree, [g + tuple(range(len(g), degree)) for g in gens])
+        except ValueError as exc:
+            raise GroupError(str(exc)) from None
+        if closure.order() != order:
             raise GroupError("declared order %d but closure has %d"
-                             % (order, G.order))
-        return G
+                             % (order, closure.order()))
+        return FiniteGroup.from_perm_gens(name, gens, degree=degree)
     raise GroupError("unknown group file mode %r" % mode)
 
 

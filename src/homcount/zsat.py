@@ -313,12 +313,12 @@ def compile_zsat(circuit, zal):
 
 
 def verify_gates(inst):
-    """Every gate must commute with the action and pass Rubik membership."""
+    """Every gate must commute with the action and pass Rubik membership.
+    compile_zsat shares one table object among the gates it lifts from
+    one table, so each distinct object is checked once."""
     act = inst.alphabet.square_action
-    for _, perm in inst.gates:
-        if not rubik_membership(perm, act):
-            return False
-    return True
+    tables = {id(perm): perm for _, perm in inst.gates}
+    return all(rubik_membership(perm, act) for perm in tables.values())
 
 
 # -- direct RSAT instances over the data quotient ---------------------------------------

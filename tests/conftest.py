@@ -1,3 +1,4 @@
+import itertools
 import os
 import sys
 
@@ -6,6 +7,7 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from homcount import perms
+from homcount.circuits import apply_gates
 from homcount.groups import FiniteGroup, load_group, load_stem_extension
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "homcount", "data")
@@ -13,6 +15,16 @@ DATA = os.path.join(os.path.dirname(__file__), "..", "src", "homcount", "data")
 
 def data_path(name):
     return os.path.join(DATA, name)
+
+
+def count_words(q, gates, inputs, accepts):
+    """Oracle for circuits.count_accepted: run every word of
+    product(*inputs) through the gates, one word at a time, and keep it
+    when every wire lands in its own accept set."""
+    accepts = [frozenset(acc) for acc in accepts]
+    return sum(all(map(frozenset.__contains__, accepts,
+                       apply_gates(q, gates, word)))
+               for word in itertools.product(*inputs))
 
 
 def mulclose(gens):

@@ -8,8 +8,9 @@ from homcount.circuits import (BooleanCircuit, CircuitError, ReversibleCircuit,
                                pack_parameters, parse_boolean_text,
                                parse_reversible_text, reduce_pipeline,
                                regroup_embed, uncompute_wrap, verify_parsimony,
-                               encode_word, decode_word)
+                               encode_word, decode_word, count_accepted)
 from homcount.counting import CountingLimits, WorkBoundExceeded
+from conftest import count_words
 
 AND2 = BooleanCircuit(2, [("AND", (0, 1), (2,))], 2)
 OR2 = BooleanCircuit(2, [("OR", (0, 1), (2,))], 2)
@@ -266,3 +267,82 @@ def test_eval_errors():
         circ.eval((0, 1, 0))
     with pytest.raises(CircuitError):
         circ.eval((0, 7))
+
+
+def _random_gate(rng, q, width):
+    k = rng.randint(1, min(3, width))
+    table = list(range(q ** k))
+    rng.shuffle(table)
+    return tuple(rng.sample(range(width), k)), tuple(table)
+
+
+def test_sweep_matches_word_oracle():
+    rng = random.Random(16)
+    seen = set()
+    for _ in range(400):
+        q = rng.randint(1, 4)
+        width = rng.randint(0, 6)
+        gates = [_random_gate(rng, q, width)
+                 for _ in range(rng.randint(0, 5) if width else 0)]
+        # inputs may repeat a symbol, which counts once per copy
+        inputs = [tuple(rng.choices(range(q), k=rng.randint(0, 3)))
+                  for _ in range(width)]
+        accepts = [rng.sample(range(q), rng.randint(0, q))
+                   for _ in range(width)]
+        assert count_accepted(q, gates, inputs, accepts, CountingLimits(),
+                              "TEST") == count_words(q, gates, inputs, accepts)
+        touched = set()
+        for wires, _ in gates:
+            touched.update(wires)
+            seen.add("arity %d" % len(wires))
+            if max(wires) - min(wires) >= len(wires):
+                seen.add("non-adjacent")
+        seen.add("width %d" % width)
+        if len(touched) < width:
+            seen.add("untouched")
+        if any(len(inp) == 1 for inp in inputs):
+            seen.add("single symbol")
+        if any(inp and not set(inp) & set(acc)
+               for inp, acc in zip(inputs, accepts)):
+            seen.add("empty input & accept")
+    assert seen >= {"arity 1", "arity 2", "arity 3", "non-adjacent",
+                    "width 0", "width 1", "untouched", "single symbol",
+                    "empty input & accept"}
+
+
+def _window_words(circ, inputs, accepts):
+    """The word oracle on the planar window form of a stage."""
+    gates = [(range(pos, pos + k), perm) for pos, k, perm in circ.gates]
+    return count_words(circ.q, gates, inputs, accepts)
+
+
+def test_sweep_matches_oracle_on_every_stage():
+    rng = random.Random(17)
+    for bc in [AND2, OR2] + [random_circuit(rng, rng.randint(1, 3),
+                                            rng.randint(1, 3))
+                             for _ in range(6)]:
+        r1, r2, r3, r4 = reduce_pipeline(bc)
+        want = bc.count_sat()
+        assert verify_parsimony(bc).stage_counts() == [want] * 5
+        bit = (0, 1)
+        assert r1.count() == _window_words(
+            r1.window_circuit(),
+            [(0,)] * r1.n_ancillas + [bit] * (r1.width - r1.n_ancillas),
+            [(1,)] + [bit] * (r1.width - 1))
+        zero = [(0,) if w in r2.zero_wires else bit for w in range(r2.width)]
+        assert r2.count() == _window_words(r2.window_circuit(), zero, zero)
+        for inst in (r3, r4.inner):
+            assert inst.count() == _window_words(
+                inst.planarize(), [inst.init] * inst.width,
+                [inst.final] * inst.width) == want
+
+
+def test_sweep_state_budget():
+    _, _, r3, _ = reduce_pipeline(AND2)
+    with pytest.raises(WorkBoundExceeded) as exc:
+        r3.count(CountingLimits(max_states=1))
+    assert str(exc.value) == "RSAT state budget 1 exceeded"
+    # the rows never outnumber the words
+    words = len(r3.init) ** r3.width
+    assert r3.count(CountingLimits(max_enumeration=words,
+                                   max_states=words)) == 1

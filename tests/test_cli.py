@@ -257,6 +257,10 @@ def test_malformed_circuit_exit_code(capsys, tmp_path, command, text):
      "genus 1 2\n", "SurfaceError"),
     (["heegaard-count", "--group", "a5.grp", "--gluing"], "bad.glu",
      "genus 1\nwordy ta1\n", "SurfaceError"),
+    (["count-hom", "--presentation", "poincare.pres", "--group"], "bad.grp",
+     "group G -3 table\n0 0 0\n0 0 0\n0 0 0\n", "GroupError"),
+    (["count-hom", "--presentation", "poincare.pres", "--group"], "bad.grp",
+     "group G 6 perm-gens\n(0 1)\n(0 1 2 3 4 5 6 7)\n", "GroupError"),
     # well-formed files with `#` comments: error None means exit 0
     pytest.param(
         ["count-hom", "--presentation", "poincare.pres", "--group"], "s3.grp",
@@ -303,3 +307,16 @@ def test_stage_budget_messages(capsys, tmp_path, bound, command, text,
     assert code == 2
     assert rep["error"] == \
         "WorkBoundExceeded: %s enumeration over budget" % stage
+
+
+@pytest.mark.parametrize("command, text, stage", [
+    ("reduce", NOT1, "RSAT1"),
+    # a gateless data circuit has no state to bound; its zombie lift has
+    ("compile-zsat", IDENT2, "ZSAT"),
+])
+def test_state_budget_messages(capsys, tmp_path, command, text, stage):
+    code, rep = run_circuit(capsys, tmp_path, command, text,
+                            "--max-states", "1")
+    assert code == 2
+    assert rep["error"] == \
+        "WorkBoundExceeded: %s state budget 1 exceeded" % stage

@@ -130,6 +130,22 @@ def test_group_file_roundtrip(tmp_path, s3):
         parse_group_text("group broken 6\ntable\n0 1 2")
 
 
+def test_declared_order_checked_before_the_table(monkeypatch):
+    with pytest.raises(GroupError, match="at least 1, got -3"):
+        parse_group_text("group G -3 table\n0 0 0\n0 0 0\n0 0 0\n")
+
+    # a wrong perm-gens order is found without closing the 40320^2 table
+    def no_table(*args, **kwargs):
+        raise AssertionError("table built before the order check")
+
+    monkeypatch.setattr(FiniteGroup, "from_perm_gens", no_table)
+    with pytest.raises(GroupError) as exc:
+        parse_group_text("group G 6 perm-gens\n(0 1)\n(0 1 2 3 4 5 6 7)\n")
+    assert str(exc.value) == "declared order 6 but closure has 40320"
+    with pytest.raises(GroupError, match="exceeds bound"):
+        parse_group_text("group G 2 perm-gens\n(0 70000)\n")
+
+
 def test_subgroup_invariants(s3):
     with pytest.raises(GroupError):
         Subgroup(s3, (1, 2))          # misses identity

@@ -17,8 +17,7 @@ Z2 = FiniteGroup.cyclic(2)
 Z3 = FiniteGroup.cyclic(3)
 
 # keywords and other tokens of each format; integers stay below 200, so no
-# text declares an instance too big to build, and group files get no cycle
-# notation, since a few long cycles close to a huge symmetric group
+# text declares an instance too big to build
 WORDS = {
     "complex": ["vertices", "order"],
     "presentation": ["gens", "e", "x1", "X2", "x1X1"],
@@ -31,15 +30,31 @@ WORDS = {
 }
 
 
-def texts(words):
-    """Lines of tokens, about half of them led by a keyword."""
+# cycle lines for group texts; points stay below 12, since checking the
+# declared order of a large symmetric group costs seconds at degree 30
+CYCLES = st.lists(st.lists(st.integers(0, 11), max_size=6).map(
+    lambda points: "(%s)" % " ".join(map(str, points))),
+    min_size=1, max_size=3).map("".join)
+
+
+def texts(fmt):
+    """Lines of tokens, about half of them led by a keyword; group texts
+    also get cycle lines and, half the time, a well-formed header."""
+    words = WORDS[fmt]
     token = st.one_of(st.sampled_from(words + ["#"]),
                       st.integers(-3, 200).map(str))
     free = st.lists(token, max_size=6)
     led = st.tuples(st.sampled_from(words), free).map(
         lambda kv: [kv[0]] + kv[1])
     line = st.one_of(led, free).map(" ".join)
-    return st.lists(line, max_size=8).map("\n".join)
+    if fmt != "group":
+        return st.lists(line, max_size=8).map("\n".join)
+    lines = st.lists(st.one_of(line, CYCLES), max_size=8)
+    header = st.tuples(st.integers(-3, 200),
+                       st.sampled_from(["table", "perm-gens"])).map(
+        lambda om: "group G %d %s" % om)
+    return st.one_of(lines, st.tuples(header, lines).map(
+        lambda hl: [hl[0]] + hl[1])).map("\n".join)
 
 
 def test_readers_raise_only_typed_errors(tmp_path):
@@ -68,7 +83,7 @@ def test_readers_raise_only_typed_errors(tmp_path):
     # each text, whichever format's words built it, goes to every reader
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=150)
-    @given(st.sampled_from(sorted(WORDS)).flatmap(lambda f: texts(WORDS[f])))
+    @given(st.sampled_from(sorted(WORDS)).flatmap(texts))
     def check(text):
         for read, error in readers:
             try:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from homcount import zsat
 from homcount.circuits import BooleanCircuit
 from homcount.groups import FiniteGroup
 from homcount.gsets import rubik_membership
@@ -10,6 +11,7 @@ from homcount.zsat import (ZAlphabet, ZsatError, compile_gate, compile_zsat,
                            data_rsat_instance, extend_to_rubik,
                            postcomputation_gate, verify_gates,
                            zsat_from_table)
+from conftest import count_words
 
 
 def predicate_gate(zal, rng, density=0.5):
@@ -165,3 +167,37 @@ def test_table_bridge(z2):
     inst = zsat_from_table(or2, zal)
     assert inst.count() == 3
     assert compile_zsat(inst, zal).count() == 7
+
+
+def test_sweep_zombie_relation_widths(z2, z3):
+    # the sweep counts widths 2-7; the word oracle rechecks widths up to 5
+    rng = random.Random(79)
+    for gamma in (z2, z3):
+        zal = ZAlphabet(gamma)
+        for width in range(2, 8):
+            gates = [(rng.randrange(width - 1), predicate_gate(zal, rng))
+                     for _ in range(2)]
+            inst = data_rsat_instance(zal, width, gates)
+            zi = compile_zsat(inst, zal)
+            rsat, zcount = inst.count(), zi.count()
+            assert zcount == gamma.order * rsat + 1
+            assert rsat == count_words(inst.q, inst.gates,
+                                       [inst.init] * width,
+                                       [inst.final] * width)
+            if width <= 5:
+                assert zcount == count_words(
+                    zal.size, zi.gates, [(zal.zombie,) + zal.init] * width,
+                    [(zal.zombie,) + zal.final] * width)
+
+
+def test_verify_gates_checks_each_table_once(z2, monkeypatch):
+    # one lifted data table twice plus the warning gate on three pairs
+    zal = ZAlphabet(z2)
+    table = predicate_gate(zal, random.Random(80))
+    zi = compile_zsat(data_rsat_instance(zal, 4, [(0, table), (2, table)]),
+                      zal)
+    checked = []
+    monkeypatch.setattr(zsat, "rubik_membership",
+                        lambda perm, act: checked.append(perm) or True)
+    assert verify_gates(zi)
+    assert len(zi.gates) == 5 and len(checked) == 2
