@@ -163,6 +163,9 @@ def count_accepted(q, gates, inputs, accepts, limits, stage):
     last = {w: i for i, (wires, _) in enumerate(gates) for w in wires}
     factor = math.prod(sum(map(accepts[w].__contains__, inputs[w]))
                        for w in range(len(inputs)) if w not in last)
+    # a column is bytes, an eighth of a list's memory, when every symbol
+    # fits in a byte
+    col = bytes if q <= 256 else list
     cols, mults = {}, [1]
     for i, (wires, perm) in enumerate(gates):
         for w in wires:
@@ -174,29 +177,31 @@ def count_accepted(q, gates, inputs, accepts, limits, stage):
                                         % (stage, limits.max_states))
             for v in cols:
                 cols[v] *= k
-            cols[w] = list(itertools.chain.from_iterable(
+            cols[w] = col(itertools.chain.from_iterable(
                 [s] * n for s in inputs[w]))
             mults *= k
         codes = cols[wires[0]]
-        for w in wires[1:]:
+        for w in wires[1:-1]:
             codes = [c * q + x for c, x in zip(codes, cols[w])]
-        codes = [perm[c] for c in codes]
+        # the last wire's pass maps through the table at once, so no list
+        # of unmapped codes is held
+        codes = ([perm[c * q + x] for c, x in zip(codes, cols[wires[-1]])]
+                 if len(wires) > 1 else [perm[c] for c in codes])
         for w in reversed(wires[1:]):
-            cols[w] = [c % q for c in codes]
+            cols[w] = col([c % q for c in codes])
             codes = [c // q for c in codes]
-        cols[wires[0]] = codes
+        cols[wires[0]] = col(codes)
         leaving = [w for w in wires if last[w] == i]
         if leaving:
-            accs = [accepts[w] for w in leaving]
-            keep = [all(map(frozenset.__contains__, accs, syms))
-                    for syms in zip(*[cols.pop(w) for w in leaving])]
+            keep = map(all, zip(*[map(accepts[w].__contains__, cols.pop(w))
+                                  for w in leaving]))
             rows = zip(*cols.values()) if cols else itertools.repeat(())
             merged = {}
             for row, m in itertools.compress(zip(rows, mults), keep):
                 merged[row] = merged.get(row, 0) + m
             if not merged:
                 return 0
-            cols = dict(zip(cols, map(list, zip(*merged))))
+            cols = dict(zip(cols, map(col, zip(*merged))))
             mults = list(merged.values())
     return factor * sum(mults)
 

@@ -308,6 +308,18 @@ def test_sweep_matches_word_oracle():
     assert seen >= {"arity 1", "arity 2", "arity 3", "non-adjacent",
                     "width 0", "width 1", "untouched", "single symbol",
                     "empty input & accept"}
+    # symbols above 255 do not fit the byte columns of small alphabets
+    q = 300
+    for _ in range(3):
+        gates = []
+        for wires in ((0,), (1, 2), (2, 0)):
+            table = list(range(q ** len(wires)))
+            rng.shuffle(table)
+            gates.append((wires, tuple(table)))
+        inputs = [rng.sample(range(q), 3) for _ in range(3)]
+        accepts = [rng.sample(range(q), 150) for _ in range(3)]
+        assert count_accepted(q, gates, inputs, accepts, CountingLimits(),
+                              "TEST") == count_words(q, gates, inputs, accepts)
 
 
 def _window_words(circ, inputs, accepts):
