@@ -146,17 +146,14 @@ def apply_gates(q, gates, word):
 
 def count_accepted(q, gates, inputs, accepts, limits, stage):
     """Number of words in product(*inputs) whose image under gates has
-    every wire in its own accept set; inputs and accepts give one symbol
-    collection per wire, and a repeated input symbol counts once per copy.
+    every wire in its own accept set, a repeated input symbol counting once
+    per copy; inputs and accepts give one symbol collection per wire.
 
-    One column sweep over the gates in order.  The state is a column of
-    symbols per active wire plus a list of row multiplicities.  A wire
-    enters at its first gate, each row copied once per input symbol; each
-    gate maps its wires' columns through its table; after a wire's last
-    gate the rows it does not accept are dropped, its column goes, and
-    equal rows merge.  A wire no gate touches is a constant factor.  The
-    row count is bounded by limits.max_states before every entry.
-    """
+    A column sweep over the gates in order: a wire enters at its first
+    gate with one copy of each row per input symbol, each gate maps its
+    wires' columns through its table, and after its last gate the wire's
+    unaccepted rows are dropped, its column goes and equal rows merge.
+    limits.max_states bounds the rows."""
     if math.prod(map(len, inputs)) > limits.max_enumeration:
         raise WorkBoundExceeded("%s enumeration over budget" % stage)
     accepts = [frozenset(acc) for acc in accepts]
