@@ -272,6 +272,11 @@ def parse_reversible_text(text):
             raise CircuitError("unknown or short circuit line %r" % ln)
     if q is None or width is None:
         raise CircuitError("circuit file needs alphabet and width")
+    for key, symbols in (("init", init), ("final", final)):
+        bad = [sym for sym in symbols or () if not 0 <= sym < q]
+        if bad:
+            raise CircuitError("%s symbol %d outside alphabet %d"
+                               % (key, bad[0], q))
     circ = ReversibleCircuit(q, width, gates)
     return circ, init, final
 

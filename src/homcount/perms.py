@@ -1,25 +1,35 @@
-"""Permutations as image tuples, with a deterministic Schreier-Sims stabilizer chain.
+"""Permutations as image tuples, with an incremental Schreier-Sims chain.
 
 Permutations act on 0..n-1 and are stored as tuples of images.  The product
 p * q means "apply p, then q", i.e. (p*q)[x] = q[p[x]].
+
+PermutationGroup builds a deterministic stabilizer chain (Seress,
+*Permutation Group Algorithms*, 2003, ch. 4).  Each level keeps its orbit
+with transversal t[pt] and its inverse, so a sift step is one product.  A
+generator new to a level grows the orbit from the old points under itself
+and from the new points under every generator, and only those Schreier
+generators are sifted into the stabilizer.  A residue joins every level
+from where its sift began to where it stopped: fixing a level's base point,
+it still enlarges that level's group and orbit.  Transversal entries are
+never replaced, so a sift that once ended in the identity always does, and
+no Schreier generator is revisited.  An explicit work stack replaces
+recursion per level.
 """
 
 import re
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
+from operator import itemgetter
 
 
 def identity_perm(n):
     return tuple(range(n))
 
 
-def is_identity(p):
-    return all(i == j for i, j in enumerate(p))
-
-
 def mult(p, q):
     """Compose permutations: apply p first, then q."""
-    return tuple(q[i] for i in p)
+    # itemgetter with one index returns a bare value, not a 1-tuple
+    return itemgetter(*p)(q) if len(p) > 1 else tuple(q[i] for i in p)
 
 
 def inverse(p):
@@ -127,82 +137,45 @@ def format_cycles(p):
     return "".join(parts) if parts else "()"
 
 
-class _Node:
-    """One level of a stabilizer chain: base point, own generators, orbit."""
+class _Level:
+    """One chain level: base point, generators, orbit, transversal, inverses."""
 
-    __slots__ = ("point", "gens", "transversal", "stab")
+    __slots__ = ("point", "gens", "orbit", "trans", "inv")
 
-    def __init__(self):
-        self.point = None
-        self.gens = []
-        self.transversal = {}
-        self.stab = None
+    def __init__(self, point, ident):
+        self.point, self.gens, self.orbit = point, [], [point]
+        self.trans, self.inv = {point: ident}, {point: ident}
 
-    def generators(self):
-        if self.stab is None:
-            return list(self.gens)
-        return self.gens + self.stab.generators()
+    def extend(self, g, ident):
+        """Add generator g; yield the non-identity Schreier generators
+        t[pt]*s*t[s(pt)]^-1 of old points with g and new points with all s."""
+        trans, inv, orbit, gens = self.trans, self.inv, self.orbit, self.gens
+        gens.append(g)
+        n_old = len(orbit)
+        for i, pt in enumerate(orbit):  # orbit grows while we walk it
+            t = trans[pt]
+            for s in gens if i >= n_old else (g,):
+                img = s[pt]
+                u = mult(t, s)
+                if img not in trans:
+                    trans[img] = u
+                    inv[img] = inverse(u)
+                    orbit.append(img)
+                elif (u := mult(u, inv[img])) != ident:
+                    yield u
 
-    def sift(self, p):
-        node = self
-        while node is not None and node.point is not None:
-            img = p[node.point]
-            t = node.transversal.get(img)
-            if t is None and img != node.point:
-                return p
-            if t is not None:
-                p = mult(p, inverse(t))
-            node = node.stab
-        return p
 
-    def add_gen(self, g):
-        g = self.sift(g)
-        if not is_identity(g):
-            self._add_nonmember(g)
-
-    def _add_nonmember(self, g):
-        if self.point is None:
-            self.point = next(i for i, j in enumerate(g) if i != j)
-            self.transversal = {self.point: None}
-            self.stab = _Node()
-        if g[self.point] == self.point:
-            self.stab._add_nonmember(g)
-        else:
-            self.gens.append(g)
-        self._rebuild_orbit()
-
-    def _rebuild_orbit(self):
-        gens = self.generators()
-        self.transversal = {self.point: None}
-        queue = [self.point]
-        while queue:
-            pt = queue.pop(0)
-            t = self.transversal[pt]
-            for g in gens:
-                img = g[pt]
-                if img not in self.transversal:
-                    self.transversal[img] = g if t is None else mult(t, g)
-                    queue.append(img)
-        # close: sift every Schreier generator into the stabilizer
-        for g in gens:
-            for pt, t in list(self.transversal.items()):
-                u = g if t is None else mult(t, g)
-                v = self.transversal[g[pt]]
-                schreier = u if v is None else mult(u, inverse(v))
-                self.stab.add_gen(schreier)
-
-    def order(self):
-        if self.point is None:
-            return 1
-        return len(self.transversal) * self.stab.order()
-
-    def base(self):
-        out = []
-        node = self
-        while node is not None and node.point is not None:
-            out.append(node.point)
-            node = node.stab
-        return out
+def _sift(chain, p, start=0):
+    """Strip p by chain[start:]; return the residue and the level where it
+    stopped (len(chain) when it passed every level)."""
+    for k in range(start, len(chain)):
+        level = chain[k]
+        img = p[level.point]
+        if img != level.point:
+            if img not in level.inv:
+                return p, k
+            p = mult(p, level.inv[img])
+    return p, len(chain)
 
 
 class PermutationGroup:
@@ -219,35 +192,44 @@ class PermutationGroup:
             raise ValueError("degree %d exceeds bound %d" % (degree, self.MAX_DEGREE))
         self.degree = degree
         self.name = name
+        self._ident = identity_perm(degree)
         gens = [tuple(g) for g in gens]
         for g in gens:
             if len(g) != degree:
                 raise ValueError("generator degree mismatch")
             check_perm(g)
-        self.gens = [g for g in gens if not is_identity(g)]
-        self._root = None
+        self.gens = [g for g in gens if g != self._ident]
+        self._chain = None
 
     def _ensure_chain(self):
-        if self._root is None:
-            root = _Node()
-            for g in self.gens:
-                root.add_gen(g)
-            self._root = root
+        # a stack entry (k, h) fixes the first k base points; h's residue
+        # stopped at level j joins levels k..j (j may be a new level)
+        if self._chain is not None:
+            return
+        ident, chain = self._ident, []
+        stack = [(0, g) for g in reversed(self.gens)]
+        while stack:
+            k, h = stack.pop()
+            h, j = _sift(chain, h, k)
+            if h == ident:
+                continue
+            if j == len(chain):
+                chain.append(_Level(next(i for i, x in enumerate(h) if i != x),
+                                    ident))
+            for m in range(k, j + 1):
+                stack.extend((m + 1, s) for s in chain[m].extend(h, ident))
+        self._chain = chain
 
     def order(self):
         self._ensure_chain()
-        return self._root.order()
+        return prod(len(level.orbit) for level in self._chain)
 
     def contains(self, p):
         p = tuple(p)
         if len(p) != self.degree:
             return False
         self._ensure_chain()
-        return is_identity(self._root.sift(p))
-
-    def base(self):
-        self._ensure_chain()
-        return self._root.base()
+        return _sift(self._chain, p)[0] == self._ident
 
 
 def group_order(degree, gens):

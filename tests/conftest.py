@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import sys
@@ -44,6 +45,88 @@ def mulclose(gens):
                     new.append(c)
         bdy = new
     return els
+
+
+class _OracleNode:
+    """The recursive stabilizer chain that perms.PermutationGroup replaced:
+    every new generator rebuilds its level's transversal and re-sifts every
+    Schreier generator.  Slow but simple; kept as an oracle."""
+
+    def __init__(self):
+        self.point, self.gens, self.transversal, self.stab = None, [], {}, None
+
+    @staticmethod
+    def _mult(p, q):
+        return tuple(q[i] for i in p)
+
+    def generators(self):
+        return self.gens + (self.stab.generators() if self.stab else [])
+
+    def sift(self, p):
+        node = self
+        while node is not None and node.point is not None:
+            img = p[node.point]
+            t = node.transversal.get(img)
+            if t is None and img != node.point:
+                return p
+            if t is not None:
+                p = self._mult(p, perms.inverse(t))
+            node = node.stab
+        return p
+
+    def add_gen(self, g):
+        g = self.sift(g)
+        if g != tuple(range(len(g))):
+            self._add_nonmember(g)
+
+    def _add_nonmember(self, g):
+        if self.point is None:
+            self.point = next(i for i, j in enumerate(g) if i != j)
+            self.transversal = {self.point: None}
+            self.stab = _OracleNode()
+        if g[self.point] == self.point:
+            self.stab._add_nonmember(g)
+        else:
+            self.gens.append(g)
+        gens = self.generators()
+        self.transversal = {self.point: None}
+        queue = [self.point]
+        while queue:
+            pt = queue.pop(0)
+            t = self.transversal[pt]
+            for h in gens:
+                if h[pt] not in self.transversal:
+                    self.transversal[h[pt]] = h if t is None else self._mult(t, h)
+                    queue.append(h[pt])
+        for h in gens:
+            for pt, t in list(self.transversal.items()):
+                u = h if t is None else self._mult(t, h)
+                v = self.transversal[h[pt]]
+                self.stab.add_gen(u if v is None else self._mult(u, perms.inverse(v)))
+
+    def order(self):
+        if self.point is None:
+            return 1
+        return len(self.transversal) * self.stab.order()
+
+
+@functools.lru_cache(maxsize=8)
+def _oracle_chain(gens):
+    root = _OracleNode()
+    for g in gens:
+        root.add_gen(g)
+    return root
+
+
+def oracle_chain_order(gens):
+    """Oracle for PermutationGroup.order: the old rebuild-everything chain."""
+    return _oracle_chain(tuple(map(tuple, gens))).order()
+
+
+def oracle_chain_contains(gens, p):
+    """Oracle for PermutationGroup.contains on the old chain."""
+    p = tuple(p)
+    return _oracle_chain(tuple(map(tuple, gens))).sift(p) == tuple(range(len(p)))
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,9 @@ def run_circuit(capsys, tmp_path, command, text, *options):
     ("compile-zsat", "alphabet 4\nwidth 2\ngate 0 y 1 0\n"),
     ("reduce", "in 2 3\nAND 0 1 -> 2\nout 2\n"),
     ("compile-zsat", "alphabet 4 5\nwidth 2\n"),
+    ("compile-zsat", "alphabet 4\nwidth 2\ngate 0 2 %s\ninit 0 9\n"
+     % " ".join(map(str, range(16)))),
+    ("compile-zsat", "alphabet 4\nwidth 2\ninit 0 9\nfinal 9\n"),
 ])
 def test_malformed_circuit_exit_code(capsys, tmp_path, command, text):
     code, rep = run_circuit(capsys, tmp_path, command, text)
@@ -261,6 +265,11 @@ def test_malformed_circuit_exit_code(capsys, tmp_path, command, text):
      "group G -3 table\n0 0 0\n0 0 0\n0 0 0\n", "GroupError"),
     (["count-hom", "--presentation", "poincare.pres", "--group"], "bad.grp",
      "group G 6 perm-gens\n(0 1)\n(0 1 2 3 4 5 6 7)\n", "GroupError"),
+    # S40 from a transposition and a 40-cycle: the chain rejects the
+    # declared order at once
+    (["count-hom", "--presentation", "poincare.pres", "--group"], "bad.grp",
+     "group G 6 perm-gens\n(0 1)\n(%s)\n" % " ".join(map(str, range(40))),
+     "GroupError: declared order 6 but closure has %d" % factorial(40)),
     # well-formed files with `#` comments: error None means exit 0
     pytest.param(
         ["count-hom", "--presentation", "poincare.pres", "--group"], "s3.grp",
@@ -286,7 +295,8 @@ def test_malformed_header_exit_code(capsys, tmp_path, argv, name, text, error):
         assert code == 0
     else:
         assert code == 2
-        assert parse_report(out)["error"].startswith(error + ": ")
+        reported = parse_report(out)["error"]
+        assert reported == error or reported.startswith(error + ": ")
 
 
 NOT1 = "in 1\nNOT 0 -> 1\nout 1\n"
