@@ -5,6 +5,7 @@ Reports are stable `key: value` lines (diffable), with a JSON mirror behind
 """
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -296,7 +297,10 @@ def cmd_goursat(args, rep):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state on it between calls."""
     p = argparse.ArgumentParser(
         prog="homcount",
         description="Counting engine for homomorphism invariants of "

@@ -6,7 +6,9 @@ bounded-width dynamic program over ordered complexes counting 1-cocycles.
 Their agreement is the package's central cross-check.
 """
 
+import heapq
 from dataclasses import dataclass
+from itertools import product
 from operator import itemgetter
 from .groups import (FiniteGroup, GroupError, automorphisms, find_isomorphism,
                      generates, subgroup_lattice)
@@ -32,42 +34,58 @@ DEFAULT_LIMITS = CountingLimits()
 def _plan_branch_order(ngens, relators):
     """Static variable order maximizing forced assignments.
 
-    Simulates propagation: a relator whose letters involve exactly one
-    unassigned generator, occurring exactly once, determines it.
+    Simulates propagation: a relator with exactly one unassigned letter
+    determines its generator.  Otherwise it branches on the unassigned
+    generator with the smallest key (fewest unassigned letters left in one
+    of its relators, most relators, lowest index); keys only fall, so a
+    heap entry whose key is no longer current is skipped.
     """
-    assigned = set()
-    order = []
-    occ = {v: set() for v in range(1, ngens + 1)}
+    occ = {v: [] for v in range(1, ngens + 1)}   # one entry per letter
     for i, rel in enumerate(relators):
         for letter in rel:
-            occ[abs(letter)].add(i)
+            occ[abs(letter)].append(i)
+    nrels = {v: len(set(occ[v])) for v in occ}
+    left = [len(rel) for rel in relators]       # unassigned letters
+    assigned = set()
 
-    def propagate():
-        changed = True
-        while changed:
-            changed = False
-            for rel in relators:
-                missing = [abs(l) for l in rel if abs(l) not in assigned]
-                if len(missing) == 1 and missing[0] not in assigned:
-                    if sum(1 for l in rel if abs(l) == missing[0]) == 1:
-                        assigned.add(missing[0])
-                        changed = True
-
-    propagate()
-    constrained = {v for v in range(1, ngens + 1) if occ[v]}
-    while not constrained <= assigned:
-        # branch on the variable that appears in the most nearly-complete relator
-        best = None
-        for v in sorted(constrained - assigned):
-            score = min(sum(1 for l in relators[i] if abs(l) not in assigned)
-                        for i in occ[v])
-            key = (score, -len(occ[v]), v)
-            if best is None or key < best[0]:
-                best = (key, v)
-        v = best[1]
-        order.append(v)
+    def propagate(v):
+        """Assign v and every generator it forces; return the relators
+        whose unassigned letters fell."""
+        touched = set()
         assigned.add(v)
-        propagate()
+        queue = [v]
+        while queue:
+            for i in occ[queue.pop()]:
+                left[i] -= 1
+                touched.add(i)
+                if left[i] == 1:
+                    for letter in relators[i]:
+                        w = abs(letter)
+                        if w not in assigned:
+                            assigned.add(w)
+                            queue.append(w)
+        return touched
+
+    def key(v):
+        return (min(left[i] for i in occ[v]), -nrels[v], v)
+
+    for rel in relators:
+        if len(rel) == 1 and abs(rel[0]) not in assigned:
+            propagate(abs(rel[0]))
+    heap = [key(v) for v in occ if occ[v] and v not in assigned]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        entry = heapq.heappop(heap)
+        v = entry[2]
+        if v in assigned or entry != key(v):
+            continue
+        order.append(v)
+        for i in propagate(v):
+            for letter in relators[i]:
+                w = abs(letter)
+                if w not in assigned:
+                    heapq.heappush(heap, key(w))
     # generators in no relator are counted as free factors at the leaves
     return order
 
@@ -77,7 +95,8 @@ def count_homs(P, G, limits=DEFAULT_LIMITS, per_solution=None):
 
     Backtracking over generator images with unit propagation on relators;
     raises WorkBoundExceeded when the explored node count passes the budget.
-    per_solution, if given, is called with each full image tuple.
+    per_solution, if given, is called with each full image tuple; each
+    image tuple of the generators in no relator then counts as a node.
     """
     r = P.ngens
     relators = [tuple(rel) for rel in P.relators]
@@ -119,7 +138,10 @@ def count_homs(P, G, limits=DEFAULT_LIMITS, per_solution=None):
         for i in occ[w]:
             rel_unassigned[i] -= 1
         trail.append(w)
-        nodes[0] += 1
+        spend(1)
+
+    def spend(work):
+        nodes[0] += work
         if nodes[0] > limits.max_enumeration:
             raise WorkBoundExceeded(
                 "enumeration budget %d exceeded" % limits.max_enumeration)
@@ -151,44 +173,49 @@ def count_homs(P, G, limits=DEFAULT_LIMITS, per_solution=None):
             for i in occ[v]:
                 rel_unassigned[i] += 1
 
-    def recurse(k):
+    # depth-first search; each stack frame [k, next image, trail] is one
+    # branching generator on the current path
+    stack = []
+
+    def descend(k):
+        """Push the first unset branching generator from position k on; when
+        none is left, count the leaf, where the generators in no relator
+        range over all of G."""
         while k < len(branch_order) and img[branch_order[k]] is not None:
             k += 1
-        if k == len(branch_order):
-            free = [v for v in range(1, r + 1) if img[v] is None]
-            if not free:
-                count[0] += 1
-                if per_solution is not None:
-                    per_solution(tuple(img[1:]))
-                return
-            # generators not occurring in any relator are free
-            def fill(j):
-                if j == len(free):
-                    count[0] += 1
-                    if per_solution is not None:
-                        per_solution(tuple(img[1:]))
-                    return
-                for g in G.elements():
-                    img[free[j]] = g
-                    fill(j + 1)
-                img[free[j]] = None
-
-            if per_solution is None:
-                count[0] += G.order ** len(free)
-            else:
-                fill(0)
+        if k < len(branch_order):
+            stack.append([k, 0, []])
             return
-        v = branch_order[k]
-        for g in G.elements():
-            trail = []
-            ok = assign(v, g, trail)
-            if ok:
-                recurse(k + 1)
-            undo(trail, 0)
+        free = [v for v in range(1, r + 1) if img[v] is None]
+        if per_solution is None:
+            count[0] += G.order ** len(free)
+        elif not free:
+            count[0] += 1
+            per_solution(tuple(img[1:]))
+        else:
+            # each reported assignment of the free generators is work
+            spend(G.order ** len(free))
+            for values in product(G.elements(), repeat=len(free)):
+                for v, g in zip(free, values):
+                    img[v] = g
+                count[0] += 1
+                per_solution(tuple(img[1:]))
+            for v in free:
+                img[v] = None
 
-    root_trail = []
-    if cascade(list(range(len(relators))), root_trail):
-        recurse(0)
+    if cascade(list(range(len(relators))), []):
+        descend(0)
+    n = G.order
+    while stack:
+        frame = stack[-1]
+        k, g, trail = frame
+        undo(trail, 0)
+        if g == n:
+            stack.pop()
+        else:
+            frame[1] = g + 1
+            if assign(branch_order[k], g, trail):
+                descend(k + 1)
     return count[0]
 
 

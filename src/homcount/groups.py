@@ -9,6 +9,7 @@ import os
 import random
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from . import perms
 from .textformat import content_lines, int_fields
 
@@ -361,32 +362,39 @@ def subgroup_lattice(G, order_bound=DEFAULT_ORDER_BOUND):
     """All subgroups of G with their containment relation.
 
     Breadth-first growth: start from cyclic subgroups, then repeatedly close
-    each known subgroup together with one extra element.
+    each known subgroup H together with one extra element g.  Since
+    <H, h*g> = <H, g> for every h in H, one g per right coset Hg suffices,
+    and the closure starts from the generators H was found with plus g.
     """
     if G.order > order_bound:
         raise GroupError(
             "order %d exceeds subgroup-lattice bound %d" % (G.order, order_bound))
-    found = {close_under_product(G, [])}
-    frontier = set()
+    n, table = G.order, G._table
+    found = {close_under_product(G, []): []}
+    frontier = {}
     for g in G.elements():
-        frontier.add(close_under_product(G, [g]))
-    found |= frontier
+        frontier.setdefault(close_under_product(G, [g]), [g])
+    found.update(frontier)
     while frontier:
-        new = set()
-        for H in frontier:
-            if len(H) == G.order:
+        new = {}
+        for H, gens in frontier.items():
+            if len(H) == n:
                 continue
-            mem = set(H)
-            for g in G.elements():
-                if g in mem:
+            covered = bytearray(n)
+            for h in H:
+                covered[h] = 1
+            for g in range(n):
+                if covered[g]:
                     continue
-                K = close_under_product(G, list(H) + [g])
+                for h in H:
+                    covered[table[h * n + g]] = 1
+                K = close_under_product(G, gens + [g])
                 if K not in found:
-                    found.add(K)
-                    new.add(K)
+                    found[K] = new[K] = gens + [g]
         frontier = new
     subs = [Subgroup(G, mem) for mem in sorted(found, key=lambda m: (len(m), m))]
-    contains = [[set(B.members) <= set(A.members) for B in subs] for A in subs]
+    sets = [frozenset(H.members) for H in subs]
+    contains = [[B <= A for B in sets] for A in sets]
     return SubgroupLattice(G, subs, contains)
 
 
@@ -506,12 +514,15 @@ def automorphisms(G, order_bound=DEFAULT_ORDER_BOUND):
     if G._autcache is not None:
         return G._autcache
     out = [tuple(img) for img in _isomorphisms(G, G)]
+    # full check phi(a*b) == phi(a)*phi(b): row a of the table gathered
+    # through phi against row phi(a) gathered at phi's images
     n, table = G.order, G._table
+    rows = [table[a * n:(a + 1) * n] for a in range(n)]
+    row_getters = [itemgetter(*row) for row in rows]
     for phi in out:
+        phi_getter = itemgetter(*phi)
         for a in range(n):
-            row, prow = a * n, phi[a] * n
-            if ([phi[c] for c in table[row:row + n]]
-                    != [table[prow + pb] for pb in phi]):
+            if row_getters[a](phi) != phi_getter(rows[phi[a]]):
                 raise GroupError("automorphism search produced a non-hom")
     G._autcache = out
     return out

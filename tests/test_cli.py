@@ -1,13 +1,21 @@
+import contextlib
+import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homcount.cli import main
 from conftest import DATA
+from test_parser_fuzz import texts
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 @pytest.fixture(autouse=True)
@@ -330,3 +338,76 @@ def test_state_budget_messages(capsys, tmp_path, command, text, stage):
     assert code == 2
     assert rep["error"] == \
         "WorkBoundExceeded: %s state budget 1 exceeded" % stage
+
+
+def test_count_hom_deep_chain(capsys, tmp_path):
+    # 1500 nested branching levels, each with the one image of the trivial
+    # group: the search keeps its path on a stack, not in Python frames
+    pres = tmp_path / "chain.pres"
+    pres.write_text("gens 1500\n" + "".join(
+        "x%d x%d X%d X%d\n" % (i, i + 1, i, i + 1) for i in range(1, 1500)))
+    group = tmp_path / "trivial.grp"
+    group.write_text("group 1 1\ntable\n0\n")
+    code, out = run(capsys, "count-hom", "--presentation", str(pres),
+                    "--group", str(group))
+    rep = parse_report(out)
+    assert code == 0
+    assert (rep["homs"], rep["surjections"], rep["quotients"]) == \
+        ("1", "1", "1")
+
+
+def test_parser_reuse_is_stateless(capsys, tmp_path):
+    bad = tmp_path / "bad.grp"
+    bad.write_text("group G 2 table\n0 1 1\n")
+    poincare = ["--presentation", "poincare.pres"]
+    calls = [
+        (["--json", "count-hom", *poincare, "--group", "a5.grp"], 0),
+        (["count-hom", *poincare, "--group", "a5.grp"], 0),
+        (["count-hom", *poincare, "--group", str(bad)], 2),
+        (["count-hom", *poincare, "--group", "s3.grp"], 0),
+        (["--max-enumeration", "1", "count-hom", *poincare,
+          "--group", "a5.grp"], 2),
+        (["count-hom", *poincare, "--group", "a5.grp"], 0),
+        (["heegaard-count", "--gluing", "hsphere.glu", "--group", "s3.grp"],
+         0),
+        (["invert-lattice", *poincare, "--group", "s3.grp"], 0),
+    ]
+    env = dict(os.environ, HOMCOUNT_DATA=DATA, PYTHONPATH=SRC)
+    for argv, code in calls:
+        fresh = subprocess.run([sys.executable, "-m", "homcount.cli", *argv],
+                               env=env, capture_output=True, text=True)
+        assert (fresh.returncode, fresh.stderr) == (code, "")
+        assert run(capsys, *argv) == (code, fresh.stdout)
+
+
+def test_cli_exit_codes_fuzz(tmp_path):
+    """Fuzzed or bundled group, presentation and gluing files through
+    count-hom, invert-lattice and heegaard-count: every run reports and
+    exits 0 or 2."""
+    def file_arg(fmt, bundled):
+        return st.one_of(st.sampled_from(bundled),
+                         texts(fmt).map(lambda text: (fmt, text)))
+
+    def path_of(arg, name):
+        if isinstance(arg, str):
+            return arg
+        path = tmp_path / name
+        path.write_text(arg[1])
+        return str(path)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=120)
+    @given(file_arg("group", ["s3.grp", "z2.grp", "z3.grp"]),
+           file_arg("presentation", ["poincare.pres"]),
+           file_arg("gluing", ["hsphere.glu"]))
+    def check(group, pres, glu):
+        group = ["--group", path_of(group, "g.grp")]
+        for argv in (["count-hom", "--presentation", path_of(pres, "p.pres")],
+                     ["invert-lattice", "--presentation",
+                      path_of(pres, "p.pres")],
+                     ["heegaard-count", "--gluing", path_of(glu, "h.glu")]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["--max-enumeration", "200", *argv, *group])
+            assert code in (0, 2)
+
+    check()

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -7,12 +8,12 @@ from homcount.complexes import (Presentation, SimplicialComplex, band_ordering,
                                 genus2_surface, greedy_ordering, grid_torus,
                                 load_complex, presentation_from_complex)
 from homcount.counting import (CountingLimits, DpStats, WorkBoundExceeded,
-                               count_homs, count_quotients,
+                               _plan_branch_order, count_homs, count_quotients,
                                count_quotients_canonical, count_surjections,
                                dp_cocycle_count, dp_count_homs,
                                dp_count_homs_ungauged, narrow_ordering,
                                quotient_count, quotient_counts_via_inversion)
-from homcount.groups import GroupError
+from homcount.groups import FiniteGroup, GroupError
 from conftest import data_path
 
 TORUS_P = Presentation(2, [(1, 2, -1, -2)])
@@ -63,6 +64,85 @@ def test_enumeration_budget(a5):
     with pytest.raises(WorkBoundExceeded):
         count_homs(Presentation(4, [(1, 2, 3, 4)]), a5,
                    limits=CountingLimits(max_enumeration=100))
+
+
+def oracle_plan_branch_order(ngens, relators):
+    """The branch order by rescanning every relator after each choice."""
+    assigned = set()
+    order = []
+    occ = {v: set() for v in range(1, ngens + 1)}
+    for i, rel in enumerate(relators):
+        for letter in rel:
+            occ[abs(letter)].add(i)
+
+    def propagate():
+        changed = True
+        while changed:
+            changed = False
+            for rel in relators:
+                missing = [abs(l) for l in rel if abs(l) not in assigned]
+                if len(missing) == 1:
+                    assigned.add(missing[0])
+                    changed = True
+
+    propagate()
+    constrained = {v for v in range(1, ngens + 1) if occ[v]}
+    while not constrained <= assigned:
+        best = None
+        for v in sorted(constrained - assigned):
+            score = min(sum(1 for l in relators[i] if abs(l) not in assigned)
+                        for i in occ[v])
+            key = (score, -len(occ[v]), v)
+            if best is None or key < best[0]:
+                best = (key, v)
+        order.append(best[1])
+        assigned.add(best[1])
+        propagate()
+    return order
+
+
+def test_branch_order_matches_oracle():
+    rng = random.Random(5)
+    for _ in range(1500):
+        ngens = rng.randint(1, 20)
+        rels = [tuple(rng.choice((1, -1)) * rng.randint(1, ngens)
+                      for _ in range(rng.randint(0, 6)))
+                for _ in range(rng.randint(0, 15))]
+        assert (_plan_branch_order(ngens, rels)
+                == oracle_plan_branch_order(ngens, rels))
+
+
+def commuting_chain(n):
+    """<x1..xn | [x_i, x_i+1]>: no relator ever forces a generator, so
+    every generator is one more nested branching level."""
+    return Presentation(n, [(i, i + 1, -i, -(i + 1)) for i in range(1, n)])
+
+
+def test_deep_search_needs_no_recursion():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        homs = count_homs(commuting_chain(1500), FiniteGroup.trivial())
+    finally:
+        sys.setrecursionlimit(limit)
+    assert homs == 1
+
+
+def test_reported_free_generators_are_budgeted(s3):
+    free12 = Presentation(12, [])
+    assert count_homs(free12, s3) == 6 ** 12
+    with pytest.raises(WorkBoundExceeded,
+                       match="^enumeration budget 200 exceeded$"):
+        count_homs(free12, s3, limits=CountingLimits(max_enumeration=200),
+                   per_solution=lambda images: None)
+    seen = []
+    assert count_homs(Presentation(2, []), s3,
+                      limits=CountingLimits(max_enumeration=36),
+                      per_solution=seen.append) == 36
+    assert seen == sorted(seen) and len(set(seen)) == 36
 
 
 def test_dp_matches_presentation_small(z2, z3, s3, a4):

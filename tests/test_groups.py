@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from homcount import perms
+from homcount import groups, perms
 from homcount.groups import (FiniteGroup, GroupError, Subgroup,
                              _hom_from_gen_images, abelianization,
                              automorphisms, close_under_product,
@@ -70,6 +70,26 @@ def oracle_automorphisms(G):
 
     rec([])
     return out
+
+
+def oracle_lattice(G):
+    """Every subgroup, grown by closing each new subgroup with every element
+    outside it, sorted by (order, members); containment by set inclusion."""
+    found = {close_under_product(G, [])}
+    frontier = {close_under_product(G, [g]) for g in G.elements()}
+    found |= frontier
+    while frontier:
+        new = set()
+        for H in frontier:
+            for g in G.elements():
+                if g not in H:
+                    K = close_under_product(G, list(H) + [g])
+                    if K not in found:
+                        found.add(K)
+                        new.add(K)
+        frontier = new
+    subs = sorted(found, key=lambda m: (len(m), m))
+    return subs, [[set(B) <= set(A) for B in subs] for A in subs]
 
 
 def _s4():
@@ -182,6 +202,30 @@ def test_subgroup_lattice_counts(z4, s3, a5):
             assert lat.contains[i][j] == (set(B.members) <= set(A.members))
 
 
+def test_lattice_matches_oracle(s3, a4, a5):
+    s3xz2 = direct_product(s3, FiniteGroup.cyclic(2))   # table mode only
+    for G in (s3, a4, _s4(), _sl23(), a5, s3xz2):
+        lat = subgroup_lattice(G)
+        subs, contains = oracle_lattice(G)
+        assert [H.members for H in lat.subgroups] == subs
+        assert lat.contains == contains
+
+
+def test_lattice_closes_once_per_coset(monkeypatch, a5):
+    calls = [0]
+    close = groups.close_under_product
+
+    def counted(G, seed_ids):
+        calls[0] += 1
+        return close(G, seed_ids)
+
+    monkeypatch.setattr(groups, "close_under_product", counted)
+    assert len(subgroup_lattice(a5).subgroups) == 59
+    # one closure per right coset of each subgroup (1021); one per element
+    # outside it took 3250
+    assert calls[0] <= 1100
+
+
 def test_closure_matches_oracle(a5):
     rng = random.Random(11)
     for G in (a5, _s4(), _sl23()):
@@ -203,6 +247,26 @@ def test_hom_extension_matches_oracle(s3, a4):
 def test_automorphisms_match_oracle(s3, a4, a5):
     for G in (s3, a4, _s4(), a5):
         assert automorphisms(G) == oracle_automorphisms(G)
+
+
+def test_automorphism_self_check_fires(monkeypatch):
+    s3 = FiniteGroup.from_perm_gens(
+        "S3", [perms.parse_cycles("(0 1)", 3), perms.parse_cycles("(0 1 2)", 3)])
+    isomorphisms = groups._isomorphisms
+    # swapping an involution with a 3-cycle is a bijection but no hom
+    t = next(g for g in s3.elements() if s3.element_order(g) == 2)
+    c = next(g for g in s3.elements() if s3.element_order(g) == 3)
+    swap = list(s3.elements())
+    swap[t], swap[c] = c, t
+
+    def with_non_hom(G, H):
+        yield from isomorphisms(G, H)
+        yield swap
+
+    monkeypatch.setattr(groups, "_isomorphisms", with_non_hom)
+    with pytest.raises(GroupError, match="automorphism search produced "
+                                         "a non-hom"):
+        automorphisms(s3)
 
 
 def test_lattice_bound(a5):
