@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from . import perms
-from .counting import WorkBoundExceeded, DEFAULT_LIMITS
+from .counting import WorkBoundExceeded, DEFAULT_LIMITS, Sweep
 from .textformat import content_lines, int_fields, keyword_int
 
 
@@ -149,9 +149,9 @@ def count_accepted(q, gates, inputs, accepts, limits, stage):
     every wire in its own accept set, a repeated input symbol counting once
     per copy; inputs and accepts give one symbol collection per wire.
 
-    A column sweep over the gates in order: a wire enters at its first
-    gate with one copy of each row per input symbol, each gate maps its
-    wires' columns through its table, and after its last gate the wire's
+    A Sweep over the gates in order: a wire enters at its first gate with
+    one copy of each row per input symbol, each gate maps its wires'
+    columns through its table, and after its last gate the wire's
     unaccepted rows are dropped, its column goes and equal rows merge.
     limits.max_states bounds the rows."""
     if math.prod(map(len, inputs)) > limits.max_enumeration:
@@ -160,23 +160,12 @@ def count_accepted(q, gates, inputs, accepts, limits, stage):
     last = {w: i for i, (wires, _) in enumerate(gates) for w in wires}
     factor = math.prod(sum(map(accepts[w].__contains__, inputs[w]))
                        for w in range(len(inputs)) if w not in last)
-    # a column is bytes, an eighth of a list's memory, when every symbol
-    # fits in a byte
-    col = bytes if q <= 256 else list
-    cols, mults = {}, [1]
+    sweep = Sweep(q, limits.max_states, stage)
+    cols, col = sweep.cols, sweep.col
     for i, (wires, perm) in enumerate(gates):
         for w in wires:
-            if w in cols:
-                continue
-            n, k = len(mults), len(inputs[w])
-            if n * k > limits.max_states:
-                raise WorkBoundExceeded("%s state budget %d exceeded"
-                                        % (stage, limits.max_states))
-            for v in cols:
-                cols[v] *= k
-            cols[w] = col(itertools.chain.from_iterable(
-                [s] * n for s in inputs[w]))
-            mults *= k
+            if w not in cols:
+                sweep.enter(w, inputs[w])
         codes = cols[wires[0]]
         for w in wires[1:-1]:
             codes = [c * q + x for c, x in zip(codes, cols[w])]
@@ -190,17 +179,11 @@ def count_accepted(q, gates, inputs, accepts, limits, stage):
         cols[wires[0]] = col(codes)
         leaving = [w for w in wires if last[w] == i]
         if leaving:
-            keep = map(all, zip(*[map(accepts[w].__contains__, cols.pop(w))
-                                  for w in leaving]))
-            rows = zip(*cols.values()) if cols else itertools.repeat(())
-            merged = {}
-            for row, m in itertools.compress(zip(rows, mults), keep):
-                merged[row] = merged.get(row, 0) + m
-            if not merged:
+            sweep.forget(leaving, map(all, zip(*[
+                map(accepts[w].__contains__, cols[w]) for w in leaving])))
+            if not sweep.mults:
                 return 0
-            cols = dict(zip(cols, map(col, zip(*merged))))
-            mults = list(merged.values())
-    return factor * sum(mults)
+    return factor * sum(sweep.mults)
 
 
 class ReversibleCircuit:
@@ -211,6 +194,8 @@ class ReversibleCircuit:
     """
 
     def __init__(self, q, width, gates=()):
+        if width < 1:
+            raise CircuitError("circuit width %d below 1" % width)
         self.q = q
         self.width = width
         self.gates = []
@@ -502,10 +487,6 @@ class RsatIF:
         return circ
 
 
-def _perm_parity_of_table(perm):
-    return perms.perm_parity(tuple(perm))
-
-
 @dataclass
 class EmbeddingData:
     psi: tuple          # A1 symbol (0..3, data + 2*anc) -> A2 symbol id
@@ -517,12 +498,12 @@ def regroup_embed(r2, q2, init2, final2):
     """Stage 3: pair each variable wire with a zero wire into one symbol of
     Z/2 x Z/2, then embed into the target alphabet.
 
-    Bit gates become symbol gates: within one symbol a unary gate, across
-    two symbols a binary gate, and a three-symbol Toffoli becomes four
-    binary gates by the messenger construction.  Embedded gates are extended
-    by the identity (freezing any symbol outside the embedded image) and
-    evenized, using states built from finalization symbols, which are
-    unreachable before the final relabeling.
+    Each bit gate becomes one symbol gate on the symbols its wires reach,
+    in the order its wires first reach them, and a three-symbol Toffoli
+    becomes four two-symbol gates by the messenger construction.  Embedded
+    gates are extended by the identity (freezing any symbol outside the
+    embedded image) and evenized, using states built from finalization
+    symbols, which are unreachable before the final relabeling.
     """
     init2, final2 = tuple(init2), tuple(final2)
     if set(init2) & set(final2):
@@ -542,119 +523,54 @@ def regroup_embed(r2, q2, init2, final2):
     psi = (init2[0], init2[1], spares[0], spares[1])
     f_images = (final2[0], final2[1])
     inst = RsatIF(q2, m, init2, final2)
+    tables = {}             # gate shape -> lifted table
 
-    def lift_unary(fn):
-        """A2 permutation acting as fn on A1 via psi, identity elsewhere."""
-        table = list(range(q2))
-        for a1 in range(4):
-            table[psi[a1]] = psi[fn(a1)]
-        return table
+    def symbol_code(bits):
+        """The A2 code of the A1 symbols whose slot bits are bits, two per
+        symbol, data bit first."""
+        return encode_word([psi[bits[i] + 2 * bits[i + 1]]
+                            for i in range(0, len(bits), 2)], q2)
 
-    def evenize_unary(table):
-        if _perm_parity_of_table(table) == 1:
-            table[f_images[0]], table[f_images[1]] = \
-                table[f_images[1]], table[f_images[0]]
-        return tuple(table)
-
-    def lift_binary(fn):
-        """A2^2 permutation acting as fn on A1^2, identity elsewhere."""
-        table = list(range(q2 * q2))
-        for x in range(4):
-            for y in range(4):
-                fx, fy = fn(x, y)
-                table[psi[x] * q2 + psi[y]] = psi[fx] * q2 + psi[fy]
-        if _perm_parity_of_table(table) == 1:
-            a = f_images[0] * q2 + f_images[0]
-            b = f_images[1] * q2 + f_images[1]
+    def lift(shape, k):
+        """The A2^k table acting as the bit gate of shape through psi,
+        identity elsewhere, with its all-f_images states swapped when odd."""
+        op, *wires = shape
+        gate = [([2 * p + sl for p, sl in wires], _BIT_TABLES[op])]
+        table = list(range(q2 ** k))
+        for bits in itertools.product((0, 1), repeat=2 * k):
+            table[symbol_code(bits)] = symbol_code(apply_gates(2, gate, bits))
+        if perms.perm_parity(table) == 1:
+            a, b = (encode_word([f] * k, q2) for f in f_images)
             table[a], table[b] = table[b], table[a]
         return tuple(table)
 
-    def bit_get(a1, sl):
-        return (a1 >> sl) & 1
-
-    def bit_set(a1, sl, v):
-        return (a1 & ~(1 << sl)) | (v << sl)
-
-    def emit_not(w):
-        s, sl = slot[w]
-        inst.add_gate((s,), evenize_unary(lift_unary(
-            lambda a: bit_set(a, sl, 1 - bit_get(a, sl)))))
-
-    def emit_cnot(c, t):
-        sc, slc = slot[c]
-        st, slt = slot[t]
-        if sc == st:
-            inst.add_gate((sc,), evenize_unary(lift_unary(
-                lambda a: bit_set(a, slt, bit_get(a, slt) ^ bit_get(a, slc)))))
-        else:
-            def fn(x, y):
-                if bit_get(x, slc):
-                    y = bit_set(y, slt, 1 - bit_get(y, slt))
-                return x, y
-            inst.add_gate((sc, st), lift_binary(fn))
-
-    def emit_ccnot(c1, c2, t):
-        s1, sl1 = slot[c1]
-        s2, sl2 = slot[c2]
-        st, slt = slot[t]
-        symbols = {s1, s2, st}
-        if len(symbols) == 1:
-            raise CircuitError("three bits in one symbol cannot happen")
-        if len(symbols) == 2:
-            if s1 == s2:
-                def fn(x, y):
-                    if bit_get(x, sl1) and bit_get(x, sl2):
-                        y = bit_set(y, slt, 1 - bit_get(y, slt))
-                    return x, y
-                inst.add_gate((s1, st), lift_binary(fn))
-            elif s1 == st:
-                def fn(x, y):
-                    if bit_get(x, sl1) and bit_get(y, sl2):
-                        x = bit_set(x, slt, 1 - bit_get(x, slt))
-                    return x, y
-                inst.add_gate((s1, s2), lift_binary(fn))
-            else:  # s2 == st
-                def fn(x, y):
-                    if bit_get(x, sl1) and bit_get(y, sl2):
-                        y = bit_set(y, slt, 1 - bit_get(y, slt))
-                    return x, y
-                inst.add_gate((s1, s2), lift_binary(fn))
+    def emit(op, *wires):
+        """Add bit gate op on wires, each a (symbol, slot) pair."""
+        symbols = list(dict.fromkeys(s for s, _ in wires))
+        if len(symbols) == 3:
+            # messenger trick through the spare bit of the middle symbol:
+            # (U V)^2 with U = CNOT(c1 -> partner), V = CCNOT(c2, partner
+            # -> t); the partner bit is restored
+            c1, (s2, sl2), t = wires
+            partner = (s2, 1 - sl2)
+            for _ in range(2):
+                emit("CNOT", c1, partner)
+                emit("CCNOT", (s2, sl2), partner, t)
             return
-        # three distinct symbols: messenger trick through the spare bit of
-        # the middle symbol: (U V)^2 with U = CNOT(c1 -> partner), V =
-        # CCNOT(c2, partner -> t); the partner bit is restored
-        partner_slot = 1 - sl2
-
-        def u_fn(x, y):
-            if bit_get(x, sl1):
-                y = bit_set(y, partner_slot, 1 - bit_get(y, partner_slot))
-            return x, y
-
-        def v_fn(x, y):
-            if bit_get(x, sl2) and bit_get(x, partner_slot):
-                y = bit_set(y, slt, 1 - bit_get(y, slt))
-            return x, y
-
-        u = lift_binary(u_fn)
-        v = lift_binary(v_fn)
-        for _ in range(2):
-            inst.add_gate((s1, s2), u)
-            inst.add_gate((s2, st), v)
+        shape = (op,) + tuple((symbols.index(s), sl) for s, sl in wires)
+        if shape not in tables:
+            tables[shape] = lift(shape, len(symbols))
+        inst.add_gate(symbols, tables[shape])
 
     for op in r2.opcodes:
-        if op[0] == "NOT":
-            emit_not(op[1])
-        elif op[0] == "CNOT":
-            emit_cnot(op[1], op[2])
-        else:
-            emit_ccnot(op[1], op[2], op[3])
+        emit(op[0], *map(slot.get, op[1:]))
 
     # final relabeling: carry the finalizable symbols psi(0), psi(1) into the
     # finalization set; two disjoint transpositions keep the gate even
     rho = list(range(q2))
     rho[psi[0]], rho[f_images[0]] = rho[f_images[0]], rho[psi[0]]
     rho[psi[1]], rho[f_images[1]] = rho[f_images[1]], rho[psi[1]]
-    rho = evenize_unary(rho) if _perm_parity_of_table(rho) == 1 else tuple(rho)
+    rho = tuple(rho)
     for s in range(m):
         inst.add_gate((s,), rho)
     return inst, EmbeddingData(psi, f_images, pairs)
@@ -747,7 +663,7 @@ def pack_alphabet(r3, embed, k, q3, init3, final3):
             j = sigma.index(b)
             sigma[i], sigma[j] = sigma[j], sigma[i]
     # verify reachability safety, then fix parity on untouched symbols
-    if _perm_parity_of_table(sigma) == 1:
+    if perms.perm_parity(sigma) == 1:
         free = [s for s in range(q2)
                 if sigma[s] == s and s not in reachable_final
                 and s not in reachable_other and s not in f3k]

@@ -77,8 +77,10 @@ class SimplicialComplex:
         return tuple(sorted(s)) in self._index
 
     def is_connected(self):
+        """Whether the 1-skeleton is connected; a complex without vertices
+        is not."""
         if self.nvertices == 0:
-            return True
+            return False
         parent = list(range(self.nvertices))
 
         def find(x):

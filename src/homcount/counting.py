@@ -8,8 +8,7 @@ Their agreement is the package's central cross-check.
 
 import heapq
 from dataclasses import dataclass
-from itertools import product
-from operator import itemgetter
+from itertools import chain, compress, product, repeat
 from .groups import (FiniteGroup, GroupError, automorphisms, find_isomorphism,
                      generates, subgroup_lattice)
 from .complexes import ComplexError, greedy_ordering, validate_ordering
@@ -269,6 +268,56 @@ def count_quotients_canonical(P, G, limits=DEFAULT_LIMITS):
     return hits[0]
 
 
+# -- the row sweep shared by the dynamic program and the circuit stages ----------
+
+
+class Sweep:
+    """Rows of symbols over the live variables, one column per variable
+    (bytes, an eighth of a list's memory, when every symbol is below 256)
+    and one multiplicity per row.  A variable enters with one copy of each
+    row per symbol, a mask keeps rows, and forgetting variables drops their
+    columns and merges the rows left equal.  max_states bounds the rows an
+    enter would make; no other operation adds rows."""
+
+    def __init__(self, q, max_states, stage):
+        self.col = bytes if q <= 256 else list
+        self.cols, self.mults = {}, [1]
+        self.max_states, self.stage = max_states, stage
+
+    def enter(self, var, symbols):
+        n, k = len(self.mults), len(symbols)
+        if n * k > self.max_states:
+            raise WorkBoundExceeded("%s state budget %d exceeded"
+                                    % (self.stage, self.max_states))
+        for v in self.cols:
+            self.cols[v] *= k
+        self.cols[var] = self.col(chain.from_iterable([s] * n for s in symbols))
+        self.mults *= k
+
+    def keep(self, mask):
+        """Keep the rows where the list mask is true."""
+        if all(mask):
+            return
+        for v, c in self.cols.items():
+            self.cols[v] = self.col(compress(c, mask))
+        self.mults = list(compress(self.mults, mask))
+
+    def forget(self, variables, mask=None):
+        for v in variables:
+            del self.cols[v]
+        rows = zip(zip(*self.cols.values()) if self.cols else repeat(()),
+                   self.mults)
+        merged = {}
+        for row, m in rows if mask is None else compress(rows, mask):
+            merged[row] = merged.get(row, 0) + m
+        # fewer rows means some were dropped or merged; else none changed
+        if len(merged) < len(self.mults):
+            columns = list(zip(*merged)) or [()] * len(self.cols)
+            for v, c in zip(self.cols, columns):
+                self.cols[v] = self.col(c)
+            self.mults = list(merged.values())
+
+
 # -- complex-side counting: the bounded-width dynamic program --------------------
 
 
@@ -282,16 +331,16 @@ def dp_cocycle_count(X, ordering=None, G=None, limits=DEFAULT_LIMITS,
                      tree_gauge=False, stats=None):
     """Count 1-cocycles of X with values in G by a prefix sweep.
 
-    The state maps labelings of the current boundary edges to extension
-    counts.  A triangle u < v < w carries the cocycle condition a*b = c on
-    its edge labels a = g(u,v), b = g(v,w), c = g(u,w).  It is checked at
-    the step of its last edge when no other edge comes between the two, and
-    at its own step otherwise.  A constrained edge step solves its label
-    from the first such triangle (a = c*b^-1, b = a^-1*c or c = a*b), so
-    each state extends in at most one way; a free edge step makes |G|
-    copies.  Edges whose cofaces are completed are summed out.  With
-    tree_gauge the spanning-tree edges are pinned to the identity, which
-    counts tree-gauged cocycles, i.e. homomorphisms, directly.
+    The sweep's rows are labelings of the current boundary edges, each with
+    its extension count.  A triangle u < v < w carries the cocycle condition
+    a*b = c on its edge labels a = g(u,v), b = g(v,w), c = g(u,w).  It is
+    checked at the step of its last edge when no other edge comes between
+    the two, and at its own step otherwise.  A constrained edge step solves
+    its label from the first such triangle (a = c*b^-1, b = a^-1*c or
+    c = a*b), so each row extends in at most one way; a free edge enters
+    with |G| labels.  Edges whose cofaces are completed are summed out.
+    With tree_gauge the spanning-tree edges are pinned to the identity,
+    which counts tree-gauged cocycles, i.e. homomorphisms, directly.
     """
     if G is None:
         raise ValueError("group required")
@@ -302,7 +351,7 @@ def dp_cocycle_count(X, ordering=None, G=None, limits=DEFAULT_LIMITS,
     ordering = validate_ordering(X, ordering)
     pos = {s: i for i, s in enumerate(ordering)}
     # gauge tree: greedy spanning forest in ordering sequence, so each new
-    # vertex enters through a pinned edge and boundary keys stay small
+    # vertex enters through a pinned edge and boundary rows stay short
     tree = set()
     if tree_gauge:
         parent = list(range(X.nvertices))
@@ -343,27 +392,26 @@ def dp_cocycle_count(X, ordering=None, G=None, limits=DEFAULT_LIMITS,
             imminent.setdefault(pos[last_edge], []).append(s)
             fused.add(i)
 
-    # key[0] is a constant identity label that pinned edges read; tracked
-    # boundary edge t has its label at key[t + 1]
-    tracked = []
-    pinned = set()
-    states = {(0,): 1}
-    multiplier = 1
     if stats is None:
         stats = DpStats()
     n, table, inv = G.order, G._table, G._inv
     ident = list(range(n))
+    # the column under None holds the identity label that pinned edges
+    # read; every other column is a tracked boundary edge
+    sweep = Sweep(n, limits.max_states, "DP")
+    sweep.enter(None, (0,))
+    cols = sweep.cols
+    pinned = set()
+    multiplier = 1
 
-    def slots(tri):
-        """Key positions of the labels a, b, c of tri."""
+    def labels(tri):
+        """The columns of the labels a, b, c of tri."""
         u, v, w = tri
-        return [0 if e in pinned else 1 + tracked.index(e)
-                for e in ((u, v), (v, w), (u, w))]
+        return [None if e in pinned else e for e in ((u, v), (v, w), (u, w))]
 
-    def holds(check):
-        i, j, k = check
-        return {key: c for key, c in states.items()
-                if table[key[i] * n + key[j]] == key[k]}
+    def mask(tri):
+        a, b, c = (cols[e] for e in labels(tri))
+        return [table[x * n + y] == z for x, y, z in zip(a, b, c)]
 
     for step, s in enumerate(ordering):
         dim = len(s) - 1
@@ -375,60 +423,39 @@ def dp_cocycle_count(X, ordering=None, G=None, limits=DEFAULT_LIMITS,
             elif s in tree:
                 pinned.add(s)
                 for tri in imminent.get(step, ()):
-                    states = holds(slots(tri))
+                    sweep.keep(mask(tri))
             else:
-                tracked.append(s)
-                checks = [slots(tri) for tri in imminent.get(step, ())]
-                if not checks:
-                    states = {key + (g,): c for key, c in states.items()
-                              for g in range(n)}
+                tris = imminent.get(step, ())
+                if not tris:
+                    sweep.enter(s, range(n))
                 else:
-                    # the first check fixes the new label as one product
-                    # left[key[p]] * right[key[q]]
-                    ka, kb, kc = checks[0]
-                    own = len(tracked)
-                    if kc == own:           # c = a * b
-                        p, q, left, right = ka, kb, ident, ident
-                    elif ka == own:         # a = c * b^-1
-                        p, q, left, right = kc, kb, ident, inv
+                    # the first triangle fixes the new label as one product
+                    # left[x] * right[y] of two label columns
+                    ea, eb, ec = labels(tris[0])
+                    if ec == s:             # c = a * b
+                        x, y, left, right = ea, eb, ident, ident
+                    elif ea == s:           # a = c * b^-1
+                        x, y, left, right = ec, eb, ident, inv
                     else:                   # b = a^-1 * c
-                        p, q, left, right = ka, kc, inv, ident
-                    rest = checks[1:]
-                    new = {}
-                    for key, c in states.items():
-                        nk = key + (table[left[key[p]] * n + right[key[q]]],)
-                        for i, j, k in rest:
-                            if table[nk[i] * n + nk[j]] != nk[k]:
-                                break
-                        else:
-                            new[nk] = c
-                    states = new
+                        x, y, left, right = ea, ec, inv, ident
+                    cols[s] = sweep.col([table[left[g] * n + right[h]]
+                                         for g, h in zip(cols[x], cols[y])])
+                    for tri in tris[1:]:
+                        sweep.keep(mask(tri))
         elif dim == 2 and step not in fused:
-            states = holds(slots(s))
+            sweep.keep(mask(s))
         # vertices and tetrahedra add no constraint
         gone = leaving.get(step)
         if gone:
             pinned.difference_update(gone)
-            keep = [t for t, e in enumerate(tracked) if e not in gone]
-            if len(keep) < len(tracked):
-                tracked = [tracked[t] for t in keep]
-                project = (itemgetter(0, *(t + 1 for t in keep)) if keep
-                           else lambda key: (0,))
-                new = {}
-                for key, c in states.items():
-                    nk = project(key)
-                    new[nk] = new.get(nk, 0) + c
-                states = new
-        stats.max_states = max(stats.max_states, len(states))
-        stats.max_tracked_edges = max(stats.max_tracked_edges, len(tracked))
-        if len(states) > limits.max_states:
-            raise WorkBoundExceeded(
-                "DP state budget %d exceeded" % limits.max_states)
-        if not states:
+            gone = [e for e in gone if e in cols]
+            if gone:
+                sweep.forget(gone)
+        stats.max_states = max(stats.max_states, len(sweep.mults))
+        stats.max_tracked_edges = max(stats.max_tracked_edges, len(cols) - 1)
+        if not sweep.mults:
             break
-
-    total = sum(states.values()) if states else 0
-    return total * multiplier
+    return sum(sweep.mults) * multiplier
 
 
 def _vertex_sweep_ordering(X, seed):
@@ -458,6 +485,8 @@ def narrow_ordering(X, G=None, extra_candidates=(), probe_limit=200_000):
 
     Candidates: the greedy ordering plus vertex sweeps from a few seeds.
     """
+    if not X.is_connected():
+        raise ComplexError("dp counting needs a connected complex")
     probe = G if G is not None and G.order <= 2 else FiniteGroup.cyclic(2)
     candidates = [greedy_ordering(X)]
     seeds = sorted(set([0, X.nvertices - 1, X.nvertices // 2]))

@@ -243,15 +243,12 @@ def rubik_surjectivity_check(gens, act):
         induced.append(orbit_perm)
     kind = perms.classify_giant(perms.PermutationGroup(n, induced))
     flag_alt = kind in ("alternating", "symmetric")
-    # (ii): orbit of ordered point pairs in distinct free orbits
-    pair_targets = set()
-    free_pts = [pt for orb in act.free_orbits for pt in orb]
-    orbit_of = {pt: act.coords(pt)[0] for pt in free_pts}
-    for x in free_pts:
-        for y in free_pts:
-            if orbit_of[x] != orbit_of[y]:
-                pair_targets.add((x, y))
-    start = next(iter(pair_targets))
+    # (ii): orbit of ordered point pairs in distinct free orbits.  The
+    # generators passed rubik_membership, so they are equivariant and
+    # permute the free orbits: every pair reached from a pair in distinct
+    # orbits is again one.  There are F * (F - |Gamma|) such pairs for F
+    # free points, so the orbit holds them all exactly when it is that big.
+    start = (act.free_orbits[0][0], act.free_orbits[1][0])
     seen = {start}
     frontier = [start]
     gens_both = list(gens) + [perms.inverse(p) for p in gens]
@@ -262,7 +259,8 @@ def rubik_surjectivity_check(gens, act):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    flag_2t = seen == pair_targets
+    n_free = n * act.group.order
+    flag_2t = len(seen) == n_free * (n_free - act.group.order)
     generated = perms.PermutationGroup(act.npoints, list(gens)).order()
     expected = rubik_order(n, act.group)
     alt_n2 = factorial(n - 2) // 2

@@ -11,7 +11,8 @@ to repair parity and anti-diagonal defects when extending partial gates.
 import itertools
 from dataclasses import dataclass
 from . import perms
-from .gsets import GSetAction, rubik_membership, equivariant_perm
+from .gsets import (GSetAction, equivariant_perm, make_free_action,
+                    rubik_membership)
 from .counting import DEFAULT_LIMITS
 from .circuits import (RsatIF, apply_gates, count_accepted, encode_word,
                        decode_word)
@@ -55,22 +56,9 @@ class ZAlphabet:
         base += n_warn
         self.scratch = tuple(range(1 + base * q, 1 + (base + n_scratch_orbits) * q))
 
-        self.action = self._build_action()
+        self.action = make_free_action(gamma, n_orbits, n_fixed=1)
         self._square_action = None
         self._check_inequalities()
-
-    def _build_action(self):
-        G = self.gamma
-        q = G.order
-        table = []
-        for g in G.elements():
-            row = [0] * self.size
-            for orb in range(self.n_orbits):
-                b = 1 + orb * q
-                for h in G.elements():
-                    row[b + h] = b + G.mul(g, h)
-            table.append(tuple(row))
-        return GSetAction(G, self.size, table)
 
     # Cached in an attribute set in __init__, as FiniteGroup's invariants
     # are: functools.cached_property writes through instance.__dict__,

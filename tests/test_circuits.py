@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -358,3 +359,44 @@ def test_sweep_state_budget():
     words = len(r3.init) ** r3.width
     assert r3.count(CountingLimits(max_enumeration=words,
                                    max_states=words)) == 1
+
+
+# sha256 of repr(r3.gates), repr(r4.inner.gates) and r3.planarize().format()
+# over the 20 circuits random.Random(31) draws, per packing; taken from the
+# stage-3 builder that wrote one lift per gate kind
+STAGE3_DIGESTS = {
+    (4, (0, 1), (2, 3)): (
+        "93286968a0ca300902df309b3355a49a89ec48a9fb19511fa6083943d60a8359",
+        "b8e6f4d692dd6f2c694abbd17b8bb1bc4760d112ac59639d8fe518290306d9e5",
+        "6d801613240c5e4d95c22d927e4f1a7d93e632dfc809d85ebe03a109f00c0572"),
+    (5, (0, 1), (2, 3)): (
+        "a75886a050cd8ffa8d0e5a46caaef124ffb467fad15f6f69f65076e38dea86f3",
+        "83b5de8ff96e402e92a8a8ef17cd250b0644a2778094cca39213ef571b0febf2",
+        "c402025455a430876f6dc1e181aa7784af78f9f1baebe55f5d979773a124bde1"),
+    (6, (0, 1, 2), (3, 4)): (
+        "42197088b390cfb7c8a1ca9e4161619c4cd7bd0a550fbf9b0247d5495d466764",
+        "28227d29c1e216355df5fc4ce2f874c3d3bd21acfe8b8e12c9d62ab8bc094d4a",
+        "e0bf5e8ae0f99f9473668d93903c570f8c0e78621cd018ba5d1af57a1305fb18"),
+}
+
+
+def test_stage3_gates_pinned():
+    three_symbol_toffolis = 0
+    for packing, want in STAGE3_DIGESTS.items():
+        rng = random.Random(31)
+        digests = [hashlib.sha256() for _ in want]
+        for _ in range(20):
+            bc = random_circuit(rng, rng.randint(1, 3), rng.randint(1, 4))
+            _, r2, r3, r4 = reduce_pipeline(bc, *packing)
+            for h, text in zip(digests, (repr(r3.gates),
+                                         repr(r4.inner.gates),
+                                         r3.planarize().format())):
+                h.update(text.encode())
+            symbol = {w: s for s, pair in enumerate(zip(
+                r2.variable_wires, sorted(r2.zero_wires))) for w in pair}
+            three_symbol_toffolis += sum(
+                op[0] == "CCNOT" and len({symbol[w] for w in op[1:]}) == 3
+                for op in r2.opcodes)
+        assert tuple(h.hexdigest() for h in digests) == want, packing
+    # the messenger construction is among the pinned gates
+    assert three_symbol_toffolis > 0

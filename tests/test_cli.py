@@ -9,7 +9,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from homcount.cli import main
 from conftest import DATA
@@ -42,6 +42,14 @@ def test_homology_command(capsys):
     rep = parse_report(out)
     assert code == 0
     assert rep["H0"] == "Z" and rep["H1"] == "0" and rep["H2"] == "Z"
+
+
+def test_homology_of_empty_complex(capsys, tmp_path):
+    path = tmp_path / "empty.cx"
+    path.write_text("vertices 0\n")
+    code, out = run(capsys, "homology", "--complex", str(path))
+    assert code == 0
+    assert set(parse_report(out).values()) == {"0"}
 
 
 def test_count_hom_poincare(capsys):
@@ -215,6 +223,8 @@ def run_circuit(capsys, tmp_path, command, text, *options):
     ("compile-zsat", "alphabet 4\nwidth 2\ngate 0 2 %s\ninit 0 9\n"
      % " ".join(map(str, range(16)))),
     ("compile-zsat", "alphabet 4\nwidth 2\ninit 0 9\nfinal 9\n"),
+    ("compile-zsat", "alphabet 4\nwidth 0\n"),
+    ("compile-zsat", "alphabet 4\nwidth -2\n"),
 ])
 def test_malformed_circuit_exit_code(capsys, tmp_path, command, text):
     code, rep = run_circuit(capsys, tmp_path, command, text)
@@ -292,6 +302,10 @@ def test_malformed_circuit_exit_code(capsys, tmp_path, command, text):
         ["goursat", "--group", "s3.grp", "--group2", "s3.grp", "--subgroup"],
         "diag.pairs", "# the diagonal\n0 0  # identity\n1 1\n2 2\n3 3\n"
         "4 4\n5 5\n", None, id="pairs-comments"),
+    (["dp-count", "--group", "s3.grp", "--complex"], "empty.cx",
+     "vertices 0\n", "ComplexError: dp counting needs a connected complex"),
+    (["invert-lattice", "--group", "s3.grp", "--complex"], "empty.cx",
+     "vertices 0\n", "ComplexError: dp counting needs a connected complex"),
 ])
 def test_malformed_header_exit_code(capsys, tmp_path, argv, name, text, error):
     # an extension file names its cover relative to its own directory
@@ -381,9 +395,10 @@ def test_parser_reuse_is_stateless(capsys, tmp_path):
 
 
 def test_cli_exit_codes_fuzz(tmp_path):
-    """Fuzzed or bundled group, presentation and gluing files through
-    count-hom, invert-lattice and heegaard-count: every run reports and
-    exits 0 or 2."""
+    """Fuzzed or bundled group, presentation, gluing, complex, Boolean and
+    reversible circuit files through count-hom, invert-lattice,
+    heegaard-count, dp-count, reduce, verify-parsimony and compile-zsat:
+    every run reports and exits 0 or 2."""
     def file_arg(fmt, bundled):
         return st.one_of(st.sampled_from(bundled),
                          texts(fmt).map(lambda text: (fmt, text)))
@@ -399,15 +414,30 @@ def test_cli_exit_codes_fuzz(tmp_path):
               max_examples=120)
     @given(file_arg("group", ["s3.grp", "z2.grp", "z3.grp"]),
            file_arg("presentation", ["poincare.pres"]),
-           file_arg("gluing", ["hsphere.glu"]))
-    def check(group, pres, glu):
+           file_arg("gluing", ["hsphere.glu"]),
+           file_arg("complex", ["torus7.cx", "rp2.cx"]),
+           file_arg("boolean", [("boolean", NOT1)]),
+           file_arg("reversible", [("reversible", IDENT2)]))
+    @example("s3.grp", "poincare.pres", "hsphere.glu",
+             ("complex", "vertices 0\n"), ("boolean", NOT1),
+             ("reversible", "alphabet 4\nwidth 0\n"))
+    def check(group, pres, glu, cx, bc, rev):
         group = ["--group", path_of(group, "g.grp")]
-        for argv in (["count-hom", "--presentation", path_of(pres, "p.pres")],
+        bc = ["--circuit", path_of(bc, "c.bool")]
+        for argv in (["count-hom", "--presentation", path_of(pres, "p.pres"),
+                      *group],
                      ["invert-lattice", "--presentation",
-                      path_of(pres, "p.pres")],
-                     ["heegaard-count", "--gluing", path_of(glu, "h.glu")]):
+                      path_of(pres, "p.pres"), *group],
+                     ["heegaard-count", "--gluing", path_of(glu, "h.glu"),
+                      *group],
+                     ["dp-count", "--complex", path_of(cx, "x.cx"), *group],
+                     ["reduce", *bc],
+                     ["verify-parsimony", *bc],
+                     ["compile-zsat", "--circuit", path_of(rev, "r.rev"),
+                      "--gamma", "z2.grp"]):
             with contextlib.redirect_stdout(io.StringIO()):
-                code = main(["--max-enumeration", "200", *argv, *group])
-            assert code in (0, 2)
+                code = main(["--max-enumeration", "200", "--max-states",
+                             "200", *argv])
+            assert code in (0, 2), argv
 
     check()

@@ -161,6 +161,8 @@ def test_homology_values(tmp_path):
 def test_homology_components_and_euler():
     two = SimplicialComplex(6, [(0, 1, 2), (3, 4, 5)])
     assert homology(two)[0][0] == 2
+    assert not two.is_connected()
+    assert not SimplicialComplex(0, []).is_connected()
     for X in (sphere(), grid_torus(3, 3), genus2_surface()):
         hom = homology(X)
         euler = sum((-1) ** k * hom[k][0] for k in range(4))

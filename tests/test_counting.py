@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from homcount.complexes import (Presentation, SimplicialComplex, band_ordering,
+from homcount.complexes import (ComplexError, Presentation,
+                                SimplicialComplex, band_ordering,
                                 csaszar_torus, faces, genus2_ordering,
                                 genus2_surface, greedy_ordering, grid_torus,
                                 load_complex, presentation_from_complex)
@@ -235,6 +236,25 @@ def test_dp_counts_and_state_peaks(request, build, group, expected):
     homs = dp_count_homs(X, ordering, request.getfixturevalue(group),
                          stats=stats)
     assert (homs, stats.max_states, stats.max_tracked_edges) == expected
+
+
+def test_dp_state_budget_is_exact(a4):
+    # Csaszar over A4 peaks at 20736 rows, so that many are allowed and one
+    # fewer is not
+    X = csaszar_torus()
+    assert dp_count_homs(X, None, a4,
+                         limits=CountingLimits(max_states=20736)) == 48
+    with pytest.raises(WorkBoundExceeded) as exc:
+        dp_count_homs(X, None, a4, limits=CountingLimits(max_states=20735))
+    assert str(exc.value) == "DP state budget 20735 exceeded"
+
+
+def test_dp_rejects_empty_complex(s3):
+    empty = SimplicialComplex(0, [])
+    for count in (lambda: narrow_ordering(empty),
+                  lambda: dp_count_homs(empty, [], s3)):
+        with pytest.raises(ComplexError, match="connected complex"):
+            count()
 
 
 def test_dp_dangling_edges(s3):

@@ -123,6 +123,8 @@ def test_surjectivity_report(z2, z3, s3):
     partial = [equivariant_perm(act, tuple(op), (0,) * 7)]
     rep = rubik_surjectivity_check(partial, act)
     assert not rep.alt_projection
+    # nor do they move the pairs through orbit 0, so flag (ii) fails too
+    assert not rep.two_transitive
     # lifts of Alt(7) alone are not group-set 2-transitive for |Gamma| > 1
     gens = [g for g in rubik_generators(act)][:5]   # orbit 3-cycles only
     rep = rubik_surjectivity_check(gens, act)

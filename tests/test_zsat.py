@@ -44,6 +44,22 @@ def test_alphabet_invariants(z2, z3):
         ZAlphabet(FiniteGroup.trivial())
 
 
+def test_alphabet_action_layout(z2, z3, s3):
+    # the zombie 0 is fixed and g . (1 + orbit*|G| + h) = 1 + orbit*|G| + g*h
+    for gamma in (z2, z3, s3):
+        for layout in ((2, 2, 1), (3, 2, 2)):
+            zal = ZAlphabet(gamma, *layout)
+            q = gamma.order
+            want = []
+            for g in gamma.elements():
+                row = [0] * zal.size
+                for orb in range(zal.n_orbits):
+                    for h in gamma.elements():
+                        row[1 + orb * q + h] = 1 + orb * q + gamma.mul(g, h)
+                want.append(tuple(row))
+            assert zal.action.table == want
+
+
 def test_identity_compilation(z2):
     zal = ZAlphabet(z2)
     inst = data_rsat_instance(zal, 2, [])
