@@ -104,7 +104,7 @@ def load_boolean(path):
         return parse_boolean_text(fh.read())
 
 
-# -- reversible window circuits -------------------------------------------------------
+# -- reversible circuits ---------------------------------------------------------------
 
 
 def encode_word(word, q):
@@ -186,57 +186,107 @@ def count_accepted(q, gates, inputs, accepts, limits, stage):
     return factor * sum(sweep.mults)
 
 
-class ReversibleCircuit:
-    """Planar reversible circuit: gates act on contiguous wire windows.
+def _check_arity(k):
+    if k not in (1, 2, 3):
+        raise CircuitError("gate arity %d outside 1..3" % k)
 
-    Each gate is (position, k, perm) with perm a permutation of A^k indexed
-    by base-q encodings of the window content.
-    """
 
-    def __init__(self, q, width, gates=()):
-        if width < 1:
-            raise CircuitError("circuit width %d below 1" % width)
-        self.q = q
-        self.width = width
-        self.gates = []
-        for pos, k, perm in gates:
-            self.add_gate(pos, k, perm)
+def _digit_perm(q, slots):
+    """The code map sending a k-symbol word w over range(q) to the word
+    whose i-th symbol is w[slots[i]], first symbol most significant."""
+    return tuple(encode_word([word[s] for s in slots], q)
+                 for word in itertools.product(range(q), repeat=len(slots)))
 
-    def add_gate(self, pos, k, perm):
-        if k not in (1, 2, 3):
-            raise CircuitError("gate arity %d outside 1..3" % k)
-        if not (0 <= pos and pos + k <= self.width):
-            raise CircuitError("gate window out of range")
+
+@dataclass
+class RsatIF:
+    """Reversible circuit over range(q) with initialization and
+    finalization sets, None where a circuit file leaves one out.  A gate is
+    (wires, perm): perm permutes the base-q codes of the symbols on its one
+    to three distinct wires, first wire most significant.  planarize()
+    gives the window form, whose gates act on ascending wire runs."""
+    q: int
+    width: int
+    init: tuple
+    final: tuple
+    gates: list = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.width < 1:
+            raise CircuitError("circuit width %d below 1" % self.width)
+
+    def add_gate(self, wires, perm):
+        wires = tuple(wires)
+        _check_arity(len(wires))
+        if len(set(wires)) != len(wires):
+            raise CircuitError("repeated wire in gate")
+        if any(not (0 <= w < self.width) for w in wires):
+            raise CircuitError("gate wire out of range")
         perm = tuple(perm)
-        if len(perm) != self.q ** k or sorted(perm) != list(range(len(perm))):
+        if (len(perm) != self.q ** len(wires)
+                or sorted(perm) != list(range(len(perm)))):
             raise CircuitError("gate table is not a permutation")
-        self.gates.append((pos, k, perm))
+        self.gates.append((wires, perm))
 
     def eval(self, word):
         if len(word) != self.width:
             raise CircuitError("word width mismatch")
         if any(not (0 <= x < self.q) for x in word):
             raise CircuitError("symbol out of alphabet")
-        gates = [(range(pos, pos + k), perm) for pos, k, perm in self.gates]
-        return tuple(apply_gates(self.q, gates, word))
+        return tuple(apply_gates(self.q, self.gates, word))
 
     def inverse(self):
-        inv = ReversibleCircuit(self.q, self.width)
-        for pos, k, perm in reversed(self.gates):
-            ip = [0] * len(perm)
-            for i, j in enumerate(perm):
-                ip[j] = i
-            inv.add_gate(pos, k, tuple(ip))
-        return inv
+        """The circuit undoing this one, with init and final swapped."""
+        return RsatIF(self.q, self.width, self.final, self.init,
+                      [(wires, perms.inverse(perm))
+                       for wires, perm in reversed(self.gates)])
+
+    def count(self, limits=DEFAULT_LIMITS):
+        return count_accepted(self.q, self.gates, [self.init] * self.width,
+                              [self.final] * self.width, limits, "RSAT")
 
     def format(self):
+        """The circuit file text, without init and final; every gate must
+        be a window."""
         lines = ["alphabet %d" % self.q, "width %d" % self.width]
-        for pos, k, perm in self.gates:
+        for wires, perm in self.gates:
+            pos, k = wires[0], len(wires)
+            if wires != tuple(range(pos, pos + k)):
+                raise CircuitError("gate wires %r are not a window" % (wires,))
             lines.append("gate %d %d %s" % (pos, k, " ".join(map(str, perm))))
         return "\n".join(lines) + "\n"
 
+    def planarize(self):
+        """Window form: SWAP-conjugate every gate onto contiguous wires.
+        A gate whose wires are not ascending gets its table gathered
+        through the digit permutation of its wires' window slots."""
+        q = self.q
+        circ = RsatIF(q, self.width, self.init, self.final)
+        swap = _digit_perm(q, (1, 0))
+        gather = {}         # window slots of the wires -> (digit perm, inverse)
+        for wires, perm in self.gates:
+            order = sorted(wires)
+            base = order[0]
+            moves = [p for offset, w in enumerate(order[1:], start=1)
+                     for p in range(w - 1, base + offset - 1, -1)]
+            if list(wires) != order:
+                slots = tuple(map(order.index, wires))
+                if slots not in gather:
+                    sigma = _digit_perm(q, slots)
+                    gather[slots] = sigma, perms.inverse(sigma)
+                sigma, unsigma = gather[slots]
+                perm = tuple(unsigma[perm[c]] for c in sigma)
+            for p in moves:
+                circ.add_gate((p, p + 1), swap)
+            circ.add_gate(range(base, base + len(wires)), perm)
+            for p in reversed(moves):
+                circ.add_gate((p, p + 1), swap)
+        return circ
+
 
 def parse_reversible_text(text):
+    """The RsatIF a circuit file describes, init or final None when the
+    file leaves it out; a gate line names a window, `gate <pos> <k> <table>`."""
     q = width = None
     init = final = None
     gates = []
@@ -252,7 +302,7 @@ def parse_reversible_text(text):
             final = int_fields(fields, ln, CircuitError)
         elif key == "gate" and len(fields) >= 2:
             pos, k, *perm = int_fields(fields, ln, CircuitError)
-            gates.append((pos, k, tuple(perm)))
+            gates.append((pos, k, perm))
         else:
             raise CircuitError("unknown or short circuit line %r" % ln)
     if q is None or width is None:
@@ -262,8 +312,13 @@ def parse_reversible_text(text):
         if bad:
             raise CircuitError("%s symbol %d outside alphabet %d"
                                % (key, bad[0], q))
-    circ = ReversibleCircuit(q, width, gates)
-    return circ, init, final
+    circ = RsatIF(q, width, init, final)
+    for pos, k, perm in gates:
+        _check_arity(k)
+        if not (0 <= pos and pos + k <= width):
+            raise CircuitError("gate window out of range")
+        circ.add_gate(range(pos, pos + k), perm)
+    return circ
 
 
 def load_reversible(path):
@@ -284,14 +339,6 @@ def _bit_gates(opcodes):
     return [(op[1:], _BIT_TABLES[op[0]]) for op in opcodes]
 
 
-def _window_circuit(width, opcodes):
-    """Planar window form of an opcode list: its q=2 RsatIF, planarized."""
-    inst = RsatIF(2, width, (0, 1), (0, 1))
-    for wires, perm in _bit_gates(opcodes):
-        inst.add_gate(wires, perm)
-    return inst.planarize()
-
-
 @dataclass
 class Rsat1:
     """Reversible circuit over bits; ancilla wires start at 0 and the
@@ -300,19 +347,12 @@ class Rsat1:
     n_ancillas: int
     opcodes: list
 
-    @property
-    def variable_wires(self):
-        return list(range(self.n_ancillas, self.width))
-
     def count(self, limits=DEFAULT_LIMITS):
         inputs = ([(0,)] * self.n_ancillas
                   + [(0, 1)] * (self.width - self.n_ancillas))
         accepts = [(1,)] + [(0, 1)] * (self.width - 1)
         return count_accepted(2, _bit_gates(self.opcodes), inputs, accepts,
                               limits, "RSAT1")
-
-    def window_circuit(self):
-        return _window_circuit(self.width, self.opcodes)
 
 
 @dataclass
@@ -336,9 +376,6 @@ class Rsat2:
         bits = [(0,) if w in zs else (0, 1) for w in range(self.width)]
         return count_accepted(2, _bit_gates(self.opcodes), bits, bits,
                               limits, "RSAT2")
-
-    def window_circuit(self):
-        return _window_circuit(self.width, self.opcodes)
 
 
 def dilate_to_reversible(bc):
@@ -427,64 +464,6 @@ def uncompute_wrap(r1):
 
 
 # -- stage 3: pair symbols and embed ------------------------------------------------------
-
-
-@dataclass
-class RsatIF:
-    """RSAT instance over an alphabet with initialization and finalization
-    sets; gates are permutations attached to arbitrary wire tuples, with a
-    planar window form available via planarize()."""
-    q: int
-    width: int
-    init: tuple
-    final: tuple
-    gates: list = field(default_factory=list)   # (wires tuple, perm over q^k)
-
-    def add_gate(self, wires, perm):
-        wires = tuple(wires)
-        if len(set(wires)) != len(wires):
-            raise CircuitError("repeated wire in gate")
-        if any(not (0 <= w < self.width) for w in wires):
-            raise CircuitError("gate wire out of range")
-        perm = tuple(perm)
-        if sorted(perm) != list(range(self.q ** len(wires))):
-            raise CircuitError("gate table is not a permutation")
-        self.gates.append((wires, perm))
-
-    def eval(self, word):
-        return tuple(apply_gates(self.q, self.gates, word))
-
-    def count(self, limits=DEFAULT_LIMITS):
-        return count_accepted(self.q, self.gates, [self.init] * self.width,
-                              [self.final] * self.width, limits, "RSAT")
-
-    def planarize(self):
-        """Window form: SWAP-conjugate every gate onto contiguous wires."""
-        circ = ReversibleCircuit(self.q, self.width)
-        q = self.q
-        swap = [0] * (q * q)
-        for a in range(q):
-            for b in range(q):
-                swap[a * q + b] = b * q + a
-        swap = tuple(swap)
-        for wires, perm in self.gates:
-            order = sorted(wires)
-            moves = []
-            base = order[0]
-            for offset, w in enumerate(order[1:], start=1):
-                target = base + offset
-                for p in range(w - 1, target - 1, -1):
-                    circ.add_gate(p, 2, swap)
-                    moves.append(p)
-            local = [(tuple(order.index(w) for w in wires), perm)]
-            k = len(wires)
-            table = tuple(
-                encode_word(apply_gates(q, local, decode_word(code, q, k)), q)
-                for code in range(q ** k))
-            circ.add_gate(base, k, table)
-            for p in reversed(moves):
-                circ.add_gate(p, 2, swap)
-        return circ
 
 
 @dataclass
@@ -604,36 +583,8 @@ class PackedRsat4:
     init3: tuple
     final3: tuple
 
-    @property
-    def width3(self):
-        return self.inner.width * self.k
-
     def count(self, limits=DEFAULT_LIMITS):
         return self.inner.count(limits)
-
-    def eval3(self, word3):
-        """Evaluate on a width3 word over A3 via the grouped circuit."""
-        if len(word3) != self.width3:
-            raise CircuitError("A3 word width mismatch")
-        grouped = [encode_word(word3[i * self.k:(i + 1) * self.k], self.q3)
-                   for i in range(self.inner.width)]
-        out = self.inner.eval(grouped)
-        flat = []
-        for sym in out:
-            flat.extend(decode_word(sym, self.q3, self.k))
-        return tuple(flat)
-
-    def count3(self, limits=DEFAULT_LIMITS):
-        """Independent count over A3 words; must equal count()."""
-        n3 = self.width3
-        if len(self.init3) ** n3 > limits.max_enumeration:
-            raise WorkBoundExceeded("RSAT4 A3 enumeration over budget")
-        fin = set(self.final3)
-        total = 0
-        for word in itertools.product(self.init3, repeat=n3):
-            if all(x in fin for x in self.eval3(word)):
-                total += 1
-        return total
 
 
 def pack_alphabet(r3, embed, k, q3, init3, final3):

@@ -5,6 +5,7 @@ Reports are stable `key: value` lines (diffable), with a JSON mirror behind
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -188,18 +189,15 @@ def cmd_verify_parsimony(args, rep):
 def cmd_compile_zsat(args, rep):
     gamma = _load_group_arg(args.gamma)
     zal = zsat.ZAlphabet(gamma)
-    circ, init, final = circuits.load_reversible(_resolve(args.circuit))
+    circ = circuits.load_reversible(_resolve(args.circuit))
     data, i_orb, f_orb = zal.data_quotient()
     if circ.q != len(data):
         raise zsat.ZsatError("circuit alphabet %d differs from data quotient %d"
                              % (circ.q, len(data)))
-    inst_if = circuits.RsatIF(circ.q, circ.width,
-                              init if init else i_orb,
-                              final if final else f_orb)
-    for pos, k, perm in circ.gates:
-        if k != 2:
-            raise zsat.ZsatError("zombie compilation needs binary gates")
-        inst_if.add_gate((pos, pos + 1), perm)
+    if any(len(wires) != 2 for wires, _ in circ.gates):
+        raise zsat.ZsatError("zombie compilation needs binary gates")
+    inst_if = dataclasses.replace(circ, init=circ.init or i_orb,
+                                  final=circ.final or f_orb)
     zi = zsat.compile_zsat(inst_if, zal)
     lim = _limits(args)
     rep.add("alphabet-size", zal.size)

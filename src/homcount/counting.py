@@ -480,28 +480,31 @@ def _vertex_sweep_ordering(X, seed):
                                  tuple(sorted(rank[v] for v in s)), s))
 
 
-def narrow_ordering(X, G=None, extra_candidates=(), probe_limit=200_000):
+_PROBE_LIMITS = CountingLimits(max_states=200_000)
+
+
+def narrow_ordering(X):
     """Pick, among candidate orderings, the one with the smallest simulated
-    DP state peak (probed with Z/2, whose peak reflects the free label count).
+    DP state peak (probed with Z/2, whose peak reflects the free label count,
+    under a 200000-state bound).
 
     Candidates: the greedy ordering plus vertex sweeps from a few seeds.
     """
     if not X.is_connected():
         raise ComplexError("dp counting needs a connected complex")
-    probe = G if G is not None and G.order <= 2 else FiniteGroup.cyclic(2)
+    probe = FiniteGroup.cyclic(2)
     candidates = [greedy_ordering(X)]
     seeds = sorted(set([0, X.nvertices - 1, X.nvertices // 2]))
     for seed in seeds:
         candidates.append(_vertex_sweep_ordering(X, seed))
-    candidates.extend(extra_candidates)
     best = None
     for cand in candidates:
         stats = DpStats()
         try:
             dp_cocycle_count(X, cand, probe, tree_gauge=True, stats=stats,
-                             limits=CountingLimits(max_states=probe_limit))
+                             limits=_PROBE_LIMITS)
         except WorkBoundExceeded:
-            stats.max_states = probe_limit + 1
+            stats.max_states = _PROBE_LIMITS.max_states + 1
         if best is None or stats.max_states < best[0]:
             best = (stats.max_states, cand)
     return best[1]
@@ -546,51 +549,29 @@ class InversionTable:
     total_homs: int
 
 
-class _IsoCache:
-    """Cache keyed by a cheap fingerprint with an isomorphism-check fallback."""
-
-    def __init__(self):
-        self.buckets = {}
-
-    def lookup(self, J):
-        fp = (J.order, tuple(sorted(J.element_order(a) for a in J.elements())))
-        for rep, value in self.buckets.get(fp, []):
-            if find_isomorphism(J, rep) is not None:
-                return value
-        return None
-
-    def store(self, J, value):
-        fp = (J.order, tuple(sorted(J.element_order(a) for a in J.elements())))
-        self.buckets.setdefault(fp, []).append((J, value))
-
-
-def quotient_counts_via_inversion(count_into, G, limits=DEFAULT_LIMITS,
-                                  order_bound=120):
+def quotient_counts_via_inversion(count_into, G):
     """Per-subgroup quotient counts by Moebius inversion over the lattice.
 
     count_into(J) must return the exact number of homomorphisms of the fixed
-    source into the group J; it is called once per isomorphism type (with a
-    verified-isomorphism cache) and the results are inverted down the lattice:
+    source into the group J; it and |Aut(J)| are computed once per
+    isomorphism type (a cheap fingerprint, then an isomorphism check against
+    each type seen under it) and the results are inverted down the lattice:
     S(J) = #H(J) - sum of S(K) over proper subgroups K < J.
     """
-    lattice = subgroup_lattice(G, order_bound=order_bound)
-    homcache = _IsoCache()
-    autcache = _IsoCache()
+    lattice = subgroup_lattice(G)
+    types = {}          # fingerprint -> [(group, (#H, |Aut|))]
+
+    def counts(J):
+        fp = (J.order, tuple(sorted(J.element_order(a) for a in J.elements())))
+        seen = types.setdefault(fp, [])
+        for rep, value in seen:
+            if find_isomorphism(J, rep) is not None:
+                return value
+        seen.append((J, (count_into(J), len(automorphisms(J)))))
+        return seen[-1][1]
+
     subs = lattice.subgroups
-    homs = []
-    auts = []
-    for H in subs:
-        J = H.as_group()
-        h = homcache.lookup(J)
-        if h is None:
-            h = count_into(J)
-            homcache.store(J, h)
-        a = autcache.lookup(J)
-        if a is None:
-            a = len(automorphisms(J))
-            autcache.store(J, a)
-        homs.append(h)
-        auts.append(a)
+    homs, auts = zip(*(counts(H.as_group()) for H in subs))
     n = len(subs)
     surj = [0] * n
     for i in range(n):

@@ -187,11 +187,10 @@ class PermutationGroup:
 
     MAX_DEGREE = 1 << 16
 
-    def __init__(self, degree, gens, name=""):
+    def __init__(self, degree, gens):
         if degree > self.MAX_DEGREE:
             raise ValueError("degree %d exceeds bound %d" % (degree, self.MAX_DEGREE))
         self.degree = degree
-        self.name = name
         self._ident = identity_perm(degree)
         gens = [tuple(g) for g in gens]
         for g in gens:

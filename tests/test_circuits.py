@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from homcount.circuits import (BooleanCircuit, CircuitError, ReversibleCircuit,
-                               RsatIF, dilate_to_reversible, load_boolean,
+from homcount.circuits import (BooleanCircuit, CircuitError, RsatIF,
+                               dilate_to_reversible, load_boolean,
                                pack_parameters, parse_boolean_text,
                                parse_reversible_text, reduce_pipeline,
                                regroup_embed, uncompute_wrap, verify_parsimony,
-                               encode_word, decode_word, count_accepted)
-from homcount.counting import CountingLimits, WorkBoundExceeded
+                               encode_word, decode_word, count_accepted,
+                               _bit_gates)
+from homcount.counting import CountingLimits, DEFAULT_LIMITS, WorkBoundExceeded
 from conftest import count_words
 
 AND2 = BooleanCircuit(2, [("AND", (0, 1), (2,))], 2)
@@ -68,24 +69,49 @@ def test_boolean_file_roundtrip():
 
 
 def test_reversible_eval_and_inverse():
-    circ = ReversibleCircuit(2, 2)
-    circ.add_gate(0, 1, (1, 0))                 # NOT on wire 0
-    circ.add_gate(0, 2, (0, 2, 1, 3))           # SWAP
+    circ = RsatIF(2, 2, (0,), (0, 1))
+    circ.add_gate((0,), (1, 0))                 # NOT on wire 0
+    circ.add_gate((0, 1), (0, 2, 1, 3))         # SWAP
     assert circ.eval((0, 0)) == (0, 1)
     inv = circ.inverse()
+    assert (inv.init, inv.final) == ((0, 1), (0,))
     for word in itertools.product((0, 1), repeat=2):
         assert inv.eval(circ.eval(word)) == word
-    with pytest.raises(CircuitError):
-        circ.add_gate(0, 2, (0, 0, 1, 2))
+    with pytest.raises(CircuitError, match="not a permutation"):
+        circ.add_gate((0, 1), (0, 0, 1, 2))
+
+
+def test_add_gate_checks():
+    circ = RsatIF(2, 4, None, None)
+    for wires, table, error in [
+            ((), (0,), "gate arity 0 outside 1..3"),
+            ((0, 1, 2, 3), range(16), "gate arity 4 outside 1..3"),
+            ((0, 0), range(4), "repeated wire in gate"),
+            ((3, 4), range(4), "gate wire out of range"),
+            ((0, 1), (0, 1), "gate table is not a permutation"),
+            ((0, 1), range(8), "gate table is not a permutation")]:
+        with pytest.raises(CircuitError) as exc:
+            circ.add_gate(wires, table)
+        assert str(exc.value) == error
+    assert circ.gates == []
+    for width in (0, -2):
+        with pytest.raises(CircuitError) as exc:
+            RsatIF(2, width, None, None)
+        assert str(exc.value) == "circuit width %d below 1" % width
 
 
 def test_reversible_file_roundtrip():
-    circ = ReversibleCircuit(3, 2)
-    circ.add_gate(0, 2, tuple(reversed(range(9))))
+    circ = RsatIF(3, 2, (0, 1), (2,))
+    circ.add_gate((0, 1), tuple(reversed(range(9))))
     text = "init 0 1\nfinal 2\n" + circ.format()
-    loaded, init, final = parse_reversible_text(text)
-    assert init == (0, 1) and final == (2,)
-    assert loaded.eval((0, 0)) == circ.eval((0, 0))
+    assert parse_reversible_text(text) == circ
+    loaded = parse_reversible_text(circ.format())
+    assert (loaded.init, loaded.final) == (None, None)
+    assert loaded.gates == circ.gates
+    # format writes window gates only
+    circ.add_gate((1, 0), range(9))
+    with pytest.raises(CircuitError):
+        circ.format()
 
 
 def test_toffoli_dilation():
@@ -110,7 +136,7 @@ def test_window_form_matches_opcodes():
     for _ in range(20):
         bc = random_circuit(rng, rng.randint(1, 3), rng.randint(1, 4))
         r1 = dilate_to_reversible(bc)
-        circ = r1.window_circuit()
+        circ = _planar_bits(r1)
         nvar = r1.width - r1.n_ancillas
         for bits in itertools.product((0, 1), repeat=min(nvar, 6)):
             word = [0] * r1.n_ancillas + list(bits) + [0] * (nvar - len(bits))
@@ -198,9 +224,19 @@ def test_planarize_matches():
     bc = random_circuit(rng, 2, 3)
     _, _, r3, _ = reduce_pipeline(bc)
     planar = r3.planarize()
+    assert (planar.q, planar.width, planar.init, planar.final) == \
+        (r3.q, r3.width, r3.init, r3.final)
     for _ in range(40):
         word = tuple(rng.randrange(r3.q) for _ in range(r3.width))
         assert r3.eval(word) == planar.eval(word)
+    # every wire order of a three-wire gate, against word evaluation
+    for wires in itertools.permutations((0, 2, 3)):
+        circ = RsatIF(3, 4, None, None, [_random_gate(rng, 3, 4)])
+        circ.add_gate(wires, rng.sample(range(27), 27))
+        planar = circ.planarize()
+        planar.format()             # raises unless every gate is a window
+        for word in itertools.product(range(3), repeat=4):
+            assert circ.eval(word) == planar.eval(word)
 
 
 def test_pipeline_exhaustive_small():
@@ -226,25 +262,48 @@ def test_pipeline_alt_targets():
         assert rep.ok
 
 
+def eval3(r4, word3):
+    """Oracle for stage 4: evaluate an A3 word of width inner.width * k
+    through the grouped circuit."""
+    if len(word3) != r4.inner.width * r4.k:
+        raise CircuitError("A3 word width mismatch")
+    grouped = [encode_word(word3[i * r4.k:(i + 1) * r4.k], r4.q3)
+               for i in range(r4.inner.width)]
+    out = r4.inner.eval(grouped)
+    flat = []
+    for sym in out:
+        flat.extend(decode_word(sym, r4.q3, r4.k))
+    return tuple(flat)
+
+
+def count3(r4, limits=DEFAULT_LIMITS):
+    """Independent count over A3 words; must equal r4.count()."""
+    n3 = r4.inner.width * r4.k
+    if len(r4.init3) ** n3 > limits.max_enumeration:
+        raise WorkBoundExceeded("RSAT4 A3 enumeration over budget")
+    fin = set(r4.final3)
+    total = 0
+    for word in itertools.product(r4.init3, repeat=n3):
+        if all(x in fin for x in eval3(r4, word)):
+            total += 1
+    return total
+
+
 def test_packed_count3_matches():
     rng = random.Random(14)
     for _ in range(5):
         bc = random_circuit(rng, 2, rng.randint(1, 3))
         _, _, _, r4 = reduce_pipeline(bc)
-        assert r4.count() == r4.count3() == bc.count_sat()
+        assert r4.count() == count3(r4) == bc.count_sat()
 
 
 def test_formal_inverse_exhaustive_sweep():
     # eval(c^-1, eval(c, x)) = x for every word over a small alphabet
     rng = random.Random(15)
     for q, width in ((2, 3), (3, 2)):
-        circ = ReversibleCircuit(q, width)
+        circ = RsatIF(q, width, None, None)
         for _ in range(4):
-            k = rng.choice([1, 2])
-            pos = rng.randrange(width - k + 1)
-            table = list(range(q ** k))
-            rng.shuffle(table)
-            circ.add_gate(pos, k, tuple(table))
+            circ.add_gate(*_random_gate(rng, q, width))
         inv = circ.inverse()
         for word in itertools.product(range(q), repeat=width):
             assert inv.eval(circ.eval(word)) == word
@@ -263,10 +322,10 @@ def test_stage_budget_messages():
 
 
 def test_eval_errors():
-    circ = ReversibleCircuit(2, 2)
-    with pytest.raises(CircuitError):
+    circ = RsatIF(2, 2, None, None)
+    with pytest.raises(CircuitError, match="word width mismatch"):
         circ.eval((0, 1, 0))
-    with pytest.raises(CircuitError):
+    with pytest.raises(CircuitError, match="symbol out of alphabet"):
         circ.eval((0, 7))
 
 
@@ -323,10 +382,16 @@ def test_sweep_matches_word_oracle():
                               "TEST") == count_words(q, gates, inputs, accepts)
 
 
+def _planar_bits(stage):
+    """The planar window form of a stage-1 or stage-2 bit circuit."""
+    return RsatIF(2, stage.width, None, None,
+                  _bit_gates(stage.opcodes)).planarize()
+
+
 def _window_words(circ, inputs, accepts):
     """The word oracle on the planar window form of a stage."""
-    gates = [(range(pos, pos + k), perm) for pos, k, perm in circ.gates]
-    return count_words(circ.q, gates, inputs, accepts)
+    circ.format()                   # raises unless every gate is a window
+    return count_words(circ.q, circ.gates, inputs, accepts)
 
 
 def test_sweep_matches_oracle_on_every_stage():
@@ -339,11 +404,11 @@ def test_sweep_matches_oracle_on_every_stage():
         assert verify_parsimony(bc).stage_counts() == [want] * 5
         bit = (0, 1)
         assert r1.count() == _window_words(
-            r1.window_circuit(),
+            _planar_bits(r1),
             [(0,)] * r1.n_ancillas + [bit] * (r1.width - r1.n_ancillas),
             [(1,)] + [bit] * (r1.width - 1))
         zero = [(0,) if w in r2.zero_wires else bit for w in range(r2.width)]
-        assert r2.count() == _window_words(r2.window_circuit(), zero, zero)
+        assert r2.count() == _window_words(_planar_bits(r2), zero, zero)
         for inst in (r3, r4.inner):
             assert inst.count() == _window_words(
                 inst.planarize(), [inst.init] * inst.width,

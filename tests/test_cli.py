@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -182,6 +183,26 @@ def test_goursat_command(capsys, tmp_path):
     assert rep["n1-order"] == "1" and rep["quotient-order"] == "6"
 
 
+def readme_commands():
+    """The argument lists of the command block in README.md."""
+    readme = Path(__file__).parent.parent / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(ln)[1:] for ln in block.splitlines()
+            if ln.startswith("homcount ")]
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    # every command runs on the bundled files alone; reduce writes its
+    # output into the working directory
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 11
+    for argv in commands:
+        code, out = run(capsys, *argv)
+        assert code == 0, (argv, out)
+    assert (tmp_path / "and2.rev").exists()
+
+
 def test_invert_lattice_command(capsys):
     code, out = run(capsys, "invert-lattice", "--presentation",
                     "poincare.pres", "--group", "s3.grp")
@@ -210,26 +231,63 @@ def run_circuit(capsys, tmp_path, command, text, *options):
     return code, parse_report(out)
 
 
-@pytest.mark.parametrize("command, text", [
-    ("reduce", "in 2\n-> 3\nout 2\n"),
-    ("compile-zsat", "alphabet\nwidth 2\n"),
-    ("compile-zsat", "alphabet 4\nwidth 2\ngate\n"),
-    ("reduce", "in x\nout 0\n"),
-    ("reduce", "in 2\nAND 0 y -> 2\nout 2\n"),
-    ("compile-zsat", "alphabet x\nwidth 2\n"),
-    ("compile-zsat", "alphabet 4\nwidth 2\ngate 0 y 1 0\n"),
-    ("reduce", "in 2 3\nAND 0 1 -> 2\nout 2\n"),
-    ("compile-zsat", "alphabet 4 5\nwidth 2\n"),
-    ("compile-zsat", "alphabet 4\nwidth 2\ngate 0 2 %s\ninit 0 9\n"
-     % " ".join(map(str, range(16)))),
-    ("compile-zsat", "alphabet 4\nwidth 2\ninit 0 9\nfinal 9\n"),
-    ("compile-zsat", "alphabet 4\nwidth 0\n"),
-    ("compile-zsat", "alphabet 4\nwidth -2\n"),
-])
-def test_malformed_circuit_exit_code(capsys, tmp_path, command, text):
+def _circuit_row(command, text, error):
+    # the id is the one pytest derives from (command, text)
+    return pytest.param(command, text, error, id="%s-%s" % (command, text))
+
+
+TABLE16 = " ".join(map(str, range(16)))
+MALFORMED_CIRCUITS = [_circuit_row(*row) for row in [
+    ("reduce", "in 2\n-> 3\nout 2\n",
+     "CircuitError: gate line without an op: '-> 3'"),
+    ("compile-zsat", "alphabet\nwidth 2\n",
+     "CircuitError: expected 'alphabet <integer>', got 'alphabet'"),
+    ("compile-zsat", "alphabet 4\nwidth 2\ngate\n",
+     "CircuitError: unknown or short circuit line 'gate'"),
+    ("reduce", "in x\nout 0\n",
+     "CircuitError: expected integers in line 'in x'"),
+    ("reduce", "in 2\nAND 0 y -> 2\nout 2\n",
+     "CircuitError: expected integers in line 'AND 0 y -> 2'"),
+    ("compile-zsat", "alphabet x\nwidth 2\n",
+     "CircuitError: expected integers in line 'alphabet x'"),
+    ("compile-zsat", "alphabet 4\nwidth 2\ngate 0 y 1 0\n",
+     "CircuitError: expected integers in line 'gate 0 y 1 0'"),
+    ("reduce", "in 2 3\nAND 0 1 -> 2\nout 2\n",
+     "CircuitError: expected 'in <integer>', got 'in 2 3'"),
+    ("compile-zsat", "alphabet 4 5\nwidth 2\n",
+     "CircuitError: expected 'alphabet <integer>', got 'alphabet 4 5'"),
+    ("compile-zsat", "alphabet 4\nwidth 2\ngate 0 2 %s\ninit 0 9\n" % TABLE16,
+     "CircuitError: init symbol 9 outside alphabet 4"),
+    ("compile-zsat", "alphabet 4\nwidth 2\ninit 0 9\nfinal 9\n",
+     "CircuitError: init symbol 9 outside alphabet 4"),
+    ("compile-zsat", "alphabet 4\nwidth 0\n",
+     "CircuitError: circuit width 0 below 1"),
+    ("compile-zsat", "alphabet 4\nwidth -2\n",
+     "CircuitError: circuit width -2 below 1"),
+    ("compile-zsat", "alphabet 4\nwidth 2\ngate 1 2 %s\n" % TABLE16,
+     "CircuitError: gate window out of range"),
+    ("compile-zsat", "alphabet 4\nwidth 2\ngate -1 1 0 1 2 3\n",
+     "CircuitError: gate window out of range"),
+    ("compile-zsat", "alphabet 4\nwidth 2\ngate 0 4 1 2\n",
+     "CircuitError: gate arity 4 outside 1..3"),
+    ("compile-zsat", "alphabet 4\nwidth 2\ngate 0 -1 0\n",
+     "CircuitError: gate arity -1 outside 1..3"),
+    ("compile-zsat", "alphabet 4\nwidth 2\ngate 0 2 0 1 2 3\n",
+     "CircuitError: gate table is not a permutation"),
+    ("compile-zsat", "alphabet 4\nwidth 2\ngate 0 1 0 0 1 2\n",
+     "CircuitError: gate table is not a permutation"),
+    ("compile-zsat", "alphabet 4\nwidth 2\ngate 0 1 1 0 2 3\n",
+     "ZsatError: zombie compilation needs binary gates"),
+    ("compile-zsat", "alphabet 3\nwidth 2\n",
+     "ZsatError: circuit alphabet 3 differs from data quotient 4"),
+]]
+
+
+@pytest.mark.parametrize("command, text, error", MALFORMED_CIRCUITS)
+def test_malformed_circuit_exit_code(capsys, tmp_path, command, text, error):
     code, rep = run_circuit(capsys, tmp_path, command, text)
     assert code == 2
-    assert rep["error"].startswith("CircuitError: ")
+    assert rep["error"] == error
 
 
 @pytest.mark.parametrize("argv, name, text, error", [

@@ -1,0 +1,71 @@
+#!/usr/bin/env python3
+"""Print the CLI reports of a checkout, so two checkouts can be compared
+byte for byte:
+
+    python3 tools/cli_snapshot.py <checkout-a> > a.txt
+    python3 tools/cli_snapshot.py <checkout-b> > b.txt
+    diff a.txt b.txt
+
+For the checkout's package and bundled data it prints the exit code and the
+text and --json reports of every command in the README's command block,
+the file `reduce --output` writes there, and the error report of every
+malformed-circuit case of tests/test_cli.py.  The commands and the cases
+come from the tree this script is in, as do README example inputs that the
+checkout's data directory lacks.
+"""
+
+import contextlib
+import io
+import os
+import shutil
+import sys
+import tempfile
+
+TREE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def main(checkout):
+    sys.path.insert(0, os.path.join(checkout, "src"))
+    from homcount.cli import main as cli
+    # the test module's own path set-up finds homcount already imported
+    sys.path.append(os.path.join(TREE, "tests"))
+    import test_cli
+
+    work = tempfile.mkdtemp()
+    data = os.path.join(work, "data")
+    shutil.copytree(os.path.join(checkout, "src", "homcount", "data"), data)
+    ours = os.path.join(TREE, "src", "homcount", "data")
+    for name in sorted(set(os.listdir(ours)) - set(os.listdir(data))):
+        shutil.copy(os.path.join(ours, name), data)
+    os.environ["HOMCOUNT_DATA"] = data
+    os.chdir(work)
+
+    def run(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli(argv)
+        print("$ homcount %s\nexit %d\n%s" % (" ".join(argv), code,
+                                               out.getvalue()), end="")
+
+    try:
+        for argv in test_cli.readme_commands():
+            run(argv)
+            run(["--json"] + argv)
+        with open("and2.rev") as fh:
+            print("--- and2.rev\n" + fh.read(), end="")
+        for case in test_cli.MALFORMED_CIRCUITS:
+            command, text, _ = case.values
+            with open("circuit", "w") as fh:
+                fh.write(text)
+            gamma = ["--gamma", "z2.grp"] if command == "compile-zsat" else []
+            print("--- %r" % text)
+            run([command, "--circuit", "circuit"] + gamma)
+    finally:
+        os.chdir(TREE)
+        shutil.rmtree(work)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: cli_snapshot.py <checkout>")
+    main(os.path.abspath(sys.argv[1]))

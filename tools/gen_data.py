@@ -87,6 +87,22 @@ def main():
     with open(os.path.join(DATA, "poincare.pres"), "w") as fh:
         fh.write("gens 2\nx1 x1 x1 X2 X2 X2 X2 X2\nx1 x1 x1 X2 X1 X2 X1\n")
 
+    # the example inputs of the README's command block
+    with open(os.path.join(DATA, "and2.bool"), "w") as fh:
+        fh.write("in 2\nAND 0 1 -> 2\nout 2\n")
+    # over the Z2 data quotient (init symbols 0 1, final 2 3): one gate
+    # carries init word 0 0 onto final word 2 2, another 0 1 onto 2 3
+    with open(os.path.join(DATA, "data.rev"), "w") as fh:
+        fh.write("alphabet 4\nwidth 2\n")
+        for a, b in ((0, 10), (1, 11)):
+            table = list(range(16))
+            table[a], table[b] = b, a
+            fh.write("gate 0 2 %s\n" % " ".join(map(str, table)))
+    with open(os.path.join(DATA, "lens5.glu"), "w") as fh:
+        fh.write("genus 1\nword tb1 tb1 tb1 tb1 tb1\n")
+    with open(os.path.join(DATA, "pairs.txt"), "w") as fh:
+        fh.write("".join("%d %d\n" % (x, x) for x in range(s3.order)))
+
     # validate the stem extension end to end through the file loaders
     a5_loaded = load_group(os.path.join(DATA, "a5.grp"))
     ext = load_stem_extension(os.path.join(DATA, "sl25-ext.ext"), a5_loaded)
