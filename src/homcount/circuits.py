@@ -212,6 +212,8 @@ class RsatIF:
     gates: list = field(default_factory=list)
 
     def __post_init__(self):
+        if self.q < 1:
+            raise CircuitError("circuit alphabet %d below 1" % self.q)
         if self.width < 1:
             raise CircuitError("circuit width %d below 1" % self.width)
 
@@ -246,9 +248,12 @@ class RsatIF:
                               [self.final] * self.width, limits, "RSAT")
 
     def format(self):
-        """The circuit file text, without init and final; every gate must
-        be a window."""
+        """The circuit file text, with init and final where they are set;
+        every gate must be a window."""
         lines = ["alphabet %d" % self.q, "width %d" % self.width]
+        for key, symbols in (("init", self.init), ("final", self.final)):
+            if symbols is not None:
+                lines.append(" ".join([key, *map(str, symbols)]))
         for wires, perm in self.gates:
             pos, k = wires[0], len(wires)
             if wires != tuple(range(pos, pos + k)):

@@ -40,6 +40,7 @@ class FiniteGroup:
         self._perfect = None
         self._element_orders = None
         self._autcache = None
+        self._aut_tables = None     # surfaces.AutTables, built by orbit_report
         self._membership_masks = None
         self._ab_map = None
         if validate:

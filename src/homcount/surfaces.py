@@ -9,7 +9,8 @@ into a straight-line program over a group's table.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
+from operator import itemgetter
 
 from .groups import GroupError, automorphisms, subgroup_membership_masks
 from .counting import WorkBoundExceeded, DEFAULT_LIMITS, quotient_count
@@ -171,9 +172,6 @@ class MCGGenerator:
 
     def apply(self, G, tup):
         return self.rule(tup, G.mul, G.inv)
-
-    def unapply(self, G, tup):
-        return self.inverse_rule(tup, G.mul, G.inv)
 
 
 def _rule_pair(body):
@@ -486,11 +484,6 @@ def gluing_h1(h):
     return rank, torsion
 
 
-def is_homology_sphere_gluing(h):
-    rank, torsion = gluing_h1(h)
-    return rank == 0 and not torsion
-
-
 # -- orbit exploration -----------------------------------------------------------------
 
 
@@ -510,20 +503,163 @@ class OrbitReport:
     visited: int
 
 
+class AutTables:
+    """Aut(G) as indices into automorphisms(G), with what the orbit walk
+    needs: inverses, the inner automorphisms, and for each element x the
+    automorphisms sending x to its least image (at most 8 of 120 for A5
+    when x is not the identity)."""
+
+    def __init__(self, G):
+        self.auts = auts = automorphisms(G)
+        self.index = {phi: k for k, phi in enumerate(auts)}
+        self.identity = self.index[tuple(G.elements())]
+        self.inverse = []
+        for phi in auts:
+            inv = [0] * G.order
+            for x, y in enumerate(phi):
+                inv[y] = x
+            self.inverse.append(self.index[tuple(inv)])
+        self.inner = sorted({self.index[tuple(G.conj(a, x)
+                                              for x in G.elements())]
+                             for a in G.elements()})
+        self.candidates = []    # x -> (indices, automorphisms)
+        for x in G.elements():
+            least = min(phi[x] for phi in auts)
+            ks = [k for k, phi in enumerate(auts) if phi[x] == least]
+            self.candidates.append((ks, [auts[k] for k in ks]))
+
+    @classmethod
+    def of(cls, G):
+        """The tables of G, built once and kept on G."""
+        if G._aut_tables is None:
+            G._aut_tables = cls(G)
+        return G._aut_tables
+
+    def image(self, k, tup):
+        """auts[k] applied to each entry of tup."""
+        return tuple(map(self.auts[k].__getitem__, tup))
+
+    def compose(self, i, j):
+        """The index of auts[i] after auts[j]."""
+        return self.index[self.image(i, self.auts[j])]
+
+    def canonical(self, tup):
+        """(r, k): the least image r of tup under Aut(G) and the least index
+        k with auts[k](tup) == r.  The least image fixes the leading
+        identity entries and sends the first other entry x to its least
+        image, so only x's candidates compete; a tuple of identities is its
+        own class."""
+        for x in tup:
+            if x:
+                break
+        else:
+            return tup, self.identity
+        ks, phis = self.candidates[x]
+        images = list(map(itemgetter(*tup), phis))  # 2g >= 2 entries: tuples
+        least = min(images)
+        return least, ks[images.index(least)]
+
+    def subgroup(self, elements):
+        """The subgroup the indices generate, closed again only when an
+        element falls outside it; stops early once it is all of Aut(G)."""
+        group, gens = {self.identity}, []
+        for k in elements:
+            if len(group) == len(self.auts):
+                break
+            if k in group:
+                continue
+            gens.append(k)
+            frontier = list(group)
+            while frontier:
+                a = frontier.pop()
+                for b in gens:
+                    c = self.compose(a, b)
+                    if c not in group:
+                        group.add(c)
+                        frontier.append(c)
+        return group
+
+    def inner_cosets(self, group):
+        """One element of each coset of Inn(G) that the subgroup meets."""
+        reps, covered = [], set()
+        for k in sorted(group):
+            if k not in covered:
+                reps.append(k)
+                covered.update(self.compose(k, i) for i in self.inner)
+        return reps
+
+
+# Why the class walk is exact.
+#
+# Steps commute with Aut(G).  A step is compiled by compile_program, whose
+# tracer accepts only the slot names and the identity, so each entry of a
+# step's output is a word w in the entries of its input, and
+# phi(w(t)) = w(phi(t)) for every automorphism phi.  Hence M, the group the
+# steps generate (each step permutes the finite set of genus-g tuples, so
+# the forward closure O of a seed is its M-orbit), permutes the Aut-classes,
+# and phi(O) is the M-orbit of phi(seed).
+#
+# Classes of O.  Let S = {phi : phi(O) = O}.  If t and phi(t) both lie in
+# O, then phi(O) meets O, so phi(O) = O and phi is in S.  So an Aut-class
+# meets O in exactly S.t for any t of it.  If t = m(seed) with m in M, then
+# phi(t) = t iff phi(seed) = seed, so every t in O has stabilizer
+# Stab(seed), and |O| = K.|S|/|Stab(seed)| for the K classes that meet O.
+# phi(seed) lies in O iff phi is in S, so O is closed under Aut iff S = Aut.
+#
+# S from the walk (Schreier's lemma).  Class r keeps a tuple t_r of O and
+# psi_r with psi_r(t_r) = r; the seed's class keeps the seed.  Each step s
+# is applied once to each t_r; if canonical(s(t_r)) = (r', chi), then
+# tau = psi_r'^-1 chi sends s(t_r) to t_r', so tau is in S, and tau = 1
+# where the edge recorded r' itself.  Conversely let phi be in S and write
+# phi(seed) = s_n ... s_1(seed), with u_0 = seed and u_j = s_j(u_j-1).
+# Suppose u_j-1 = a(t_r) with a in <twists> (a = 1 at j = 1).  Steps commute
+# with a, so u_j = a(s_j(t_r)) = a tau^-1 (t_r') for the edge (r, s_j), and
+# a tau^-1 is in <twists>.  By induction phi(seed) = u_n = a(t_r'), where r'
+# is the seed's own class because phi(seed) is an Aut-image of the seed, so
+# t_r' = seed, a^-1 phi fixes the seed, and S = <twists, Stab(seed)>.
+#
+# A later seed lies in O iff it is in S.t_r for its class r: with
+# canonical(seed') = (r, chi) and seed' = chi^-1 psi_r (t_r), that holds
+# iff chi^-1 psi_r is in S.
+#
+# Schur classes.  For a tuple satisfying the surface relation the lifted
+# relator R is central.  Conjugating every lift by a lift h of g conjugates
+# R by h, which fixes it; any other choice of lifts multiplies each by a
+# central element, which cancels in the commutators.  So R is constant on
+# the Inn(G)-orbits of such tuples.  The tuples of O in class r are S.t_r,
+# and each of them is an inner image of w(t_r) for the w picked from its
+# Inn(G)-coset (Inn(G) is normal), so evaluating R on w(t_r) for those w
+# sees every value R takes on O.  A tuple that breaks the surface relation
+# breaks it on its whole Aut-class, so such a tuple is found as well.
+
+
 def orbit_report(seeds, G, g, gens=None, ext=None, max_visited=2_000_000):
     """Orbit decomposition of seed tuples under the mapping classes the
     generator set generates, with per-orbit surjectivity, Schur class, and
     Aut-closure flags.
 
-    Each orbit is closed under the forward generator steps only.  A step
+    Walks Aut(G)-classes, not tuples: mapping-class steps commute with
+    automorphisms, so the walk visits one tuple per class of the orbit and
+    records, for each edge that lands on a known class, the automorphism
+    (twist) relating the two tuples of that class.  The twists and the
+    seed's stabilizer generate S, the automorphisms fixing the orbit, which
+    gives its exact size (classes times |S| over the seed's stabilizer) and
+    its Aut-closure (S is all of Aut(G)).  The Schur class is constant on
+    inner-automorphism images, so the relator is lifted once per class and
+    per coset of Inn(G) that S meets; surjectivity is tested once per class.
+    The comment above this function proves these steps.
+
+    Orbits are closed under the forward generator steps only.  A step
     permutes the finite set of genus-g tuples, so its inverse is one of its
     powers, and the forward closure of a seed is its whole group orbit.
-    Every tuple visited, a seed's own included, counts toward max_visited.
+    Every tuple of every orbit, a seed's own included, counts toward
+    max_visited: the walk stops when its class count alone exceeds the room
+    left, and the exact orbit size is checked against it after the walk.
     """
     _check_genus(g)
     if gens is None:
         gens = standard_generators(g)
-    auts = automorphisms(G)
+    aut = AutTables.of(G)
     surjective = generation_test(G)
     neighbours = generator_steps(G, gens, g)
     if ext is not None:
@@ -531,7 +667,9 @@ def orbit_report(seeds, G, g, gens=None, ext=None, max_visited=2_000_000):
                                          lambda tr, t: tr.relator(t))
         lift = [ext.lifts[x][0] for x in G.elements()].__getitem__
 
-    seen = {}
+    known = {}          # class -> [(row, psi_r)] over the orbits so far
+    stabilizers = []    # S of each row's orbit
+    visited = 0
     rows = []
     for seed in seeds:
         seed = tuple(seed)
@@ -540,38 +678,57 @@ def orbit_report(seeds, G, g, gens=None, ext=None, max_visited=2_000_000):
                                % (len(seed), g, 2 * g))
         if not surface_relation_holds(G, seed):
             raise SurfaceError("seed violates the surface relation")
-        if seed in seen:
+        rep, chi = aut.canonical(seed)
+        if any(aut.compose(aut.inverse[chi], psi) in stabilizers[i]
+               for i, psi in known.get(rep, ())):
             continue
-        orbit = {seed}
-        frontier = [seed]
-        room = max_visited - len(seen)
-        while frontier:
-            if len(orbit) > room:
+        room = max_visited - visited
+        classes = {rep: 0}
+        records = [(seed, chi)]     # (t_r, psi_r) with psi_r(t_r) = r
+        twists = set()              # (psi_r', chi) of edges onto known classes
+        for t, _ in records:
+            if len(records) > room:
                 raise WorkBoundExceeded("orbit memory bound hit")
-            for nxt in neighbours(*frontier.pop()):
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-        for t in orbit:
-            seen[t] = len(rows)
+            for nxt in neighbours(*t):
+                r, chi = aut.canonical(nxt)
+                j = classes.get(r)
+                if j is None:
+                    classes[r] = len(records)
+                    records.append((nxt, chi))
+                elif records[j][1] != chi:
+                    twists.add((records[j][1], chi))
+        stab = [k for k in range(len(aut.auts))
+                if aut.image(k, seed) == seed]
+        S = aut.subgroup(chain(stab, (aut.compose(aut.inverse[psi], chi)
+                                      for psi, chi in twists)))
+        size = len(records) * len(S) // len(stab)
+        if size > room:
+            raise WorkBoundExceeded("orbit memory bound hit")
+        visited += size
         surj = surjective(seed)
         sch = schur_invariant(seed, G, ext) if (ext is not None
                                                 and surj) else -1
         if ext is not None and surj:
-            # schur_invariant(t, G, ext) for every surjective t, as one
-            # traced relator over the cover on first lifts
-            classes = set()
-            for t in orbit:
+            # schur_invariant(u, G, ext) for one u per Inn-class of the
+            # surjective tuples of the orbit, as one traced relator over the
+            # cover on first lifts
+            values = set()
+            cosets = aut.inner_cosets(S)
+            for t, _ in records:
                 if surjective(t):
-                    acc = lifted_relator(*map(lift, t))
-                    if acc not in ext.center:
-                        schur_invariant(t, G, ext)  # raises the typed error
-                    classes.add(acc)
-            if len(classes) > 1:
+                    for w in cosets:
+                        u = aut.image(w, t)
+                        acc = lifted_relator(*map(lift, u))
+                        if acc not in ext.center:
+                            schur_invariant(u, G, ext)  # raises typed error
+                        values.add(acc)
+            if len(values) > 1:
                 raise SurfaceError("orbit mixes Schur classes")
-        aut_closed = all(tuple(phi[x] for x in seed) in orbit for phi in auts)
-        rows.append(OrbitRow(len(orbit), sch, surj, aut_closed, seed))
-    return OrbitReport(g, rows, len(seen))
+        for r, j in classes.items():
+            known.setdefault(r, []).append((len(rows), records[j][1]))
+        stabilizers.append(S)
+        rows.append(OrbitRow(size, sch, surj, len(S) == len(aut.auts), seed))
+    return OrbitReport(g, rows, visited)
 
 
 # -- Heegaard counting -----------------------------------------------------------------

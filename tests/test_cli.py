@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from homcount.circuits import load_boolean, load_reversible, reduce_pipeline
 from homcount.cli import main
 from conftest import DATA
 from test_parser_fuzz import texts
@@ -118,7 +119,12 @@ def test_reduce_command(capsys, tmp_path):
     rep = parse_report(out)
     assert code == 0
     assert rep["csat"] == rep["rsat4"] == "3"
-    assert out_path.exists()
+    # the file is the stage-3 instance whose count the report prints
+    written = load_reversible(str(out_path))
+    r3 = reduce_pipeline(load_boolean(str(path)))[2]
+    assert (written.init, written.final) == (r3.init, r3.final)
+    assert None not in (written.init, written.final)
+    assert str(written.count()) == rep["rsat3"]
 
 
 def test_rubik_check_command(capsys):
@@ -262,6 +268,10 @@ MALFORMED_CIRCUITS = [_circuit_row(*row) for row in [
      "CircuitError: init symbol 9 outside alphabet 4"),
     ("compile-zsat", "alphabet 4\nwidth 0\n",
      "CircuitError: circuit width 0 below 1"),
+    ("compile-zsat", "alphabet 0\nwidth 2\ngate 0 1\n",
+     "CircuitError: circuit alphabet 0 below 1"),
+    ("compile-zsat", "alphabet -2\nwidth 2\n",
+     "CircuitError: circuit alphabet -2 below 1"),
     ("compile-zsat", "alphabet 4\nwidth -2\n",
      "CircuitError: circuit width -2 below 1"),
     ("compile-zsat", "alphabet 4\nwidth 2\ngate 1 2 %s\n" % TABLE16,
@@ -455,8 +465,8 @@ def test_parser_reuse_is_stateless(capsys, tmp_path):
 def test_cli_exit_codes_fuzz(tmp_path):
     """Fuzzed or bundled group, presentation, gluing, complex, Boolean and
     reversible circuit files through count-hom, invert-lattice,
-    heegaard-count, dp-count, reduce, verify-parsimony and compile-zsat:
-    every run reports and exits 0 or 2."""
+    heegaard-count, dp-count, homology, orbit, reduce, verify-parsimony and
+    compile-zsat: every run reports and exits 0 or 2."""
     def file_arg(fmt, bundled):
         return st.one_of(st.sampled_from(bundled),
                          texts(fmt).map(lambda text: (fmt, text)))
@@ -489,6 +499,8 @@ def test_cli_exit_codes_fuzz(tmp_path):
                      ["heegaard-count", "--gluing", path_of(glu, "h.glu"),
                       *group],
                      ["dp-count", "--complex", path_of(cx, "x.cx"), *group],
+                     ["homology", "--complex", path_of(cx, "x.cx")],
+                     ["orbit", *group, "--genus", "1", "--orbit-seeds", "1"],
                      ["reduce", *bc],
                      ["verify-parsimony", *bc],
                      ["compile-zsat", "--circuit", path_of(rev, "r.rev"),

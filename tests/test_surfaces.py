@@ -4,31 +4,98 @@ import pytest
 
 from homcount import perms, surfaces
 from homcount.groups import (FiniteGroup, GroupError, automorphisms,
-                             subgroup_membership_masks)
-from homcount.surfaces import (HeegaardGluing, MCGGenerator, RepSampler,
-                               SurfaceError, count_reps, enumerate_reps,
-                               generator_steps, gluing_h1, heegaard_count,
-                               is_torelli_word, mcg_apply, orbit_report,
-                               inverse_word, parse_gluing_text,
-                               resolve_word, run_word, schur_invariant,
-                               standard_generators, surface_relation_holds,
-                               word_h1_matrix)
+                             close_under_product, subgroup_membership_masks)
+from homcount.surfaces import (AutTables, HeegaardGluing, MCGGenerator,
+                               OrbitReport, OrbitRow, RepSampler, SurfaceError,
+                               compile_program, count_reps, enumerate_reps,
+                               generation_test, generator_steps, gluing_h1,
+                               heegaard_count, is_torelli_word, load_gluing,
+                               mcg_apply, orbit_report, inverse_word,
+                               parse_gluing_text, resolve_word, run_word,
+                               schur_invariant, standard_generators,
+                               surface_relation_holds, word_h1_matrix)
 from homcount.counting import WorkBoundExceeded
 
 
 # -- oracles: the per-letter evaluator the compiled programs replaced ----------
 
 
+def unapply(gen, G, tup):
+    """One generator's inverse step, through its inverse rule."""
+    return gen.inverse_rule(tup, G.mul, G.inv)
+
+
+def is_homology_sphere_gluing(h):
+    rank, torsion = gluing_h1(h)
+    return rank == 0 and not torsion
+
+
 def oracle_mcg_apply(word, G, tup):
-    """Apply a word letter by letter with MCGGenerator.apply/unapply."""
+    """Apply a word letter by letter with MCGGenerator.apply and unapply."""
     table = {gen.name: gen for gen in standard_generators(len(tup) // 2)}
     for name in word:
         if name.endswith("'"):
-            tup = table[name[:-1]].unapply(G, tup)
+            tup = unapply(table[name[:-1]], G, tup)
         else:
             tup = table[name].apply(G, tup)
     assert surface_relation_holds(G, tup)
     return tup
+
+
+def orbit_report_tuples(seeds, G, g, gens=None, ext=None,
+                        max_visited=2_000_000):
+    """Oracle for orbit_report: the walk over every tuple of every orbit,
+    with the Schur class of every surjective tuple and Aut-closure read off
+    the stored orbit."""
+    if gens is None:
+        gens = standard_generators(g)
+    auts = automorphisms(G)
+    surjective = generation_test(G)
+    neighbours = generator_steps(G, gens, g)
+    if ext is not None:
+        lifted_relator = compile_program(ext.cover, 2 * g,
+                                         lambda tr, t: tr.relator(t))
+        lift = [ext.lifts[x][0] for x in G.elements()].__getitem__
+
+    seen = {}
+    rows = []
+    for seed in seeds:
+        seed = tuple(seed)
+        if len(seed) != 2 * g:
+            raise SurfaceError("seed has %d entries, genus %d needs %d"
+                               % (len(seed), g, 2 * g))
+        if not surface_relation_holds(G, seed):
+            raise SurfaceError("seed violates the surface relation")
+        if seed in seen:
+            continue
+        orbit = {seed}
+        frontier = [seed]
+        room = max_visited - len(seen)
+        while frontier:
+            if len(orbit) > room:
+                raise WorkBoundExceeded("orbit memory bound hit")
+            for nxt in neighbours(*frontier.pop()):
+                if nxt not in orbit:
+                    orbit.add(nxt)
+                    frontier.append(nxt)
+        for t in orbit:
+            seen[t] = len(rows)
+        surj = surjective(seed)
+        sch = schur_invariant(seed, G, ext) if (ext is not None
+                                                and surj) else -1
+        if ext is not None and surj:
+            classes = set()
+            for t in orbit:
+                if surjective(t):
+                    acc = lifted_relator(*map(lift, t))
+                    if acc not in ext.center:
+                        schur_invariant(t, G, ext)  # raises the typed error
+                    classes.add(acc)
+            if len(classes) > 1:
+                raise SurfaceError("orbit mixes Schur classes")
+        aut_closed = all(tuple(phi[x] for x in seed) in orbit for phi in auts)
+        rows.append(OrbitRow(len(orbit), sch, surj, aut_closed, seed))
+    return OrbitReport(g, rows, len(seen))
 
 
 def oracle_heegaard(h, G):
@@ -98,7 +165,7 @@ def test_generators_preserve_relation(s3):
         for gen in gens:
             t2 = gen.apply(s3, t)
             assert surface_relation_holds(s3, t2)
-            assert gen.unapply(s3, t2) == t
+            assert unapply(gen, s3, t2) == t
 
 
 def test_generators_bijective_on_rep_set(s3):
@@ -186,6 +253,88 @@ def test_orbit_report_classes(s3):
     assert rep.visited <= count_reps(2, s3)
 
 
+def orbit_seeds(G, g, n, rng, keep=lambda t: True):
+    sampler = RepSampler(g, G)
+    seeds = []
+    while len(seeds) < n:
+        t = sampler.draw(rng)
+        if keep(t):
+            seeds.append(t)
+    return seeds
+
+
+def assert_matches_tuple_walk(seeds, G, g, ext=None):
+    rep = orbit_report(seeds, G, g, ext=ext)
+    assert rep == orbit_report_tuples(seeds, G, g, ext=ext)
+    return rep
+
+
+def test_orbit_classes_match_tuple_walk_s3_s4(s3):
+    rng = random.Random(4)
+    sampler = RepSampler(2, s3)
+    # the seeds of test_orbit_report_classes
+    assert_matches_tuple_walk(
+        [sampler.draw(rng) for _ in range(5)] + [(0, 0, 0, 0)], s3, 2)
+    assert_matches_tuple_walk(orbit_seeds(s3, 1, 6, rng), s3, 1)
+    S4 = s4_group()
+    rep = assert_matches_tuple_walk(
+        orbit_seeds(S4, 2, 8, random.Random(15)) + [(0, 0, 0, 0)], S4, 2)
+    assert len(rep.rows) > 2
+
+
+def test_canonical_form_is_least_aut_image(a5):
+    aut = AutTables.of(a5)
+    assert AutTables.of(a5) is aut
+    rng = random.Random(16)
+    for t in orbit_seeds(a5, 2, 200, rng) + [(0, 0, 0, 0), (0, 0, 0, 5)]:
+        r, k = aut.canonical(t)
+        assert r == min(tuple(phi[x] for x in t) for phi in aut.auts)
+        assert aut.image(k, t) == r
+    for k in range(len(aut.auts)):
+        assert aut.compose(k, aut.inverse[k]) == aut.identity
+    assert len(aut.inner) == 60 and len(aut.auts) == 120
+
+
+def test_orbit_classes_match_tuple_walk_non_surjective(a5, sl25_ext):
+    # proper-subgroup seeds: Aut-stabilizers are not trivial and orbits are
+    # not closed under Aut
+    surjective = generation_test(a5)
+    rng = random.Random(5)
+    seeds = orbit_seeds(a5, 2, 4, rng, lambda t: any(t) and not surjective(t))
+    # (a, 1, b, 1) with <a, b> of order at most 6, whose centralizer in
+    # Aut(A5) = S5 is not trivial
+    while len(seeds) < 8:
+        a, b = rng.randrange(60), rng.randrange(60)
+        if 1 < len(close_under_product(a5, [a, b])) <= 6:
+            seeds.append((a, 0, b, 0))
+    rep = assert_matches_tuple_walk(seeds, a5, 2, ext=sl25_ext)
+    assert not any(row.aut_closed for row in rep.rows)
+    assert {2880, 1920} <= {row.size for row in rep.rows}
+    auts = automorphisms(a5)
+    assert any(sum(tuple(phi[x] for x in t) == t for phi in auts) > 1
+               for t in seeds)
+
+
+def test_orbit_seed_skip_rule(a5):
+    # every Aut-image of one seed: images under the orbit's stabilizer S
+    # are skipped, each coset of S outside it starts a new orbit
+    surjective = generation_test(a5)
+    seed, = orbit_seeds(a5, 2, 1, random.Random(17),
+                        lambda t: any(t) and not surjective(t))
+    auts = automorphisms(a5)
+    rep = assert_matches_tuple_walk(
+        [tuple(phi[x] for x in seed) for phi in auts], a5, 2)
+    assert 1 < len(rep.rows) < len(auts)
+
+
+def test_orbit_classes_match_tuple_walk_schur(a5, sl25_ext):
+    surjective = generation_test(a5)
+    seeds = orbit_seeds(a5, 2, 1, random.Random(18), lambda t: surjective(t)
+                        and schur_invariant(t, a5, sl25_ext) != 0)
+    rep = assert_matches_tuple_walk(seeds, a5, 2, ext=sl25_ext)
+    assert rep.rows[0].size == 69120
+
+
 def test_orbit_schur_classes_never_mix(a5, sl25_ext):
     # small sampled orbits on the genus-2 A5 set; orbit_report itself raises
     # if an orbit mixes Schur classes
@@ -195,7 +344,6 @@ def test_orbit_schur_classes_never_mix(a5, sl25_ext):
     while len(seeds) < 2:
         t = sampler.draw(rng)
         # keep tiny orbits out: demand a surjective tuple
-        from homcount.groups import close_under_product
         if len(close_under_product(a5, t)) == 60:
             seeds.append(t)
     rep = orbit_report(seeds[:1], a5, 2, ext=sl25_ext, max_visited=400_000)
@@ -278,7 +426,6 @@ def test_heegaard_conjugate_gluings_agree(s3):
 
 
 def test_gluing_h1_values():
-    from homcount.surfaces import gluing_h1, is_homology_sphere_gluing
     assert gluing_h1(HeegaardGluing(2, [])) == (2, [])
     assert gluing_h1(HeegaardGluing(1, ["tb1"] * 5)) == (0, [5])
     assert gluing_h1(HeegaardGluing(1, ["tb1"])) == (0, [])
@@ -309,7 +456,6 @@ def test_heegaard_homology_sphere_profile(a5, s3, a4):
     """The bundled genus-2 gluing is a homology sphere whose counts match
     the Poincare sphere: 121 homomorphisms to A5, one quotient, nothing
     into proper subgroups, and the affine identity 121 = 120 * 1 + 1."""
-    from homcount.surfaces import is_homology_sphere_gluing, load_gluing
     from conftest import data_path
     h = load_gluing(data_path("hsphere.glu"))
     assert is_homology_sphere_gluing(h)
@@ -331,7 +477,7 @@ def check_steps(G, tuples):
     for t in tuples:
         assert steps(*t) == tuple(gen.apply(G, t) for gen in gens)
         for gen in gens:
-            assert mcg_apply([gen.name + "'"], G, t) == gen.unapply(G, t)
+            assert mcg_apply([gen.name + "'"], G, t) == unapply(gen, G, t)
 
 
 def test_compiled_steps_match_generators_s3(s3):
