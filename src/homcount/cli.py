@@ -190,12 +190,7 @@ def cmd_compile_zsat(args, rep):
     gamma = _load_group_arg(args.gamma)
     zal = zsat.ZAlphabet(gamma)
     circ = circuits.load_reversible(_resolve(args.circuit))
-    data, i_orb, f_orb = zal.data_quotient()
-    if circ.q != len(data):
-        raise zsat.ZsatError("circuit alphabet %d differs from data quotient %d"
-                             % (circ.q, len(data)))
-    if any(len(wires) != 2 for wires, _ in circ.gates):
-        raise zsat.ZsatError("zombie compilation needs binary gates")
+    _, i_orb, f_orb = zal.data_quotient()
     inst_if = dataclasses.replace(circ, init=circ.init or i_orb,
                                   final=circ.final or f_orb)
     zi = zsat.compile_zsat(inst_if, zal)

@@ -23,6 +23,8 @@ def faces(simplex):
 
 class SimplicialComplex:
     def __init__(self, nvertices, maximal_simplices):
+        if nvertices < 0:
+            raise ComplexError("vertex count %d below 0" % nvertices)
         self.nvertices = nvertices
         closed = set()
         for s in maximal_simplices:
@@ -243,6 +245,8 @@ class Presentation:
     relators: list   # tuples of signed 1-based generator indices
 
     def __post_init__(self):
+        if self.ngens < 0:
+            raise ComplexError("generator count %d below 0" % self.ngens)
         for rel in self.relators:
             for letter in rel:
                 if letter == 0 or abs(letter) > self.ngens:

@@ -7,6 +7,7 @@ Their agreement is the package's central cross-check.
 """
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, product, repeat
 from .groups import (FiniteGroup, GroupError, automorphisms, find_isomorphism,
@@ -30,192 +31,142 @@ DEFAULT_LIMITS = CountingLimits()
 # -- presentation-side counting ------------------------------------------------
 
 
-def _plan_branch_order(ngens, relators):
-    """Static variable order maximizing forced assignments.
-
-    Simulates propagation: a relator with exactly one unassigned letter
-    determines its generator.  Otherwise it branches on the unassigned
-    generator with the smallest key (fewest unassigned letters left in one
-    of its relators, most relators, lowest index); keys only fall, so a
-    heap entry whose key is no longer current is skipped.
+def _plan_search(ngens, relators):
+    """Unit propagation on relators, run once on which generators are
+    assigned.  Returns the ops before the first branch, per depth the branch
+    generator and the ops it sets off, and the generators in no relator.  An
+    op (v, word) forces v to the value of word, or checks that word is the
+    identity if v is None.  A stack of relators pops from the end; assigning
+    a generator pushes its relators in index order.  A popped relator with
+    one unassigned letter forces it, one with none is checked once.  The
+    branch is the unassigned generator of least key (fewest unassigned
+    letters in one of its relators, most relators, lowest index); keys only
+    fall, so a heap entry whose key is no longer current is skipped.
     """
-    occ = {v: [] for v in range(1, ngens + 1)}   # one entry per letter
+    occ = [[] for _ in range(ngens + 1)]    # (relator, letters of v in it)
     for i, rel in enumerate(relators):
-        for letter in rel:
-            occ[abs(letter)].append(i)
-    nrels = {v: len(set(occ[v])) for v in occ}
-    left = [len(rel) for rel in relators]       # unassigned letters
-    assigned = set()
+        for v, k in sorted(Counter(map(abs, rel)).items()):
+            occ[v].append((i, k))
+    left = [len(rel) for rel in relators]   # unassigned letters
+    done = [False] * len(relators)          # checked, or true by its force
+    assigned = [False] * (ngens + 1)
+    heap = []
 
-    def propagate(v):
-        """Assign v and every generator it forces; return the relators
-        whose unassigned letters fell."""
-        touched = set()
-        assigned.add(v)
-        queue = [v]
-        while queue:
-            for i in occ[queue.pop()]:
-                left[i] -= 1
-                touched.add(i)
-                if left[i] == 1:
-                    for letter in relators[i]:
-                        w = abs(letter)
-                        if w not in assigned:
-                            assigned.add(w)
-                            queue.append(w)
-        return touched
+    def assign(v, stack):
+        assigned[v] = True
+        for i, k in occ[v]:
+            left[i] -= k
+            stack.append(i)
+            for w in {abs(l) for l in relators[i]}:
+                if not assigned[w]:
+                    heapq.heappush(heap, key(w))
+
+    def cascade(stack):
+        ops = []
+        while stack:
+            i = stack.pop()
+            rel = relators[i]
+            if left[i] == 1:
+                pos = next(p for p, l in enumerate(rel)
+                           if not assigned[abs(l)])
+                # pre * v^s * suf = e gives v^s = (suf * pre)^-1
+                word = rel[pos + 1:] + rel[:pos]
+                if rel[pos] > 0:
+                    word = tuple(-l for l in reversed(word))
+                ops.append((abs(rel[pos]), word))
+                done[i] = True
+                assign(abs(rel[pos]), stack)
+            elif not (left[i] or done[i]):
+                done[i] = True
+                ops.append((None, rel))
+        return ops
 
     def key(v):
-        return (min(left[i] for i in occ[v]), -nrels[v], v)
+        return (min(left[i] for i, _ in occ[v]), -len(occ[v]), v)
 
-    for rel in relators:
-        if len(rel) == 1 and abs(rel[0]) not in assigned:
-            propagate(abs(rel[0]))
-    heap = [key(v) for v in occ if occ[v] and v not in assigned]
+    start = cascade(list(range(len(relators))))
+    heap += [key(v) for v in range(1, ngens + 1) if occ[v] and not assigned[v]]
     heapq.heapify(heap)
-    order = []
+    steps = []
     while heap:
         entry = heapq.heappop(heap)
         v = entry[2]
-        if v in assigned or entry != key(v):
+        if assigned[v] or entry != key(v):
             continue
-        order.append(v)
-        for i in propagate(v):
-            for letter in relators[i]:
-                w = abs(letter)
-                if w not in assigned:
-                    heapq.heappush(heap, key(w))
-    # generators in no relator are counted as free factors at the leaves
-    return order
+        stack = []
+        assign(v, stack)
+        steps.append((v, cascade(stack)))
+    return start, steps, [v for v in range(1, ngens + 1) if not occ[v]]
 
 
 def count_homs(P, G, limits=DEFAULT_LIMITS, per_solution=None):
     """Exact number of homomorphisms from the presented group to G.
 
-    Backtracking over generator images with unit propagation on relators;
-    raises WorkBoundExceeded when the explored node count passes the budget.
-    per_solution, if given, is called with each full image tuple; each
-    image tuple of the generators in no relator then counts as a node.
+    An odometer over the depths of the _plan_search plan.  Planning on
+    assigned-ness alone is exact: whether a relator forces or is checked
+    depends only on which of its generators are assigned, and a force always
+    succeeds, so every node at one depth runs the same ops until a check
+    fails and prunes it.  Branch and forced values are nodes; past the
+    budget WorkBoundExceeded is raised.  per_solution, if given, gets each
+    full image tuple, and each reported image tuple of the generators in no
+    relator is then a node too.
     """
-    r = P.ngens
-    relators = [tuple(rel) for rel in P.relators]
-    branch_order = _plan_branch_order(r, relators)
-    img = [None] * (r + 1)
-    occ = {v: [] for v in range(1, r + 1)}
-    rel_unassigned = [len({abs(l) for l in rel}) for rel in relators]
-    for i, rel in enumerate(relators):
-        for v in {abs(l) for l in rel}:
-            occ[v].append(i)
-
-    nodes = [0]
-    count = [0]
-
-    def rel_value(rel):
-        acc = 0
-        for letter in rel:
-            g = img[abs(letter)]
-            acc = G.mul(acc, g if letter > 0 else G.inv(g))
-        return acc
-
-    def solve_single(rel, v):
-        """Solve prefix * v^s * suffix = e when v occurs once in rel."""
-        pos = next(i for i, l in enumerate(rel) if abs(l) == v)
-        sign = 1 if rel[pos] > 0 else -1
-        pre = 0
-        for letter in rel[:pos]:
-            g = img[abs(letter)]
-            pre = G.mul(pre, g if letter > 0 else G.inv(g))
-        suf = 0
-        for letter in rel[pos + 1:]:
-            g = img[abs(letter)]
-            suf = G.mul(suf, g if letter > 0 else G.inv(g))
-        val = G.mul(G.inv(pre), G.inv(suf))
-        return val if sign > 0 else G.inv(val)
-
-    def set_var(w, g, trail):
-        img[w] = g
-        for i in occ[w]:
-            rel_unassigned[i] -= 1
-        trail.append(w)
-        spend(1)
+    start, steps, free = _plan_search(P.ngens,
+                                      [tuple(rel) for rel in P.relators])
+    n, table, inv = G.order, G._table, G._inv
+    img = [None] * (P.ngens + 1)
+    nodes = 0
 
     def spend(work):
-        nodes[0] += work
-        if nodes[0] > limits.max_enumeration:
+        nonlocal nodes
+        nodes += work
+        if nodes > limits.max_enumeration:
             raise WorkBoundExceeded(
                 "enumeration budget %d exceeded" % limits.max_enumeration)
 
-    def cascade(rel_queue, trail):
-        while rel_queue:
-            i = rel_queue.pop()
-            if rel_unassigned[i] == 0:
-                if rel_value(relators[i]) != 0:
-                    return False
-            elif rel_unassigned[i] == 1:
-                rel = relators[i]
-                missing = next(x for x in {abs(l) for l in rel}
-                               if img[x] is None)
-                if sum(1 for l in rel if abs(l) == missing) == 1:
-                    forced = solve_single(rel, missing)
-                    set_var(missing, forced, trail)
-                    rel_queue.extend(occ[missing])
+    def run(ops):
+        """Run ops on img; False at the first failed check."""
+        for v, word in ops:
+            acc = 0
+            for l in word:
+                acc = table[acc * n + (img[l] if l > 0 else inv[img[-l]])]
+            if v is not None:
+                img[v] = acc
+                spend(1)
+            elif acc:
+                return False
         return True
 
-    def assign(v, g, trail):
-        set_var(v, g, trail)
-        return cascade(list(occ[v]), trail)
-
-    def undo(trail, mark):
-        while len(trail) > mark:
-            v = trail.pop()
-            img[v] = None
-            for i in occ[v]:
-                rel_unassigned[i] += 1
-
-    # depth-first search; each stack frame [k, next image, trail] is one
-    # branching generator on the current path
-    stack = []
-
-    def descend(k):
-        """Push the first unset branching generator from position k on; when
-        none is left, count the leaf, where the generators in no relator
-        range over all of G."""
-        while k < len(branch_order) and img[branch_order[k]] is not None:
-            k += 1
-        if k < len(branch_order):
-            stack.append([k, 0, []])
-            return
-        free = [v for v in range(1, r + 1) if img[v] is None]
-        if per_solution is None:
-            count[0] += G.order ** len(free)
-        elif not free:
-            count[0] += 1
-            per_solution(tuple(img[1:]))
-        else:
-            # each reported assignment of the free generators is work
-            spend(G.order ** len(free))
+    def leaf():
+        """The solutions where the generators in no relator range over G."""
+        if per_solution is not None:
+            # each reported image tuple of the free generators is a node
+            spend(n ** len(free) if free else 0)
             for values in product(G.elements(), repeat=len(free)):
                 for v, g in zip(free, values):
                     img[v] = g
-                count[0] += 1
                 per_solution(tuple(img[1:]))
-            for v in free:
-                img[v] = None
+        return n ** len(free)
 
-    if cascade(list(range(len(relators))), []):
-        descend(0)
-    n = G.order
-    while stack:
-        frame = stack[-1]
-        k, g, trail = frame
-        undo(trail, 0)
-        if g == n:
-            stack.pop()
+    if not run(start):
+        return 0
+    # tried[d] values of steps[d] are used up on the current path
+    count, depth, tried = 0, 0, [0] * len(steps)
+    while depth >= 0:
+        if depth == len(steps):
+            count += leaf()
+            depth -= 1
+        elif tried[depth] == n:
+            tried[depth] = 0
+            depth -= 1
         else:
-            frame[1] = g + 1
-            if assign(branch_order[k], g, trail):
-                descend(k + 1)
-    return count[0]
+            v, ops = steps[depth]
+            img[v] = tried[depth]
+            tried[depth] += 1
+            spend(1)
+            if run(ops):
+                depth += 1
+    return count
 
 
 def count_surjections(P, G, limits=DEFAULT_LIMITS):
@@ -247,25 +198,6 @@ def quotient_count(surj, G):
         raise GroupError("surjection count %d not divisible by |Aut| = %d"
                          % (surj, naut))
     return surj // naut
-
-
-def count_quotients_canonical(P, G, limits=DEFAULT_LIMITS):
-    """Independent quotient count: accept only surjections that are
-    lexicographically first in their automorphism orbit."""
-    auts = automorphisms(G)
-    hits = [0]
-
-    def check(images):
-        if not generates(G, images):
-            return
-        for phi in auts:
-            moved = tuple(phi[g] for g in images)
-            if moved < images:
-                return
-        hits[0] += 1
-
-    count_homs(P, G, limits=limits, per_solution=check)
-    return hits[0]
 
 
 # -- the row sweep shared by the dynamic program and the circuit stages ----------
@@ -518,16 +450,6 @@ def dp_count_homs(X, ordering=None, G=None, limits=DEFAULT_LIMITS, stats=None):
     """
     return dp_cocycle_count(X, ordering, G, limits=limits,
                             tree_gauge=True, stats=stats)
-
-
-def dp_count_homs_ungauged(X, ordering=None, G=None, limits=DEFAULT_LIMITS):
-    """#H(X, G) as |Z^1| / |G|^(v-1), asserting exact divisibility."""
-    z1 = dp_cocycle_count(X, ordering, G, limits=limits, tree_gauge=False)
-    denom = G.order ** (X.nvertices - 1)
-    if z1 % denom != 0:
-        raise GroupError("|Z^1| = %d not divisible by |G|^(v-1) = %d"
-                         % (z1, denom))
-    return z1 // denom
 
 
 # -- Moebius inversion over the subgroup lattice -----------------------------------

@@ -284,11 +284,14 @@ def compile_zsat(circuit, zal):
     action, then the postcomputation warning gate sweeps adjacent pairs."""
     data, _, _ = zal.data_quotient()
     if circuit.q != len(data):
-        raise ZsatError("circuit alphabet must be the data quotient")
+        raise ZsatError("circuit alphabet %d differs from data quotient %d"
+                        % (circuit.q, len(data)))
+    if any(len(wires) != 2 for wires, _ in circuit.gates):
+        raise ZsatError("zombie compilation needs binary gates")
     gates = []
     lift_cache = {}
     for wires, perm in circuit.gates:
-        if len(wires) != 2 or wires[1] != wires[0] + 1:
+        if wires[1] != wires[0] + 1:
             raise ZsatError("zombie compilation needs adjacent binary gates")
         if perm not in lift_cache:
             lift_cache[perm] = compile_gate(perm, zal)

@@ -374,6 +374,17 @@ def test_malformed_circuit_exit_code(capsys, tmp_path, command, text, error):
      "vertices 0\n", "ComplexError: dp counting needs a connected complex"),
     (["invert-lattice", "--group", "s3.grp", "--complex"], "empty.cx",
      "vertices 0\n", "ComplexError: dp counting needs a connected complex"),
+    (["count-hom", "--group", "s3.grp", "--presentation"], "neg.pres",
+     "gens -3\n", "ComplexError: generator count -3 below 0"),
+    (["invert-lattice", "--group", "s3.grp", "--presentation"], "neg.pres",
+     "gens -3\n", "ComplexError: generator count -3 below 0"),
+    pytest.param(
+        ["count-hom", "--group", "s3.grp", "--presentation"], "zero.pres",
+        "gens 0\n", None, id="no-generators"),
+    (["homology", "--complex"], "neg.cx",
+     "vertices -2\n", "ComplexError: vertex count -2 below 0"),
+    pytest.param(["homology", "--complex"], "zero.cx", "vertices 0\n", None,
+                 id="no-vertices"),
 ])
 def test_malformed_header_exit_code(capsys, tmp_path, argv, name, text, error):
     # an extension file names its cover relative to its own directory
@@ -464,9 +475,9 @@ def test_parser_reuse_is_stateless(capsys, tmp_path):
 
 def test_cli_exit_codes_fuzz(tmp_path):
     """Fuzzed or bundled group, presentation, gluing, complex, Boolean and
-    reversible circuit files through count-hom, invert-lattice,
-    heegaard-count, dp-count, homology, orbit, reduce, verify-parsimony and
-    compile-zsat: every run reports and exits 0 or 2."""
+    reversible circuit files through count-hom, count-quot, invert-lattice,
+    heegaard-count, dp-count, homology, orbit, goursat, rubik-check, reduce,
+    verify-parsimony and compile-zsat: every run reports and exits 0 or 2."""
     def file_arg(fmt, bundled):
         return st.one_of(st.sampled_from(bundled),
                          texts(fmt).map(lambda text: (fmt, text)))
@@ -490,9 +501,12 @@ def test_cli_exit_codes_fuzz(tmp_path):
              ("complex", "vertices 0\n"), ("boolean", NOT1),
              ("reversible", "alphabet 4\nwidth 0\n"))
     def check(group, pres, glu, cx, bc, rev):
-        group = ["--group", path_of(group, "g.grp")]
+        group_path = path_of(group, "g.grp")
+        group = ["--group", group_path]
         bc = ["--circuit", path_of(bc, "c.bool")]
         for argv in (["count-hom", "--presentation", path_of(pres, "p.pres"),
+                      *group],
+                     ["count-quot", "--presentation", path_of(pres, "p.pres"),
                       *group],
                      ["invert-lattice", "--presentation",
                       path_of(pres, "p.pres"), *group],
@@ -501,6 +515,9 @@ def test_cli_exit_codes_fuzz(tmp_path):
                      ["dp-count", "--complex", path_of(cx, "x.cx"), *group],
                      ["homology", "--complex", path_of(cx, "x.cx")],
                      ["orbit", *group, "--genus", "1", "--orbit-seeds", "1"],
+                     ["goursat", *group, "--group2", group_path,
+                      "--subgroup", "pairs.txt"],
+                     ["rubik-check", "--gamma", group_path, "--orbits", "7"],
                      ["reduce", *bc],
                      ["verify-parsimony", *bc],
                      ["compile-zsat", "--circuit", path_of(rev, "r.rev"),

@@ -1,5 +1,7 @@
+import heapq
 import random
 import sys
+from itertools import product
 
 import pytest
 
@@ -9,12 +11,11 @@ from homcount.complexes import (ComplexError, Presentation,
                                 genus2_surface, greedy_ordering, grid_torus,
                                 load_complex, presentation_from_complex)
 from homcount.counting import (CountingLimits, DpStats, WorkBoundExceeded,
-                               _plan_branch_order, count_homs, count_quotients,
-                               count_quotients_canonical, count_surjections,
-                               dp_cocycle_count, dp_count_homs,
-                               dp_count_homs_ungauged, narrow_ordering,
-                               quotient_count, quotient_counts_via_inversion)
-from homcount.groups import FiniteGroup, GroupError
+                               _plan_search, count_homs, count_quotients,
+                               count_surjections, dp_cocycle_count,
+                               dp_count_homs, narrow_ordering, quotient_count,
+                               quotient_counts_via_inversion)
+from homcount.groups import FiniteGroup, GroupError, automorphisms, generates
 from conftest import data_path
 
 TORUS_P = Presentation(2, [(1, 2, -1, -2)])
@@ -67,6 +68,214 @@ def test_enumeration_budget(a5):
                    limits=CountingLimits(max_enumeration=100))
 
 
+def heap_branch_order(ngens, relators):
+    """The branch order of cascade_count_homs, by propagation on letter
+    counts.
+
+    Simulates propagation: a relator with exactly one unassigned letter
+    determines its generator.  Otherwise it branches on the unassigned
+    generator with the smallest key (fewest unassigned letters left in one
+    of its relators, most relators, lowest index); keys only fall, so a
+    heap entry whose key is no longer current is skipped.
+    """
+    occ = {v: [] for v in range(1, ngens + 1)}   # one entry per letter
+    for i, rel in enumerate(relators):
+        for letter in rel:
+            occ[abs(letter)].append(i)
+    nrels = {v: len(set(occ[v])) for v in occ}
+    left = [len(rel) for rel in relators]       # unassigned letters
+    assigned = set()
+
+    def propagate(v):
+        """Assign v and every generator it forces; return the relators
+        whose unassigned letters fell."""
+        touched = set()
+        assigned.add(v)
+        queue = [v]
+        while queue:
+            for i in occ[queue.pop()]:
+                left[i] -= 1
+                touched.add(i)
+                if left[i] == 1:
+                    for letter in relators[i]:
+                        w = abs(letter)
+                        if w not in assigned:
+                            assigned.add(w)
+                            queue.append(w)
+        return touched
+
+    def key(v):
+        return (min(left[i] for i in occ[v]), -nrels[v], v)
+
+    for rel in relators:
+        if len(rel) == 1 and abs(rel[0]) not in assigned:
+            propagate(abs(rel[0]))
+    heap = [key(v) for v in occ if occ[v] and v not in assigned]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        entry = heapq.heappop(heap)
+        v = entry[2]
+        if v in assigned or entry != key(v):
+            continue
+        order.append(v)
+        for i in propagate(v):
+            for letter in relators[i]:
+                w = abs(letter)
+                if w not in assigned:
+                    heapq.heappush(heap, key(w))
+    # generators in no relator are counted as free factors at the leaves
+    return order
+
+
+def cascade_count_homs(P, G, limits=CountingLimits(), per_solution=None):
+    """Oracle for count_homs: backtracking that works out unit propagation
+    again at every search node, with per-relator counts of unassigned
+    generators, a trail and undo.  Same nodes, budget and per_solution
+    calls: raises WorkBoundExceeded when the explored node count passes the
+    budget; per_solution, if given, is called with each full image tuple,
+    and each image tuple of the generators in no relator then counts as a
+    node."""
+    r = P.ngens
+    relators = [tuple(rel) for rel in P.relators]
+    branch_order = heap_branch_order(r, relators)
+    img = [None] * (r + 1)
+    occ = {v: [] for v in range(1, r + 1)}
+    rel_unassigned = [len({abs(l) for l in rel}) for rel in relators]
+    for i, rel in enumerate(relators):
+        for v in {abs(l) for l in rel}:
+            occ[v].append(i)
+
+    nodes = [0]
+    count = [0]
+
+    def rel_value(rel):
+        acc = 0
+        for letter in rel:
+            g = img[abs(letter)]
+            acc = G.mul(acc, g if letter > 0 else G.inv(g))
+        return acc
+
+    def solve_single(rel, v):
+        """Solve prefix * v^s * suffix = e when v occurs once in rel."""
+        pos = next(i for i, l in enumerate(rel) if abs(l) == v)
+        sign = 1 if rel[pos] > 0 else -1
+        pre = 0
+        for letter in rel[:pos]:
+            g = img[abs(letter)]
+            pre = G.mul(pre, g if letter > 0 else G.inv(g))
+        suf = 0
+        for letter in rel[pos + 1:]:
+            g = img[abs(letter)]
+            suf = G.mul(suf, g if letter > 0 else G.inv(g))
+        val = G.mul(G.inv(pre), G.inv(suf))
+        return val if sign > 0 else G.inv(val)
+
+    def set_var(w, g, trail):
+        img[w] = g
+        for i in occ[w]:
+            rel_unassigned[i] -= 1
+        trail.append(w)
+        spend(1)
+
+    def spend(work):
+        nodes[0] += work
+        if nodes[0] > limits.max_enumeration:
+            raise WorkBoundExceeded(
+                "enumeration budget %d exceeded" % limits.max_enumeration)
+
+    def cascade(rel_queue, trail):
+        while rel_queue:
+            i = rel_queue.pop()
+            if rel_unassigned[i] == 0:
+                if rel_value(relators[i]) != 0:
+                    return False
+            elif rel_unassigned[i] == 1:
+                rel = relators[i]
+                missing = next(x for x in {abs(l) for l in rel}
+                               if img[x] is None)
+                if sum(1 for l in rel if abs(l) == missing) == 1:
+                    forced = solve_single(rel, missing)
+                    set_var(missing, forced, trail)
+                    rel_queue.extend(occ[missing])
+        return True
+
+    def assign(v, g, trail):
+        set_var(v, g, trail)
+        return cascade(list(occ[v]), trail)
+
+    def undo(trail, mark):
+        while len(trail) > mark:
+            v = trail.pop()
+            img[v] = None
+            for i in occ[v]:
+                rel_unassigned[i] += 1
+
+    # depth-first search; each stack frame [k, next image, trail] is one
+    # branching generator on the current path
+    stack = []
+
+    def descend(k):
+        """Push the first unset branching generator from position k on; when
+        none is left, count the leaf, where the generators in no relator
+        range over all of G."""
+        while k < len(branch_order) and img[branch_order[k]] is not None:
+            k += 1
+        if k < len(branch_order):
+            stack.append([k, 0, []])
+            return
+        free = [v for v in range(1, r + 1) if img[v] is None]
+        if per_solution is None:
+            count[0] += G.order ** len(free)
+        elif not free:
+            count[0] += 1
+            per_solution(tuple(img[1:]))
+        else:
+            # each reported assignment of the free generators is work
+            spend(G.order ** len(free))
+            for values in product(G.elements(), repeat=len(free)):
+                for v, g in zip(free, values):
+                    img[v] = g
+                count[0] += 1
+                per_solution(tuple(img[1:]))
+            for v in free:
+                img[v] = None
+
+    if cascade(list(range(len(relators))), []):
+        descend(0)
+    n = G.order
+    while stack:
+        frame = stack[-1]
+        k, g, trail = frame
+        undo(trail, 0)
+        if g == n:
+            stack.pop()
+        else:
+            frame[1] = g + 1
+            if assign(branch_order[k], g, trail):
+                descend(k + 1)
+    return count[0]
+
+
+def count_quotients_canonical(P, G):
+    """Independent quotient count: accept only surjections that are
+    lexicographically first in their automorphism orbit."""
+    auts = automorphisms(G)
+    hits = [0]
+
+    def check(images):
+        if not generates(G, images):
+            return
+        for phi in auts:
+            moved = tuple(phi[g] for g in images)
+            if moved < images:
+                return
+        hits[0] += 1
+
+    cascade_count_homs(P, G, per_solution=check)
+    return hits[0]
+
+
 def oracle_plan_branch_order(ngens, relators):
     """The branch order by rescanning every relator after each choice."""
     assigned = set()
@@ -109,8 +318,57 @@ def test_branch_order_matches_oracle():
         rels = [tuple(rng.choice((1, -1)) * rng.randint(1, ngens)
                       for _ in range(rng.randint(0, 6)))
                 for _ in range(rng.randint(0, 15))]
-        assert (_plan_branch_order(ngens, rels)
+        _, steps, _ = _plan_search(ngens, rels)
+        assert ([v for v, _ in steps]
                 == oracle_plan_branch_order(ngens, rels))
+
+
+def search(count, P, G, budget):
+    """The count under budget, or the budget message, and the image tuples
+    reported until then."""
+    seen = []
+    try:
+        result = count(P, G, CountingLimits(max_enumeration=budget),
+                       seen.append)
+    except WorkBoundExceeded as exc:
+        result = str(exc)
+    return result, seen
+
+
+def test_search_matches_cascade_oracle(z2, z4, s3, a4):
+    """Counts, per_solution sequences and the node count at which the
+    budget raises agree with the search that propagates at every node."""
+    rng = random.Random(14)
+    groups = [FiniteGroup.trivial(), z2, z4, s3, a4]
+    cap = 3000
+    finished = 0
+    for case in range(1000):
+        G = groups[case % len(groups)]
+        ngens = rng.randint(1, 5)
+        P = Presentation(ngens, [
+            tuple(rng.choice((1, -1)) * rng.randint(1, ngens)
+                  for _ in range(rng.randint(0, 6)))
+            for _ in range(rng.randint(0, 5))])
+        assert count_homs(P, G) == cascade_count_homs(P, G), P
+        got = search(count_homs, P, G, cap)
+        assert got == search(cascade_count_homs, P, G, cap), P
+        if not isinstance(got[0], int):
+            continue
+        finished += 1
+        # the least budget that does not raise, by bisection
+        lo, hi = 0, cap
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if isinstance(search(count_homs, P, G, mid)[0], int):
+                hi = mid
+            else:
+                lo = mid + 1
+        assert search(cascade_count_homs, P, G, lo) == got, P
+        for budget in {lo - 1, lo // 2, rng.randrange(lo)}:
+            short = search(count_homs, P, G, budget)
+            assert short[0] == "enumeration budget %d exceeded" % budget
+            assert short == search(cascade_count_homs, P, G, budget), P
+    assert finished > 900
 
 
 def commuting_chain(n):
@@ -170,6 +428,16 @@ def test_dp_ordering_invariance(s3):
     c = dp_count_homs(X, _vertex_sweep_ordering(X, 3), s3)
     d = dp_count_homs(X, _vertex_sweep_ordering(X, 6), s3)
     assert a == b == c == d == 18
+
+
+def dp_count_homs_ungauged(X, ordering=None, G=None):
+    """#H(X, G) as |Z^1| / |G|^(v-1), asserting exact divisibility."""
+    z1 = dp_cocycle_count(X, ordering, G, tree_gauge=False)
+    denom = G.order ** (X.nvertices - 1)
+    if z1 % denom != 0:
+        raise GroupError("|Z^1| = %d not divisible by |G|^(v-1) = %d"
+                         % (z1, denom))
+    return z1 // denom
 
 
 def test_dp_ungauged_divisibility(z2, z3, s3):

@@ -8,8 +8,10 @@ byte for byte:
 
 For the checkout's package and bundled data it prints the exit code and the
 text and --json reports of every command in the README's command block,
-the file `reduce --output` writes there, and the error report of every
-malformed-circuit case of tests/test_cli.py.  The commands and the cases
+the file `reduce --output` writes there, the error report of every
+malformed-circuit case of tests/test_cli.py, and a sweep of
+--max-enumeration budgets over the presentation counters, which shows the
+budgets under which each search raises.  The commands and the cases
 come from the tree this script is in, as do README example inputs that the
 checkout's data directory lacks.
 """
@@ -60,6 +62,17 @@ def main(checkout):
             gamma = ["--gamma", "z2.grp"] if command == "compile-zsat" else []
             print("--- %r" % text)
             run([command, "--circuit", "circuit"] + gamma)
+        poincare = ["--presentation", "poincare.pres", "--group", "a5.grp"]
+        # 3660 = 60 + 60^2 nodes is the least budget these complete under
+        for command in ("count-hom", "count-quot", "invert-lattice"):
+            for budget in [*range(1, 41), 100, 400, 3659, 3660]:
+                run(["--max-enumeration", str(budget), command, *poincare])
+        # 6^12 free images: every budget here raises before they are listed
+        with open("gens12.pres", "w") as fh:
+            fh.write("gens 12\n")
+        for budget in (1, 200, 6 ** 12 - 1):
+            run(["--max-enumeration", str(budget), "count-hom",
+                 "--presentation", "gens12.pres", "--group", "s3.grp"])
     finally:
         os.chdir(TREE)
         shutil.rmtree(work)
