@@ -650,15 +650,10 @@ class PipelineReport:
     rsat2: int
     rsat3: int
     rsat4: int
-    zsat: int = None
-    gamma_order: int = None
     ok: bool = False
 
     def stage_counts(self):
-        out = [self.csat, self.rsat1, self.rsat2, self.rsat3, self.rsat4]
-        if self.zsat is not None:
-            out.append(self.zsat)
-        return out
+        return [self.csat, self.rsat1, self.rsat2, self.rsat3, self.rsat4]
 
 
 def reduce_pipeline(bc, q3=4, init3=(0, 1), final3=(2, 3)):
@@ -679,13 +674,8 @@ def reduce_pipeline(bc, q3=4, init3=(0, 1), final3=(2, 3)):
 
 
 def verify_parsimony(bc, q3=4, init3=(0, 1), final3=(2, 3),
-                     limits=DEFAULT_LIMITS, zsat_stage=None):
-    """Count-preservation report across the reduction stages.
-
-    zsat_stage, if given, is a callable bc -> (zsat_count, gamma_order)
-    supplied by the zombie module; the report then also checks the affine
-    relation zsat = |Gamma| * rsat4 + 1.
-    """
+                     limits=DEFAULT_LIMITS):
+    """Count-preservation report across the reduction stages."""
     r1, r2, r3, r4 = reduce_pipeline(bc, q3, init3, final3)
     c0 = bc.count_sat(limits)
     c1 = r1.count(limits)
@@ -694,9 +684,4 @@ def verify_parsimony(bc, q3=4, init3=(0, 1), final3=(2, 3),
     c4 = r4.count(limits)
     rep = PipelineReport(c0, c1, c2, c3, c4)
     rep.ok = (c0 == c1 == c2 == c3 == c4)
-    if zsat_stage is not None:
-        zc, go = zsat_stage(bc)
-        rep.zsat = zc
-        rep.gamma_order = go
-        rep.ok = rep.ok and (zc == go * c4 + 1)
     return rep

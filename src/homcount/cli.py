@@ -160,30 +160,28 @@ def cmd_reduce(args, rep):
 def cmd_verify_parsimony(args, rep):
     bc = circuits.load_boolean(_resolve(args.circuit))
     lim = _limits(args)
-    zstage = None
+    zal = None
     if args.gamma:
-        gamma = _load_group_arg(args.gamma)
-        zal = zsat.ZAlphabet(gamma)
-
-        def zstage(c):
-            inst = zsat.zsat_from_table(c, zal)
-            zi = zsat.compile_zsat(inst, zal)
-            return zi.count(lim), gamma.order
-
+        zal = zsat.ZAlphabet(_load_group_arg(args.gamma))
         if bc.n_inputs != 2:
-            zstage = None
+            zal = None
             rep.add("zsat", "skipped (table bridge is width 2)")
-    result = circuits.verify_parsimony(bc, limits=lim, zsat_stage=zstage)
+    result = circuits.verify_parsimony(bc, limits=lim)
+    ok = result.ok
+    if zal is not None:
+        inst = zsat.zsat_from_table(bc, zal)
+        z_count = zsat.compile_zsat(inst, zal).count(lim)
+        ok = ok and z_count == zal.gamma.order * result.rsat4 + 1
     rep.add("csat", result.csat)
     rep.add("rsat1", result.rsat1)
     rep.add("rsat2", result.rsat2)
     rep.add("rsat3", result.rsat3)
     rep.add("rsat4", result.rsat4)
-    if result.zsat is not None:
-        rep.add("zsat", result.zsat)
-        rep.add("gamma-order", result.gamma_order)
-    rep.add("parsimony", "PASS" if result.ok else "FAIL")
-    return 0 if result.ok else 1
+    if zal is not None:
+        rep.add("zsat", z_count)
+        rep.add("gamma-order", zal.gamma.order)
+    rep.add("parsimony", "PASS" if ok else "FAIL")
+    return 0 if ok else 1
 
 
 def cmd_compile_zsat(args, rep):

@@ -283,7 +283,7 @@ def load_presentation(path):
         return parse_presentation_text(fh.read())
 
 
-def presentation_from_complex(X, basepoint=0):
+def presentation_from_complex(X):
     """Spanning-tree presentation of the fundamental group of a connected
     complex: one generator per non-tree edge, one relator per triangle."""
     if not X.is_connected():
@@ -293,8 +293,8 @@ def presentation_from_complex(X, basepoint=0):
         adj[u].append(v)
         adj[v].append(u)
     tree = set()
-    seen = {basepoint}
-    queue = [basepoint]
+    seen = {0}
+    queue = [0]
     while queue:
         u = queue.pop(0)
         for v in sorted(adj[u]):

@@ -6,7 +6,6 @@ code (automorphism search, stem extension data files) relies on.
 """
 
 import os
-import random
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
@@ -14,8 +13,6 @@ from . import perms
 from .textformat import content_lines, int_fields
 
 DEFAULT_ORDER_BOUND = 120
-FULL_ASSOC_CHECK_BOUND = 128
-SAMPLED_ASSOC_TRIALS = 20000
 
 
 class GroupError(ValueError):
@@ -61,18 +58,6 @@ class FiniteGroup:
     def comm(self, a, b):
         """[a, b] = a b a^-1 b^-1"""
         return self.mul(self.mul(a, b), self.mul(self._inv[a], self._inv[b]))
-
-    def power(self, a, k):
-        if k < 0:
-            return self.power(self._inv[a], -k)
-        acc = 0
-        base = a
-        while k:
-            if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return acc
 
     def elements(self):
         return range(self.order)
@@ -120,11 +105,16 @@ class FiniteGroup:
                 raise GroupError("inverse table inconsistent at %d" % a)
         return inv
 
-    def check(self, rng=None):
+    def check(self):
         """Identity, bijectivity and associativity checks.
 
-        Associativity is verified on all triples up to order 128; above that
-        a documented number of random triples is sampled.
+        Associativity is Light's test over the generators S of
+        generator_data: (x s) y = x (s y) for all x, y and s in S.  The
+        elements a with (x a) y = x (a y) for all x, y are closed under
+        product, and the build steps reach every element as a product of
+        generators, so the test is exact at every order, in |G|^2 |S|
+        products (Clifford and Preston, The Algebraic Theory of Semigroups
+        I, 1961, section 1.2).
         """
         n = self.order
         for a in range(n):
@@ -134,20 +124,24 @@ class FiniteGroup:
         for b in range(n):
             if sorted(cols[b]) != list(range(n)):
                 raise GroupError("column %d of the table is not a bijection" % b)
-        if n <= FULL_ASSOC_CHECK_BOUND:
-            for a in range(n):
-                for b in range(n):
-                    ab = self.mul(a, b)
-                    for c in range(n):
-                        if self.mul(ab, c) != self.mul(a, self.mul(b, c)):
-                            raise GroupError(
-                                "not associative at (%d,%d,%d)" % (a, b, c))
-        else:
-            rng = rng or random.Random(0)
-            for _ in range(SAMPLED_ASSOC_TRIALS):
-                a, b, c = (rng.randrange(n) for _ in range(3))
-                if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                    raise GroupError("not associative at (%d,%d,%d)" % (a, b, c))
+        gen_ids, steps = self.generator_data()
+        # a group's generators reach it all, whatever the table's closure
+        # found them by
+        if len(steps) != n - 1:
+            raise GroupError("not associative: the generators reach %d of "
+                             "%d elements" % (len(steps) + 1, n))
+        table = self._table
+        rows = [tuple(table[a * n:(a + 1) * n]) for a in range(n)]
+        for s in gen_ids:
+            # row x gathered at row s gives y -> x (s y)
+            gather = itemgetter(*rows[s])
+            for x in range(n):
+                xs = rows[table[x * n + s]]
+                if xs != gather(rows[x]):
+                    y = next(y for y in range(n)
+                             if xs[y] != rows[x][rows[s][y]])
+                    raise GroupError(
+                        "not associative at (%d,%d,%d)" % (x, s, y))
         return self
 
     # -- construction -----------------------------------------------------------
@@ -586,7 +580,7 @@ def direct_product(G, H, name=None):
 # -- file formats -----------------------------------------------------------------
 
 
-def parse_group_text(text, name_hint="G"):
+def parse_group_text(text):
     head = "\n".join(content_lines(text)).split(None, 4)
     if not head:
         raise GroupError("empty group description")

@@ -9,7 +9,7 @@ section of orbit representatives.
 from dataclasses import dataclass
 from math import factorial
 from . import perms
-from .groups import Subgroup, GroupError, close_under_product
+from .groups import Subgroup, GroupError
 from .textformat import content_lines, keyword_int
 
 
@@ -272,23 +272,33 @@ def rubik_surjectivity_check(gens, act):
 # -- Goursat ---------------------------------------------------------------------
 
 
+def _coset_min_reps(N):
+    """Per element id a of N's parent, the least member of the coset a N."""
+    G = N.parent
+    rep = [None] * G.order
+    for a in G.elements():
+        if rep[a] is None:
+            coset = [G.mul(a, d) for d in N.members]
+            least = min(coset)
+            for x in coset:
+                rep[x] = least
+    return rep
+
+
 @dataclass
 class GoursatDecomposition:
     n1: Subgroup
     n2: Subgroup
     iso: dict        # coset-min-rep in G1/N1 -> coset-min-rep in G2/N2
 
+    def __post_init__(self):
+        self.rep1 = _coset_min_reps(self.n1)
+        self.rep2 = _coset_min_reps(self.n2)
+
     def reconstruct(self, G1, G2):
         """The subgroup of G1 x G2 cut out by the coset isomorphism."""
-        n1set, n2set = set(self.n1.members), set(self.n2.members)
-        rep1 = {}
-        for a in G1.elements():
-            rep1[a] = min(G1.mul(a, d) for d in n1set)
-        rep2 = {}
-        for b in G2.elements():
-            rep2[b] = min(G2.mul(b, d) for d in n2set)
         return {(a, b) for a in G1.elements() for b in G2.elements()
-                if self.iso[rep1[a]] == rep2[b]}
+                if self.iso[self.rep1[a]] == self.rep2[b]}
 
 
 def goursat_decompose(pairs, G1, G2):
@@ -299,34 +309,27 @@ def goursat_decompose(pairs, G1, G2):
     Returns normal subgroups N1, N2 and the graph isomorphism between the
     quotients, verified to reconstruct H exactly.
     """
-    pairs = set(tuple(p) for p in pairs)
-    pairs.add((0, 0))
-    # close under product and inverse
-    frontier = list(pairs)
-    while frontier:
-        a1, b1 = frontier.pop()
-        for a2, b2 in list(pairs):
-            for c in ((G1.mul(a1, a2), G2.mul(b1, b2)),
-                      (G1.mul(a2, a1), G2.mul(b2, b1))):
-                if c not in pairs:
-                    pairs.add(c)
-                    frontier.append(c)
-        c = (G1.inv(a1), G2.inv(b1))
-        if c not in pairs:
-            pairs.add(c)
-            frontier.append(c)
-    if {a for a, _ in pairs} != set(G1.elements()):
+    # a finite subgroup is the closure of the identity under right
+    # multiplication by its generators: |H| * |pairs| products
+    gens = set(map(tuple, pairs))
+    H = {(0, 0)}
+    frontier = [(0, 0)]
+    for a1, b1 in frontier:
+        for a2, b2 in gens:
+            c = (G1.mul(a1, a2), G2.mul(b1, b2))
+            if c not in H:
+                H.add(c)
+                frontier.append(c)
+    if {a for a, _ in H} != set(G1.elements()):
         raise GroupError("H does not surject onto the first factor")
-    if {b for _, b in pairs} != set(G2.elements()):
+    if {b for _, b in H} != set(G2.elements()):
         raise GroupError("H does not surject onto the second factor")
-    n1 = close_under_product(G1, sorted(a for a, b in pairs if b == 0))
-    n2 = close_under_product(G2, sorted(b for a, b in pairs if a == 0))
-    N1, N2 = Subgroup(G1, n1), Subgroup(G2, n2)
-    n1set, n2set = set(n1), set(n2)
-    rep1 = {a: min(G1.mul(a, d) for d in n1set) for a in G1.elements()}
-    rep2 = {b: min(G2.mul(b, d) for d in n2set) for b in G2.elements()}
-    iso = {}
-    for a, b in pairs:
+    # the kernels of the projections, subgroups since H is one
+    N1 = Subgroup(G1, tuple(sorted(a for a, b in H if b == 0)))
+    N2 = Subgroup(G2, tuple(sorted(b for a, b in H if a == 0)))
+    dec = GoursatDecomposition(N1, N2, {})
+    rep1, rep2, iso = dec.rep1, dec.rep2, dec.iso
+    for a, b in H:
         r1, r2 = rep1[a], rep2[b]
         if r1 in iso and iso[r1] != r2:
             raise GroupError("coset map is not well defined; H is not subdirect?")
@@ -334,14 +337,13 @@ def goursat_decompose(pairs, G1, G2):
     if len(set(iso.values())) != len(iso):
         raise GroupError("coset map is not injective")
     # multiplicativity of the coset map
-    for a1 in set(rep1.values()):
-        for a2 in set(rep1.values()):
+    for a1 in iso:
+        for a2 in iso:
             lhs = iso[rep1[G1.mul(a1, a2)]]
             rhs = rep2[G2.mul(iso[a1], iso[a2])]
             if lhs != rhs:
                 raise GroupError("coset map is not multiplicative")
-    dec = GoursatDecomposition(N1, N2, iso)
-    if dec.reconstruct(G1, G2) != pairs:
+    if dec.reconstruct(G1, G2) != H:
         raise GroupError("reconstruction does not recover H")
     return dec
 

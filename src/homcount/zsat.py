@@ -1,11 +1,11 @@
-"""Zombie-circuit satisfiability: alphabets with a group action and a single
-fixed zombie symbol, gate compilation into the Rubik group of the squared
-action, and exact counting.
+"""Zombie-circuit satisfiability: the zombie alphabet of a group Gamma, with
+a single fixed zombie symbol, gate compilation into the Rubik group of the
+squared action, and exact counting.
 
-A conforming alphabet has one fixed point z, free orbits elsewhere,
-invariant initialization and finalization sets of at least two orbits each,
-a warning alphabet with two distinguished orbits, and enough scratch orbits
-to repair parity and anti-diagonal defects when extending partial gates.
+The alphabet has one fixed point z, free orbits elsewhere, invariant
+initialization and finalization sets of two orbits each, a warning alphabet
+with two distinguished orbits, and a scratch orbit whose pairs repair parity
+and anti-diagonal defects when extending partial gates.
 """
 
 import itertools
@@ -14,8 +14,7 @@ from . import perms
 from .gsets import (GSetAction, equivariant_perm, make_free_action,
                     rubik_membership)
 from .counting import DEFAULT_LIMITS
-from .circuits import (RsatIF, apply_gates, count_accepted, encode_word,
-                       decode_word)
+from .circuits import RsatIF, apply_gates, count_accepted, encode_word
 
 
 class ZsatError(ValueError):
@@ -23,42 +22,38 @@ class ZsatError(ValueError):
 
 
 class ZAlphabet:
-    """Alphabet for zombie circuits: symbol 0 is the zombie, then free
-    orbits in blocks of |Gamma|, partitioned into initialization,
-    finalization, warning and scratch roles."""
+    """The zombie alphabet of Gamma: symbol 0 is the zombie, then 11 free
+    orbits of |Gamma| symbols, orbit k on 1 + k|Gamma| .. (k + 1)|Gamma|
+    with its section representative first.  I is orbits 0-1, F orbits 2-3,
+    the warning alphabet orbits 4-9 (z1 and z2 the representatives of
+    orbits 4 and 5), and the scratch alphabet orbit 10.
 
-    def __init__(self, gamma, n_init_orbits=2, n_final_orbits=2,
-                 n_scratch_orbits=1):
+    At every |Gamma| >= 2 this meets the paper's conditions: |I| = |F| =
+    2|Gamma| and I != F; the warning alphabet misses I u F and the zombie
+    and has |I u F| + 2|Gamma| symbols; |A| = 11|Gamma| + 1 =
+    2|I u F| + 3|Gamma| + 1; and the scratch pairs form |Gamma| >= 2 free
+    orbits of the squared action, the two that extend_to_rubik needs.
+    """
+
+    def __init__(self, gamma):
         if gamma.order < 2:
             raise ZsatError("zombie alphabets need a non-trivial group")
-        if n_init_orbits < 2 or n_final_orbits < 2:
-            raise ZsatError("initialization and finalization need >= 2|G| symbols")
         self.gamma = gamma
         q = gamma.order
-        n_warn = n_init_orbits + n_final_orbits + 2
-        self.n_init_orbits = n_init_orbits
-        self.n_final_orbits = n_final_orbits
-        self.n_warn_orbits = n_warn
-        self.n_scratch_orbits = n_scratch_orbits
-        n_orbits = n_init_orbits + n_final_orbits + n_warn + n_scratch_orbits
-        self.n_orbits = n_orbits
-        self.size = 1 + q * n_orbits
+        self.size = 1 + 11 * q
         self.zombie = 0
 
-        base = 0
-        self.init = tuple(range(1 + base * q, 1 + (base + n_init_orbits) * q))
-        base += n_init_orbits
-        self.final = tuple(range(1 + base * q, 1 + (base + n_final_orbits) * q))
-        base += n_final_orbits
-        self.warning = tuple(range(1 + base * q, 1 + (base + n_warn) * q))
+        def orbits(lo, hi):
+            return tuple(range(1 + lo * q, 1 + hi * q))
+
+        self.init = orbits(0, 2)
+        self.final = orbits(2, 4)
+        self.warning = orbits(4, 10)
         self.z1 = self.warning[0]
         self.z2 = self.warning[q]
-        base += n_warn
-        self.scratch = tuple(range(1 + base * q, 1 + (base + n_scratch_orbits) * q))
-
-        self.action = make_free_action(gamma, n_orbits, n_fixed=1)
+        self.scratch = orbits(10, 11)
+        self.action = make_free_action(gamma, 11, n_fixed=1)
         self._square_action = None
-        self._check_inequalities()
 
     # Cached in an attribute set in __init__, as FiniteGroup's invariants
     # are: functools.cached_property writes through instance.__dict__,
@@ -83,31 +78,7 @@ class ZAlphabet:
             self._square_action = GSetAction(G, A * A, table)
         return self._square_action
 
-    def _check_inequalities(self):
-        q = self.gamma.order
-        i, f = set(self.init), set(self.final)
-        union = i | f
-        if len(i) < 2 * q or len(f) < 2 * q:
-            raise ZsatError("|I|, |F| must be at least 2|G|")
-        if i == f:
-            raise ZsatError("I and F must differ")
-        if self.size < 2 * len(union) + 3 * q + 1:
-            raise ZsatError("alphabet smaller than 2|I u F| + 3|G| + 1")
-        if len(self.warning) != len(union) + 2 * q:
-            raise ZsatError("warning alphabet has the wrong size")
-        if set(self.warning) & (union | {0}):
-            raise ZsatError("warning alphabet overlaps I, F or the zombie")
-        # scratch pairs must give at least two free orbits of the squared
-        # action for parity and anti-diagonal repairs
-        if self.n_scratch_orbits ** 2 * q < 2:
-            raise ZsatError("not enough scratch orbits for gate extension")
-
     # -- orbit bookkeeping ------------------------------------------------------
-
-    def orbit_of(self, a):
-        if a == 0:
-            return None
-        return (a - 1) // self.gamma.order
 
     def offset_of(self, a):
         """The g with a = g . section_rep(orbit of a)."""
@@ -126,10 +97,7 @@ class ZAlphabet:
         """The quotient alphabet (I u F)/Gamma with its init/final parts,
         as orbit indices; this is the alphabet of circuits fed to the
         compiler."""
-        i_orbits = tuple(range(self.n_init_orbits))
-        f_orbits = tuple(range(self.n_init_orbits,
-                               self.n_init_orbits + self.n_final_orbits))
-        return i_orbits + f_orbits, i_orbits, f_orbits
+        return (0, 1, 2, 3), (0, 1), (2, 3)
 
 
 @dataclass
@@ -156,10 +124,11 @@ def extend_to_rubik(partial, zal):
     """Extend an equivariant partial injection on symbol pairs to a full
     permutation in the Rubik group of the squared action.
 
-    partial maps pair codes to pair codes and must be defined on whole
-    orbits.  Unmatched orbits are filled order-preservingly with trivial
-    twists; parity is repaired by swapping two scratch-pair orbits and the
-    abelianized-product defect by twisting a scratch-pair orbit.
+    partial maps pair codes to pair codes; it must cover at least one pair
+    of each orbit it moves, and pairs of one orbit must agree.  Unmatched
+    orbits are filled order-preservingly with trivial twists; parity is
+    repaired by swapping two scratch-pair orbits and the abelianized-product
+    defect by twisting a scratch-pair orbit.
     """
     act = zal.square_action
     G = zal.gamma
@@ -229,52 +198,42 @@ def extend_to_rubik(partial, zal):
 def compile_gate(gamma_gate, zal):
     """Lift a binary data-alphabet gate into the Rubik group of the squared
     action: zombies are frozen, data pairs act componentwise through the
-    section, everything else is extended."""
+    section, everything else is extended.  Each orbit is given through one
+    pair, (0, rep), (rep, 0) or (rep_x, g . rep_y)."""
     A = zal.size
-    G = zal.gamma
     data, _, _ = zal.data_quotient()
-    ndata = len(data)
+    reps = [zal.section_rep(x) for x in data]
     partial = {0: 0}
-    for a in (zal.init + zal.final):
+    for a in reps:
         partial[0 * A + a] = 0 * A + a
         partial[a * A + 0] = a * A + 0
-    for x in range(ndata):
-        for y in range(ndata):
-            bx, by = decode_word(gamma_gate[x * ndata + y], ndata, 2)
-            for g1 in G.elements():
-                for g2 in G.elements():
-                    src = (zal.section_rep(x) + g1) * A + (zal.section_rep(y) + g2)
-                    dst = (zal.section_rep(bx) + g1) * A + (zal.section_rep(by) + g2)
-                    partial[src] = dst
+    for xy, bxy in enumerate(gamma_gate):
+        (x, y), (bx, by) = divmod(xy, len(data)), divmod(bxy, len(data))
+        for g in zal.gamma.elements():
+            partial[reps[x] * A + reps[y] + g] = reps[bx] * A + reps[by] + g
     return extend_to_rubik(partial, zal)
 
 
 def postcomputation_gate(zal):
     """The warning gate: mixed zombie pairs emit the distinguished warning
     symbols, misaligned data pairs map through the equivariant bijection
-    into the rest of the warning alphabet, aligned pairs are fixed."""
+    into the rest of the warning alphabet, aligned pairs are fixed.  Each
+    orbit is given through its pair whose first data symbol is a section
+    representative."""
     A = zal.size
-    G = zal.gamma
-    q = G.order
-    partial = {0: 0}
+    q = zal.gamma.order
     iu_f = zal.init + zal.final
-    for a in iu_f:
-        g = zal.offset_of(a)
-        # alpha(z, a) = (g z1, a); alpha(a, z) = (g z2, a)  [equivariant span]
-        partial[0 * A + a] = (zal.z1 + g) * A + a
-        partial[a * A + 0] = (zal.z2 + g) * A + a
     # beta: order-preserving equivariant bijection from I u F onto the
     # warning alphabet minus the two distinguished orbits
-    beta_targets = [w for w in zal.warning
-                    if zal.orbit_of(w) not in (zal.orbit_of(zal.z1),
-                                               zal.orbit_of(zal.z2))]
-    beta = dict(zip(iu_f, beta_targets))
-    for a in iu_f:
+    beta = zal.warning[2 * q:]
+    partial = {0: 0}
+    for i in range(0, len(iu_f), q):
+        a = iu_f[i]
+        # alpha(z, a) = (z1, a); alpha(a, z) = (z2, a)
+        partial[0 * A + a] = zal.z1 * A + a
+        partial[a * A + 0] = zal.z2 * A + a
         for b in iu_f:
-            if zal.aligned(a, b):
-                partial[a * A + b] = a * A + b
-            else:
-                partial[a * A + b] = beta[a] * A + b
+            partial[a * A + b] = (a if zal.aligned(a, b) else beta[i]) * A + b
     return extend_to_rubik(partial, zal)
 
 
@@ -299,8 +258,7 @@ def compile_zsat(circuit, zal):
     alpha = postcomputation_gate(zal)
     for i in range(circuit.width - 1):
         gates.append(((i, i + 1), alpha))
-    inst = ZsatInstance(zal, circuit.width, gates)
-    return inst
+    return ZsatInstance(zal, circuit.width, gates)
 
 
 def verify_gates(inst):

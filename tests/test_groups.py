@@ -141,6 +141,21 @@ def test_bad_tables():
         FiniteGroup("quasi", [x for row in table for x in row]).check()
 
 
+def test_intercalate_loop_is_not_a_group():
+    # Z_400 with one intercalate swapped: at rows a, a + n/2 and columns
+    # c, c + n/2 the two values trade places, which leaves a loop (a latin
+    # square with identity 0) that is not associative
+    n, a, c = 400, 3, 5
+    cyclic = [(x + y) % n for x in range(n) for y in range(n)]
+    table = list(cyclic)
+    for x in (a, a + n // 2):
+        i, j = x * n + c, x * n + c + n // 2
+        table[i], table[j] = table[j], table[i]
+    with pytest.raises(GroupError, match="not associative"):
+        FiniteGroup.from_table("loop", table)
+    assert FiniteGroup.from_table("Z400", cyclic).order == n
+
+
 def test_group_file_roundtrip(tmp_path, s3):
     path = tmp_path / "s3.grp"
     write_group_file(str(path), s3)

@@ -151,6 +151,20 @@ def test_goursat(s3, z4):
         goursat_decompose([(0, 0), (1, 0)], s3, s3)
 
 
+def test_goursat_closure_is_linear_in_h(monkeypatch):
+    # S4 x S4 from its four generator pairs: closing H, its kernels and the
+    # coset maps take O(|H|) products, where closing under products of
+    # known pairs took about 2|H|^2
+    s4 = FiniteGroup.from_perm_gens("S4", [perms.parse_cycles("(0 1)", 4),
+                                           perms.parse_cycles("(0 1 2 3)", 4)])
+    calls = []
+    mul = s4.mul
+    monkeypatch.setattr(s4, "mul", lambda a, b: calls.append(1) or mul(a, b))
+    dec = goursat_decompose([(1, 0), (2, 0), (0, 1), (0, 2)], s4, s4)
+    assert dec.n1.order == dec.n2.order == 24 and dec.iso == {0: 0}
+    assert len(calls) <= 100 * 24 * 24
+
+
 def test_action_file_roundtrip(tmp_path, s3):
     from homcount.gsets import load_action
     from homcount.groups import write_group_file

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -39,25 +40,75 @@ def test_alphabet_invariants(z2, z3):
     assert zal.size >= 2 * len(set(zal.init) | set(zal.final)) + 3 * 2 + 1
     assert zal.action.fixed_points == [0]
     with pytest.raises(ZsatError):
-        ZAlphabet(z2, n_init_orbits=1)
-    with pytest.raises(ZsatError):
         ZAlphabet(FiniteGroup.trivial())
 
 
 def test_alphabet_action_layout(z2, z3, s3):
     # the zombie 0 is fixed and g . (1 + orbit*|G| + h) = 1 + orbit*|G| + g*h
     for gamma in (z2, z3, s3):
-        for layout in ((2, 2, 1), (3, 2, 2)):
-            zal = ZAlphabet(gamma, *layout)
-            q = gamma.order
-            want = []
-            for g in gamma.elements():
-                row = [0] * zal.size
-                for orb in range(zal.n_orbits):
-                    for h in gamma.elements():
-                        row[1 + orb * q + h] = 1 + orb * q + gamma.mul(g, h)
-                want.append(tuple(row))
-            assert zal.action.table == want
+        zal = ZAlphabet(gamma)
+        q = gamma.order
+        assert zal.size == 11 * q + 1
+        want = []
+        for g in gamma.elements():
+            row = [0] * zal.size
+            for orb in range(11):
+                for h in gamma.elements():
+                    row[1 + orb * q + h] = 1 + orb * q + gamma.mul(g, h)
+            want.append(tuple(row))
+        assert zal.action.table == want
+
+
+def test_alphabet_meets_the_paper_conditions(z2, z3, s3, a4):
+    for gamma in (z2, z3, s3, a4):
+        zal = ZAlphabet(gamma)
+        q = gamma.order
+        i, f = set(zal.init), set(zal.final)
+        union = i | f
+        assert len(i) >= 2 * q and len(f) >= 2 * q and i != f
+        assert zal.size >= 2 * len(union) + 3 * q + 1
+        assert len(zal.warning) == len(union) + 2 * q
+        assert not set(zal.warning) & (union | {0})
+        assert {zal.z1, zal.z2} <= set(zal.warning)
+        assert zal.offset_of(zal.z1) == zal.offset_of(zal.z2) == 0
+        assert zal.action.fixed_points == [0]
+        # the scratch pairs fill at least two free orbits of the squared
+        # action, for the parity and anti-diagonal repairs
+        A = zal.size
+        scratch = set(zal.scratch)
+        scratch_orbits = [orb for orb in zal.square_action.free_orbits
+                          if orb[0] // A in scratch and orb[0] % A in scratch]
+        assert len(scratch_orbits) == q >= 2
+        assert {p for orb in scratch_orbits for p in orb} == {
+            a * A + b for a in scratch for b in scratch}
+
+
+# sha256 of repr(compile_zsat(...).gates) over two seeded predicate gates at
+# each width 2-5, and of repr(postcomputation_gate(zal)), per Gamma; taken
+# from the compiler that gave every pair of each orbit to extend_to_rubik
+ZSAT_DIGESTS = {
+    "Z2": ("34c964fb8081524013c156fd54f4471ef27e6d6236419ee5365f2aeafea92000",
+           "4c84926c3320b434c4e9cdc9ead72d5afe8cca2a6d9e93cb7be0aab4a1854868"),
+    "Z3": ("5e423dd7fc01140382405787383fcc43f9a946215757590ed144218b84263be4",
+           "94c248897d9dcd56553b40f226ad36075d7af40a0db74dfa441e352932e5aa63"),
+    "S3": ("4b780d892a989b3a7b57c202c8f793727a59e779684a3428158f3f92a355efb8",
+           "72828bfc693841fc0a407d297956c638a4d9b9022cb072bd35fb469cbb96c3f2"),
+}
+
+
+def test_zsat_gates_pinned(z2, z3, s3):
+    for gamma in (z2, z3, s3):
+        zal = ZAlphabet(gamma)
+        rng = random.Random(83)
+        h = hashlib.sha256()
+        for width in range(2, 6):
+            gates = [(rng.randrange(width - 1), predicate_gate(zal, rng))
+                     for _ in range(2)]
+            zi = compile_zsat(data_rsat_instance(zal, width, gates), zal)
+            h.update(repr(zi.gates).encode())
+        alpha = repr(postcomputation_gate(zal)).encode()
+        assert (h.hexdigest(), hashlib.sha256(alpha).hexdigest()) \
+            == ZSAT_DIGESTS[gamma.name]
 
 
 def test_identity_compilation(z2):

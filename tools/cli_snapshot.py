@@ -11,7 +11,9 @@ text and --json reports of every command in the README's command block,
 the file `reduce --output` writes there, the error report of every
 malformed-circuit case of tests/test_cli.py, and a sweep of
 --max-enumeration budgets over the presentation counters, which shows the
-budgets under which each search raises.  The commands and the cases
+budgets under which each search raises, the zombie-stage commands
+(verify-parsimony, compile-zsat) over Z2, Z3 and S3 under --max-states and
+--max-enumeration budgets, and goursat on A5 x A5.  The commands and the cases
 come from the tree this script is in, as do README example inputs that the
 checkout's data directory lacks.
 """
@@ -73,6 +75,27 @@ def main(checkout):
         for budget in (1, 200, 6 ** 12 - 1):
             run(["--max-enumeration", str(budget), "count-hom",
                  "--presentation", "gens12.pres", "--group", "s3.grp"])
+        # the zombie stage over each bundled Gamma; the table bridge skips
+        # the 3-input circuit
+        with open("andor3.bool", "w") as fh:
+            fh.write("in 3\nAND 0 1 -> 3\nOR 3 2 -> 4\nout 4\n")
+        zombie = [("verify-parsimony", "and2.bool"),
+                  ("verify-parsimony", "andor3.bool"),
+                  ("compile-zsat", "data.rev")]
+        budgets = ([("--max-states", str(2 ** k)) for k in range(9)]
+                   + [("--max-states", "1000")]
+                   + [("--max-enumeration", str(4 ** k)) for k in range(4)])
+        for gamma in ("z2.grp", "z3.grp", "s3.grp"):
+            for command, circuit in zombie:
+                argv = [command, "--circuit", circuit, "--gamma", gamma]
+                run(argv)
+                for budget in budgets:
+                    run([*budget, *argv])
+        # A5 x A5 closed from its four generator pairs
+        with open("a5xa5.txt", "w") as fh:
+            fh.write("1 0\n2 0\n0 1\n0 2\n")
+        run(["goursat", "--group", "a5.grp", "--group2", "a5.grp",
+             "--subgroup", "a5xa5.txt"])
     finally:
         os.chdir(TREE)
         shutil.rmtree(work)
