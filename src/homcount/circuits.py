@@ -128,19 +128,12 @@ def apply_gates(q, gates, word):
     codes of the symbols on those wires, first wire most significant."""
     word = list(word)
     for wires, perm in gates:
-        if len(wires) == 2:
-            a, b = wires
-            word[a], word[b] = divmod(perm[word[a] * q + word[b]], q)
-        elif len(wires) == 1:
-            a, = wires
-            word[a] = perm[word[a]]
-        else:
-            code = 0
-            for w in wires:
-                code = code * q + word[w]
-            code = perm[code]
-            for w in reversed(wires):
-                code, word[w] = divmod(code, q)
+        code = 0
+        for w in wires:
+            code = code * q + word[w]
+        code = perm[code]
+        for w in reversed(wires):
+            code, word[w] = divmod(code, q)
     return word
 
 

@@ -20,7 +20,7 @@ class GroupError(ValueError):
 
 
 class FiniteGroup:
-    def __init__(self, name, table, validate=False, gen_ids=None, words=None):
+    def __init__(self, name, table, validate=False):
         """table is a flat list of order**2 ids, row a column b = a*b."""
         order = int(round(len(table) ** 0.5))
         if order * order != len(table):
@@ -31,17 +31,22 @@ class FiniteGroup:
         self.order = order
         self._table = list(table)
         self._inv = self._build_inverse()
-        self._gen_ids = gen_ids
-        self._words = words
-        self._abelian = None
-        self._perfect = None
-        self._element_orders = None
-        self._autcache = None
-        self._aut_tables = None     # surfaces.AutTables, built by orbit_report
-        self._membership_masks = None
-        self._ab_map = None
+        self._memo = {}
         if validate:
             self.check()
+
+    def cached(self, build):
+        """build(self), computed on first use and kept for the group's life.
+
+        Every table derived from the group lives in this one dict, keyed by
+        its builder.  Not functools.cached_property: that writes through
+        instance.__dict__, which on CPython 3.11 gives up the compact
+        attribute layout and makes every later attribute load (mul's
+        self._table and self.order) markedly slower.
+        """
+        if build not in self._memo:
+            self._memo[build] = build(self)
+        return self._memo[build]
 
     # -- core arithmetic ------------------------------------------------------
 
@@ -63,30 +68,10 @@ class FiniteGroup:
         return range(self.order)
 
     def element_order(self, a):
-        if self._element_orders is None:
-            self._element_orders = [0] * self.order
-        cached = self._element_orders[a]
-        if cached:
-            return cached
-        k, x = 1, a
-        while x != 0:
-            x = self.mul(x, a)
-            k += 1
-        self._element_orders[a] = k
-        return k
-
-    def is_abelian(self):
-        if self._abelian is None:
-            self._abelian = all(
-                self.mul(a, b) == self.mul(b, a)
-                for a in range(self.order) for b in range(a))
-        return self._abelian
+        return self.cached(element_orders)[a]
 
     def is_perfect(self):
-        if self._perfect is None:
-            self._perfect = (len(commutator_subgroup(self).members)
-                             == self.order)
-        return self._perfect
+        return len(self.cached(derived_subgroup)) == self.order
 
     # -- validation ------------------------------------------------------------
 
@@ -147,8 +132,8 @@ class FiniteGroup:
     # -- construction -----------------------------------------------------------
 
     @classmethod
-    def from_table(cls, name, table, validate=True):
-        return cls(name, table, validate=validate)
+    def from_table(cls, name, table):
+        return cls(name, table, validate=True)
 
     @classmethod
     def from_perm_gens(cls, name, gens, degree=0):
@@ -182,8 +167,8 @@ class FiniteGroup:
         for a in range(order):
             for b in range(order):
                 table[a * order + b] = index[perms.mult(elems[a], elems[b])]
-        gen_ids = [index[g] for g in gens]
-        grp = cls(name, table, gen_ids=gen_ids, words=words)
+        grp = cls(name, table)
+        grp._memo[_generator_data] = ([index[g] for g in gens], words)
         grp._perm_elems = elems
         return grp
 
@@ -207,63 +192,7 @@ class FiniteGroup:
         For groups closed from permutation generators this is the original
         closure data; otherwise a small generating set is found greedily.
         """
-        if self._gen_ids is None or self._words is None:
-            gen_ids = []
-            reached = {0}
-            while len(reached) < self.order:
-                best = None
-                for g in range(1, self.order):
-                    if g in reached:
-                        continue
-                    closure = close_under_product(self, sorted(reached | {g}))
-                    if best is None or len(closure) > best[1]:
-                        best = (g, len(closure), closure)
-                        if len(closure) == self.order:
-                            break
-                gen_ids.append(best[0])
-                reached = set(best[2])
-            steps = []
-            seen = {0}
-            queue = [0]
-            while queue:
-                a = queue.pop(0)
-                for gi, g in enumerate(gen_ids):
-                    c = self.mul(a, g)
-                    if c not in seen:
-                        seen.add(c)
-                        steps.append((c, a, gi))
-                        queue.append(c)
-            self._gen_ids = gen_ids
-            self._words = steps
-        return self._gen_ids, self._words
-
-    # -- lazily built invariants -----------------------------------------------
-    # Cached in attributes set in __init__, not by functools.cached_property:
-    # that writes through instance.__dict__, which on CPython 3.11 gives up
-    # the compact attribute layout and makes every later attribute load
-    # (mul's self._table and self.order) markedly slower.
-
-    @property
-    def membership_masks(self):
-        """(masks, full_bit): bit i of masks[e] is set when the i-th subgroup
-        of the lattice contains e.  A tuple generates the group exactly when
-        the AND of its masks is the full group's bit alone."""
-        if self._membership_masks is None:
-            lattice = subgroup_lattice(self)
-            masks = [0] * self.order
-            for i, H in enumerate(lattice.subgroups):
-                for e in H.members:
-                    masks[e] |= 1 << i
-            self._membership_masks = (masks,
-                                      1 << (len(lattice.subgroups) - 1))
-        return self._membership_masks
-
-    @property
-    def ab_map(self):
-        """The abelianization map of the group."""
-        if self._ab_map is None:
-            self._ab_map = abelianization(self)
-        return self._ab_map
+        return self.cached(_generator_data)
 
     def __repr__(self):
         return "FiniteGroup(%s, order=%d)" % (self.name, self.order)
@@ -302,6 +231,49 @@ def close_under_product(G, seed_ids):
     return tuple(sorted(members))
 
 
+def _generator_data(G):
+    """FiniteGroup.generator_data's greedy search: each step adds the
+    element whose closure with those reached so far is largest."""
+    gen_ids = []
+    reached = {0}
+    while len(reached) < G.order:
+        best = None
+        for g in range(1, G.order):
+            if g in reached:
+                continue
+            closure = close_under_product(G, sorted(reached | {g}))
+            if best is None or len(closure) > best[1]:
+                best = (g, len(closure), closure)
+                if len(closure) == G.order:
+                    break
+        gen_ids.append(best[0])
+        reached = set(best[2])
+    steps = []
+    seen = {0}
+    queue = [0]
+    while queue:
+        a = queue.pop(0)
+        for gi, g in enumerate(gen_ids):
+            c = G.mul(a, g)
+            if c not in seen:
+                seen.add(c)
+                steps.append((c, a, gi))
+                queue.append(c)
+    return gen_ids, steps
+
+
+def element_orders(G):
+    """The order of each element id."""
+    orders = []
+    for a in G.elements():
+        k, x = 1, a
+        while x != 0:
+            x = G.mul(x, a)
+            k += 1
+        orders.append(k)
+    return orders
+
+
 @dataclass(frozen=True)
 class Subgroup:
     parent: FiniteGroup
@@ -325,12 +297,6 @@ class Subgroup:
     def contains(self, other):
         return set(other.members) <= set(self.members)
 
-    def is_normal(self):
-        G = self.parent
-        mem = set(self.members)
-        return all(G.conj(g, h) in mem
-                   for g in G.elements() for h in self.members)
-
     def as_group(self, name=None):
         """Reindex the subgroup as a standalone FiniteGroup.
 
@@ -353,7 +319,7 @@ class SubgroupLattice:
     contains: list         # contains[i][j] True iff subgroups[j] <= subgroups[i]
 
 
-def subgroup_lattice(G, order_bound=DEFAULT_ORDER_BOUND):
+def subgroup_lattice(G):
     """All subgroups of G with their containment relation.
 
     Breadth-first growth: start from cyclic subgroups, then repeatedly close
@@ -361,9 +327,9 @@ def subgroup_lattice(G, order_bound=DEFAULT_ORDER_BOUND):
     <H, h*g> = <H, g> for every h in H, one g per right coset Hg suffices,
     and the closure starts from the generators H was found with plus g.
     """
-    if G.order > order_bound:
-        raise GroupError(
-            "order %d exceeds subgroup-lattice bound %d" % (G.order, order_bound))
+    if G.order > DEFAULT_ORDER_BOUND:
+        raise GroupError("order %d exceeds subgroup-lattice bound %d"
+                         % (G.order, DEFAULT_ORDER_BOUND))
     n, table = G.order, G._table
     found = {close_under_product(G, []): []}
     frontier = {}
@@ -393,10 +359,21 @@ def subgroup_lattice(G, order_bound=DEFAULT_ORDER_BOUND):
     return SubgroupLattice(G, subs, contains)
 
 
+def _membership_masks(G):
+    """(masks, full_bit): bit i of masks[e] is set when the i-th subgroup
+    of the lattice contains e.  A tuple generates the group exactly when
+    the AND of its masks is the full group's bit alone."""
+    lattice = subgroup_lattice(G)
+    masks = [0] * G.order
+    for i, H in enumerate(lattice.subgroups):
+        for e in H.members:
+            masks[e] |= 1 << i
+    return masks, 1 << (len(lattice.subgroups) - 1)
+
+
 def subgroup_membership_masks(G):
-    """Per-element bitmasks over the subgroup lattice, built once per group
-    (see FiniteGroup.membership_masks)."""
-    return G.membership_masks
+    """Per-element bitmasks over the subgroup lattice, built once per group."""
+    return G.cached(_membership_masks)
 
 
 def generates(G, ids):
@@ -409,13 +386,9 @@ def commutator_subgroup(G):
     return Subgroup(G, close_under_product(G, sorted(comms)))
 
 
-@dataclass
-class AbelianizationMap:
-    quotient: FiniteGroup
-    projection: tuple     # element id of G -> element id of quotient
-
-    def __call__(self, a):
-        return self.projection[a]
+def derived_subgroup(G):
+    """The members of [G, G] as a frozenset."""
+    return frozenset(commutator_subgroup(G).members)
 
 
 def quotient_by_normal(G, normal_members, name=None):
@@ -443,15 +416,6 @@ def quotient_by_normal(G, normal_members, name=None):
             table[i * n + j] = proj[G.mul(k1, k2)]
     Q = FiniteGroup(name or (G.name + "_quo"), table)
     return Q, tuple(proj)
-
-
-def abelianization(G):
-    """Quotient of G by its commutator subgroup, with the projection map."""
-    D = commutator_subgroup(G).members
-    Q, proj = quotient_by_normal(G, D, name=G.name + "_ab")
-    if not Q.is_abelian():
-        raise GroupError("abelianization quotient is not abelian")
-    return AbelianizationMap(Q, proj)
 
 
 # -- automorphisms ------------------------------------------------------------
@@ -501,13 +465,16 @@ def find_isomorphism(G, H):
     return next(_isomorphisms(G, H), None)
 
 
-def automorphisms(G, order_bound=DEFAULT_ORDER_BOUND):
-    """The full automorphism group of G as element-id permutations."""
-    if G.order > order_bound:
-        raise GroupError(
-            "order %d exceeds automorphism bound %d" % (G.order, order_bound))
-    if G._autcache is not None:
-        return G._autcache
+def automorphisms(G):
+    """The full automorphism group of G as element-id permutations, built
+    once per group."""
+    if G.order > DEFAULT_ORDER_BOUND:
+        raise GroupError("order %d exceeds automorphism bound %d"
+                         % (G.order, DEFAULT_ORDER_BOUND))
+    return G.cached(_automorphisms)
+
+
+def _automorphisms(G):
     out = [tuple(img) for img in _isomorphisms(G, G)]
     # full check phi(a*b) == phi(a)*phi(b): row a of the table gathered
     # through phi against row phi(a) gathered at phi's images
@@ -519,7 +486,6 @@ def automorphisms(G, order_bound=DEFAULT_ORDER_BOUND):
         for a in range(n):
             if row_getters[a](phi) != phi_getter(rows[phi[a]]):
                 raise GroupError("automorphism search produced a non-hom")
-    G._autcache = out
     return out
 
 

@@ -9,8 +9,7 @@ section of orbit representatives.
 from dataclasses import dataclass
 from math import factorial
 from . import perms
-from .groups import Subgroup, GroupError
-from .textformat import content_lines, keyword_int
+from .groups import Subgroup, GroupError, derived_subgroup
 
 
 class ActionError(ValueError):
@@ -38,22 +37,6 @@ class GSetAction:
             perms.check_perm(row)
         self._check_axioms()
         self._classify_orbits()
-
-    @classmethod
-    def from_generator_rows(cls, group, npoints, gen_rows):
-        """Build the full element table from rows for group.generator_data()."""
-        gen_ids, steps = group.generator_data()
-        if len(gen_rows) != len(gen_ids):
-            raise ActionError("expected %d generator rows" % len(gen_ids))
-        by_gen = [tuple(r) for r in gen_rows]
-        if any(len(r) != npoints for r in by_gen):
-            raise ActionError("action row length mismatch")
-        rows = [None] * group.order
-        rows[0] = perms.identity_perm(npoints)
-        for elem, parent, gi in steps:
-            # left action: (parent * gen) . x = parent . (gen . x)
-            rows[elem] = perms.mult(by_gen[gi], rows[parent])
-        return cls(group, npoints, rows)
 
     def apply(self, g, x):
         return self.table[g][x]
@@ -143,29 +126,30 @@ def rubik_membership(p, act):
 
     Requires p equivariant and all non-fixed orbits free.  Membership needs
     the induced permutation on free orbits to be even and the product of the
-    section-relative components to abelianize to the identity.  A permutation
-    of two or more fixed points must be even as well (the commutator subgroup
-    splits off Alt of the fixed set); this is vacuous for the single-zombie
-    alphabets used downstream.
+    section-relative components to lie in [G, G]; [G, G] is normal with
+    G/[G, G] abelian, so the order of the factors does not matter.  A
+    permutation of two or more fixed points must be even as well (the
+    commutator subgroup splits off Alt of the fixed set); this is vacuous
+    for the single-zombie alphabets used downstream.
     """
     fixed_map, orbit_perm, components = act.decompose(p)
     if _fixed_parity(fixed_map) != 0:
         return False
     if perms.perm_parity(orbit_perm) != 0:
         return False
-    ab = act.group.ab_map
+    G = act.group
     acc = 0
     for h in components:
-        acc = ab.quotient.mul(acc, ab(h))
-    return acc == 0
+        acc = G.mul(acc, h)
+    return acc in G.cached(derived_subgroup)
 
 
 def rubik_order(n, gamma):
-    """|Rub(n, G)| = |G|^n / |G_ab| * n!/2 for n >= 2."""
+    """|Rub(n, G)| = |G|^(n-1) |[G, G]| n!/2 for n >= 2."""
     if n < 2:
         raise ValueError("rubik order needs n >= 2")
-    ab = gamma.ab_map
-    return gamma.order ** n // ab.quotient.order * (factorial(n) // 2)
+    return (gamma.order ** (n - 1) * len(gamma.cached(derived_subgroup))
+            * (factorial(n) // 2))
 
 
 def equivariant_perm(act, orbit_perm, components, fixed_map=None):
@@ -191,7 +175,7 @@ def rubik_generators(act):
     """A standard generating set of Rub of the action.
 
     Orbit 3-cycles lift Alt(n); anti-diagonal pairs (g, g^-1) on the first
-    two orbits cover the kernel of the abelianized product map.
+    two orbits cover the component tuples whose product lies in [G, G].
     """
     n = len(act.free_orbits)
     if n < 3:
@@ -346,40 +330,6 @@ def goursat_decompose(pairs, G1, G2):
     if dec.reconstruct(G1, G2) != H:
         raise GroupError("reconstruction does not recover H")
     return dec
-
-
-def parse_action_text(text, group_loader):
-    """Action file: `gamma <group-file>`, `points m`, then one `row` of
-    cycle notation per group generator (in generator order)."""
-    gamma = npoints = None
-    rows = []
-    for ln in content_lines(text):
-        key, *rest = ln.split(None, 1)
-        rest = "".join(rest)
-        if key == "gamma":
-            gamma = group_loader(rest)
-        elif key == "points":
-            npoints = keyword_int(ln, key, ActionError)
-        elif key == "row":
-            try:
-                rows.append(perms.parse_cycles(rest, npoints or 0))
-            except ValueError as exc:
-                raise ActionError(str(exc)) from None
-        else:
-            raise ActionError("unknown action file line %r" % ln)
-    if gamma is None or npoints is None:
-        raise ActionError("action file needs gamma and points")
-    rows = [tuple(r) + tuple(range(len(r), npoints)) for r in rows]
-    return GSetAction.from_generator_rows(gamma, npoints, rows)
-
-
-def load_action(path):
-    import os
-    from .groups import load_group
-    base = os.path.dirname(os.path.abspath(path))
-    with open(path) as fh:
-        return parse_action_text(
-            fh.read(), lambda rel: load_group(os.path.join(base, rel)))
 
 
 def make_free_action(gamma, n_orbits, n_fixed=0):

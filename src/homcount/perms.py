@@ -17,7 +17,6 @@ recursion per level.
 """
 
 import re
-from dataclasses import dataclass
 from math import factorial, prod
 from operator import itemgetter
 
@@ -231,11 +230,6 @@ class PermutationGroup:
         return _sift(self._chain, p)[0] == self._ident
 
 
-def group_order(degree, gens):
-    """Exact order of the group generated by gens on 0..degree-1."""
-    return PermutationGroup(degree, gens).order()
-
-
 def classify_giant(group):
     """Classify a permutation group as alternating, symmetric, or other.
 
@@ -252,55 +246,3 @@ def classify_giant(group):
     if 2 * order == full and all(is_even(g) for g in group.gens):
         return "alternating"
     return "other"
-
-
-@dataclass
-class AltGenReport:
-    generates: bool
-    connected: bool
-    order: int
-    expected_order: int
-
-
-def alt_generation_check(points, subsets):
-    """Check whether the groups Alt(T_i) together generate Alt(S).
-
-    Each subset needs at least 3 points; their union must be all of S.  The
-    report also records whether the subsets form a connected graph under
-    pairwise intersection, which is the hypothesis under which generation is
-    guaranteed.
-    """
-    points = sorted(set(points))
-    subsets = [sorted(set(t)) for t in subsets]
-    for t in subsets:
-        if len(t) < 3:
-            raise ValueError("subset %r has fewer than 3 points" % (t,))
-    covered = set()
-    for t in subsets:
-        covered.update(t)
-    if covered != set(points):
-        raise ValueError("subsets do not cover the point set")
-
-    n = max(points) + 1
-    gens = []
-    for t in subsets:
-        a, b = t[0], t[1]
-        for c in t[2:]:
-            gens.append(cycle_perm(n, [a, b, c]))
-
-    # connectivity of the pairwise-intersection graph
-    m = len(subsets)
-    seen = {0}
-    frontier = [0]
-    sets = [set(t) for t in subsets]
-    while frontier:
-        i = frontier.pop()
-        for j in range(m):
-            if j not in seen and sets[i] & sets[j]:
-                seen.add(j)
-                frontier.append(j)
-    connected = len(seen) == m
-
-    order = PermutationGroup(n, gens).order()
-    expected = factorial(len(points)) // 2
-    return AltGenReport(order == expected, connected, order, expected)

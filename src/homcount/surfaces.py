@@ -410,11 +410,9 @@ def generator_steps(G, gens, g):
                                       for gen in gens))
 
 
-def mcg_apply(word, G, tup, g=None):
+def mcg_apply(word, G, tup):
     """Apply a word of generator names (trailing ' means inverse)."""
-    if g is None:
-        g = len(tup) // 2
-    letters = resolve_word(word, g)
+    letters = resolve_word(word, len(tup) // 2)
 
     def build(tr, slots):
         out = run_word(letters, slots, tr.mul, tr.inv)
@@ -527,13 +525,6 @@ class AutTables:
             least = min(phi[x] for phi in auts)
             ks = [k for k, phi in enumerate(auts) if phi[x] == least]
             self.candidates.append((ks, [auts[k] for k in ks]))
-
-    @classmethod
-    def of(cls, G):
-        """The tables of G, built once and kept on G."""
-        if G._aut_tables is None:
-            G._aut_tables = cls(G)
-        return G._aut_tables
 
     def image(self, k, tup):
         """auts[k] applied to each entry of tup."""
@@ -659,7 +650,7 @@ def orbit_report(seeds, G, g, gens=None, ext=None, max_visited=2_000_000):
     _check_genus(g)
     if gens is None:
         gens = standard_generators(g)
-    aut = AutTables.of(G)
+    aut = G.cached(AutTables)
     surjective = generation_test(G)
     neighbours = generator_steps(G, gens, g)
     if ext is not None:

@@ -11,6 +11,7 @@ and anti-diagonal defects when extending partial gates.
 import itertools
 from dataclasses import dataclass
 from . import perms
+from .groups import derived_subgroup
 from .gsets import (GSetAction, equivariant_perm, make_free_action,
                     rubik_membership)
 from .counting import DEFAULT_LIMITS
@@ -53,30 +54,18 @@ class ZAlphabet:
         self.z2 = self.warning[q]
         self.scratch = orbits(10, 11)
         self.action = make_free_action(gamma, 11, n_fixed=1)
-        self._square_action = None
-
-    # Cached in an attribute set in __init__, as FiniteGroup's invariants
-    # are: functools.cached_property writes through instance.__dict__,
-    # which on CPython 3.11 slows every later attribute load.
-
-    @property
-    def square_action(self):
-        """The diagonal action on ordered pairs of symbols, with pair
-        encoding (a, b) -> a*|A| + b."""
-        if self._square_action is None:
-            A = self.size
-            G = self.gamma
-            table = []
-            for g in G.elements():
-                row = self.action.table[g]
-                pair_row = [0] * (A * A)
-                for a in range(A):
-                    ra = row[a] * A
-                    for b in range(A):
-                        pair_row[a * A + b] = ra + row[b]
-                table.append(tuple(pair_row))
-            self._square_action = GSetAction(G, A * A, table)
-        return self._square_action
+        # the diagonal action on ordered pairs of symbols, with pair
+        # encoding (a, b) -> a*|A| + b
+        A = self.size
+        table = []
+        for row in self.action.table:
+            pair_row = [0] * (A * A)
+            for a in range(A):
+                ra = row[a] * A
+                for b in range(A):
+                    pair_row[a * A + b] = ra + row[b]
+            table.append(tuple(pair_row))
+        self.square_action = GSetAction(gamma, A * A, table)
 
     # -- orbit bookkeeping ------------------------------------------------------
 
@@ -127,8 +116,8 @@ def extend_to_rubik(partial, zal):
     partial maps pair codes to pair codes; it must cover at least one pair
     of each orbit it moves, and pairs of one orbit must agree.  Unmatched
     orbits are filled order-preservingly with trivial twists; parity is
-    repaired by swapping two scratch-pair orbits and the abelianized-product
-    defect by twisting a scratch-pair orbit.
+    repaired by swapping two scratch-pair orbits, and a product of the
+    components outside [Gamma, Gamma] by twisting a scratch-pair orbit.
     """
     act = zal.square_action
     G = zal.gamma
@@ -175,13 +164,12 @@ def extend_to_rubik(partial, zal):
         s1, s2 = scratch_pair_orbits[0], scratch_pair_orbits[1]
         orbit_img[s1], orbit_img[s2] = orbit_img[s2], orbit_img[s1]
 
-    ab = G.ab_map
+    derived = G.cached(derived_subgroup)
     defect = 0
     for h in comps:
-        defect = ab.quotient.mul(defect, ab(h))
-    if defect != 0:
-        fix = next(g for g in G.elements()
-                   if ab.quotient.mul(defect, ab(g)) == 0)
+        defect = G.mul(defect, h)
+    if defect not in derived:
+        fix = next(g for g in G.elements() if G.mul(defect, g) in derived)
         s1 = scratch_pair_orbits[0]
         comps[s1] = G.mul(comps[s1], fix)
 

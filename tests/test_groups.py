@@ -7,9 +7,9 @@ import pytest
 
 from homcount import groups, perms
 from homcount.groups import (FiniteGroup, GroupError, Subgroup,
-                             _hom_from_gen_images, abelianization,
-                             automorphisms, close_under_product,
-                             commutator_subgroup, direct_product,
+                             _hom_from_gen_images, automorphisms,
+                             close_under_product, commutator_subgroup,
+                             derived_subgroup, direct_product,
                              find_isomorphism, load_group, parse_group_text,
                              subgroup_lattice, subgroup_membership_masks,
                              write_group_file)
@@ -36,6 +36,12 @@ def oracle_close(G, seed_ids):
             members.add(c)
             queue.append(c)
     return tuple(sorted(members))
+
+
+def is_normal(H):
+    """Whether every conjugate of every member of H lies in H."""
+    G, mem = H.parent, set(H.members)
+    return all(G.conj(g, h) in mem for g in G.elements() for h in H.members)
 
 
 def oracle_hom_from_gen_images(G, H, steps, images):
@@ -114,7 +120,6 @@ def _sl23():
 def test_cyclic_table():
     z4 = FiniteGroup.cyclic(4)
     assert z4.order == 4
-    assert z4.is_abelian()
     assert z4.inv(1) == 3
     assert z4.element_order(1) == 4
     z4.check()
@@ -188,7 +193,7 @@ def test_subgroup_invariants(s3):
     assert full.order == 6
     derived = commutator_subgroup(s3)
     assert derived.order == 3
-    assert derived.is_normal()
+    assert is_normal(derived)
 
 
 def test_subgroup_lattice_counts(z4, s3, a5):
@@ -284,9 +289,13 @@ def test_automorphism_self_check_fires(monkeypatch):
         automorphisms(s3)
 
 
-def test_lattice_bound(a5):
-    with pytest.raises(GroupError):
-        subgroup_lattice(a5, order_bound=10)
+def test_lattice_bound():
+    # both bounds reject before any closure or search
+    z121 = FiniteGroup.cyclic(121)
+    with pytest.raises(GroupError, match="subgroup-lattice bound 120"):
+        subgroup_lattice(z121)
+    with pytest.raises(GroupError, match="automorphism bound 120"):
+        automorphisms(z121)
 
 
 def test_automorphism_counts(z4, s3, a5):
@@ -305,16 +314,8 @@ def test_commutators_and_abelianization(z4, s3, a5):
     assert commutator_subgroup(z4).order == 1
     assert commutator_subgroup(a5).order == 60
     assert a5.is_perfect() and not s3.is_perfect()
-    ab = abelianization(s3)
-    assert ab.quotient.order == 2
-    assert abelianization(z4).quotient.order == 4
-    assert abelianization(a5).quotient.order == 1
-    # projection is a homomorphism with kernel the derived subgroup
-    D = set(commutator_subgroup(s3).members)
-    for a in s3.elements():
-        for b in s3.elements():
-            assert ab(s3.mul(a, b)) == ab.quotient.mul(ab(a), ab(b))
-    assert {a for a in s3.elements() if ab(a) == 0} == D
+    assert [len(G.cached(derived_subgroup)) for G in (s3, z4, a5)] \
+        == [3, 1, 60]
 
 
 def test_find_isomorphism(z4, s3):
@@ -367,11 +368,36 @@ def test_stem_extension_rejects_bad_center(a5, sl25_ext):
         bad.validate(a5)
 
 
+def test_cached_builds_once_per_group(monkeypatch):
+    calls = []
+
+    def build(G):
+        calls.append(G)
+        return [G.order]
+
+    z2, z3 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(3)
+    first = z2.cached(build)
+    assert z2.cached(build) is first and z3.cached(build) == [3]
+    assert calls == [z2, z3]
+    # a perm-gens group keeps its closure data: no greedy search runs
+    monkeypatch.setattr(groups, "close_under_product", None)
+    a4 = FiniteGroup.from_perm_gens(
+        "A4", [perms.parse_cycles("(0 1 2)", 4),
+               perms.parse_cycles("(1 2 3)", 4)])
+    gen_ids, steps = a4.generator_data()
+    assert len(gen_ids) == 2 and len(steps) == 11
+    monkeypatch.undo()
+    z6 = FiniteGroup.cyclic(6)
+    gen_ids, steps = z6.generator_data()
+    assert z6.generator_data()[0] is gen_ids and len(steps) == 5
+
+
 def test_invariant_caches_live_on_the_group():
     G = direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(3))
-    ab, masks = G.ab_map, subgroup_membership_masks(G)
-    assert G.ab_map is ab and subgroup_membership_masks(G) is masks
-    assert ab.quotient.order == 6 and len(masks[0]) == 6
+    derived, masks = G.cached(derived_subgroup), subgroup_membership_masks(G)
+    assert G.cached(derived_subgroup) is derived
+    assert subgroup_membership_masks(G) is masks
+    assert derived == {0} and len(masks[0]) == 6
     ref = weakref.ref(G)
     del G
     gc.collect()

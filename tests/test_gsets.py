@@ -1,13 +1,14 @@
 import random
+from math import factorial
 
 import pytest
 
 from homcount import perms
-from homcount.groups import FiniteGroup, GroupError, close_under_product
+from homcount.groups import (FiniteGroup, GroupError, close_under_product,
+                             commutator_subgroup, quotient_by_normal)
 from homcount.gsets import (ActionError, GSetAction, equivariant_perm,
                             goursat_decompose, make_free_action,
-                            parse_action_text, rubik_generators,
-                            rubik_membership, rubik_order,
+                            rubik_generators, rubik_membership, rubik_order,
                             rubik_surjectivity_check)
 from conftest import mulclose
 
@@ -48,6 +49,55 @@ def test_membership_basic(z2):
     bad[1], bad[2] = bad[2], bad[1]
     with pytest.raises(ActionError):
         rubik_membership(tuple(bad), act)
+
+
+def abelianization(G):
+    """G_ab = G / [G, G] and the projection, built from the quotient."""
+    return quotient_by_normal(G, commutator_subgroup(G).members)
+
+
+def oracle_rubik_membership(p, act):
+    """Even orbit permutation, and the product of the components trivial in
+    G_ab."""
+    _, orbit_perm, components = act.decompose(p)
+    ab, proj = abelianization(act.group)
+    acc = 0
+    for h in components:
+        acc = ab.mul(acc, proj[h])
+    return perms.perm_parity(orbit_perm) == 0 and acc == 0
+
+
+def test_membership_matches_abelianization(z2, z3, s3, a4, a5):
+    rng = random.Random(16)
+    for gamma in (z2, z3, s3, a4, a5):
+        act = make_free_action(gamma, 4)
+        q = gamma.order
+        seen = set()
+        for _ in range(60):
+            op = list(range(4))
+            rng.shuffle(op)
+            comps = tuple(rng.randrange(q) for _ in range(4))
+            p = equivariant_perm(act, tuple(op), comps)
+            verdict = rubik_membership(p, act)
+            assert verdict == oracle_rubik_membership(p, act)
+            seen.add(verdict)
+        # Rubik generators multiplied by random components
+        for gen in rubik_generators(act):
+            for _ in range(5):
+                comps = tuple(rng.randrange(q) for _ in range(4))
+                twist = equivariant_perm(act, (0, 1, 2, 3), comps)
+                p = perms.mult(gen, twist)
+                assert rubik_membership(p, act) \
+                    == oracle_rubik_membership(p, act)
+        assert seen == {True, False}, gamma.name
+
+
+def test_rubik_order_matches_abelianization(z2, z3, s3, a4, a5):
+    for gamma in (z2, z3, s3, a4, a5):
+        ab, _ = abelianization(gamma)
+        for n in range(2, 10):
+            assert rubik_order(n, gamma) \
+                == gamma.order ** n // ab.order * (factorial(n) // 2)
 
 
 def test_rubik_order_matches_chain(s3):
@@ -163,29 +213,6 @@ def test_goursat_closure_is_linear_in_h(monkeypatch):
     dec = goursat_decompose([(1, 0), (2, 0), (0, 1), (0, 2)], s4, s4)
     assert dec.n1.order == dec.n2.order == 24 and dec.iso == {0: 0}
     assert len(calls) <= 100 * 24 * 24
-
-
-def test_action_file_roundtrip(tmp_path, s3):
-    from homcount.gsets import load_action
-    from homcount.groups import write_group_file
-    from homcount import perms as P
-    write_group_file(str(tmp_path / "s3.grp"), s3,
-                     perm_gens=[P.parse_cycles("(0 1)", 3),
-                                P.parse_cycles("(0 1 2)", 3)])
-    act = make_free_action(s3, 2)
-    gen_ids, _ = s3.generator_data()
-    lines = ["gamma s3.grp", "points %d" % act.npoints]
-    for g in gen_ids:
-        lines.append("row " + P.format_cycles(act.table[g]))
-    (tmp_path / "free2.act").write_text("\n".join(lines) + "\n")
-    loaded = load_action(str(tmp_path / "free2.act"))
-    assert loaded.table == act.table
-    assert loaded.free_orbits == act.free_orbits
-    # the last row replaced by a malformed line
-    for bad in ("points x", "points 3 4", "row (0 x)", "row (0 -1)",
-                "row (0 %d)" % act.npoints):
-        with pytest.raises(ActionError):
-            parse_action_text("\n".join(lines[:-1] + [bad]), lambda rel: s3)
 
 
 def test_goursat_random_reconstruction(s3, z3):

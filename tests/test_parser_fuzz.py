@@ -10,11 +10,9 @@ from homcount.complexes import (ComplexError, parse_complex_text,
                                 parse_presentation_text)
 from homcount.groups import (FiniteGroup, GroupError, load_stem_extension,
                              parse_group_text, write_group_file)
-from homcount.gsets import ActionError, parse_action_text
 from homcount.surfaces import SurfaceError, parse_gluing_text
 
 Z2 = FiniteGroup.cyclic(2)
-Z3 = FiniteGroup.cyclic(3)
 
 # keywords and other tokens of each format; integers stay below 200, so no
 # text declares an instance too big to build
@@ -26,7 +24,6 @@ WORDS = {
     "group": ["group", "G", "table", "perm-gens"],
     "extension": ["cover", "project", "center", "z2.grp"],
     "gluing": ["genus", "word", "ta1", "tb1'", "chain1", "foo"],
-    "action": ["gamma", "points", "row", "(", ")", "z3.grp"],
 }
 
 
@@ -78,7 +75,6 @@ def test_readers_raise_only_typed_errors(tmp_path):
         (parse_group_text, GroupError),
         (load_extension, GroupError),
         (parse_gluing_text, SurfaceError),
-        (lambda text: parse_action_text(text, lambda rel: Z3), ActionError),
     ]
 
     # each text, whichever format's words built it, goes to every reader

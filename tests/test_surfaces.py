@@ -283,8 +283,8 @@ def test_orbit_classes_match_tuple_walk_s3_s4(s3):
 
 
 def test_canonical_form_is_least_aut_image(a5):
-    aut = AutTables.of(a5)
-    assert AutTables.of(a5) is aut
+    aut = a5.cached(AutTables)
+    assert a5.cached(AutTables) is aut
     rng = random.Random(16)
     for t in orbit_seeds(a5, 2, 200, rng) + [(0, 0, 0, 0), (0, 0, 0, 5)]:
         r, k = aut.canonical(t)

@@ -13,7 +13,9 @@ malformed-circuit case of tests/test_cli.py, and a sweep of
 --max-enumeration budgets over the presentation counters, which shows the
 budgets under which each search raises, the zombie-stage commands
 (verify-parsimony, compile-zsat) over Z2, Z3 and S3 under --max-states and
---max-enumeration budgets, and goursat on A5 x A5.  The commands and the cases
+--max-enumeration budgets, goursat on A5 x A5, rubik-check over Z3, S3
+and A5 at 7 and 9 orbits, orbit over S3 at genus 2, and heegaard-count of
+the homology sphere gluing over A5.  The commands and the cases
 come from the tree this script is in, as do README example inputs that the
 checkout's data directory lacks.
 """
@@ -96,6 +98,13 @@ def main(checkout):
             fh.write("1 0\n2 0\n0 1\n0 2\n")
         run(["goursat", "--group", "a5.grp", "--group2", "a5.grp",
              "--subgroup", "a5xa5.txt"])
+        # the commands that read the derived subgroup and Aut(G)
+        for gamma in ("z3.grp", "s3.grp", "a5.grp"):
+            for orbits in ("7", "9"):
+                run(["rubik-check", "--gamma", gamma, "--orbits", orbits])
+        run(["orbit", "--group", "s3.grp", "--genus", "2",
+             "--orbit-seeds", "5"])
+        run(["heegaard-count", "--gluing", "hsphere.glu", "--group", "a5.grp"])
     finally:
         os.chdir(TREE)
         shutil.rmtree(work)
