@@ -114,14 +114,6 @@ def encode_word(word, q):
     return acc
 
 
-def decode_word(code, q, k):
-    out = [0] * k
-    for i in range(k - 1, -1, -1):
-        out[i] = code % q
-        code //= q
-    return tuple(out)
-
-
 def apply_gates(q, gates, word):
     """The image of a word over range(q) under gates applied in order, as a
     list.  A gate is (wires, perm), with perm a permutation of the base-q

@@ -75,15 +75,8 @@ def cmd_homology(args, rep):
 
 def cmd_count_hom(args, rep):
     G = _load_group_arg(args.group)
-    lim = _limits(args)
     P = complexes.load_presentation(_resolve(args.presentation))
-    surj = 0
-
-    def check(images):
-        nonlocal surj
-        surj += groups.generates(G, images)
-
-    homs = counting.count_homs(P, G, limits=lim, per_solution=check)
+    homs, surj = counting.count_surjections(P, G, limits=_limits(args))
     rep.add("homs", homs)
     rep.add("surjections", surj)
     rep.add("quotients", counting.quotient_count(surj, G))

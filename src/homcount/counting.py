@@ -170,15 +170,16 @@ def count_homs(P, G, limits=DEFAULT_LIMITS, per_solution=None):
 
 
 def count_surjections(P, G, limits=DEFAULT_LIMITS):
-    """Homomorphisms whose generator images generate all of G."""
+    """(homs, surjections): the homomorphisms, and those whose generator
+    images generate all of G."""
     hits = [0]
 
     def check(images):
         if generates(G, images):
             hits[0] += 1
 
-    count_homs(P, G, limits=limits, per_solution=check)
-    return hits[0]
+    homs = count_homs(P, G, limits=limits, per_solution=check)
+    return homs, hits[0]
 
 
 def count_quotients(P, G, limits=DEFAULT_LIMITS):
@@ -187,7 +188,8 @@ def count_quotients(P, G, limits=DEFAULT_LIMITS):
     Surjections divided by |Aut(G)|; the division is asserted exact (the
     automorphism group acts freely on surjections).
     """
-    return quotient_count(count_surjections(P, G, limits=limits), G)
+    _, surj = count_surjections(P, G, limits=limits)
+    return quotient_count(surj, G)
 
 
 def quotient_count(surj, G):

@@ -528,21 +528,6 @@ class StemExtension:
         return self
 
 
-def direct_product(G, H, name=None):
-    """G x H with pair encoding id = a*|H| + b."""
-    n = G.order * H.order
-    table = [0] * (n * n)
-    oh = H.order
-    for a1 in range(G.order):
-        for b1 in range(oh):
-            x = a1 * oh + b1
-            for a2 in range(G.order):
-                for b2 in range(oh):
-                    y = a2 * oh + b2
-                    table[x * n + y] = G.mul(a1, a2) * oh + H.mul(b1, b2)
-    return FiniteGroup(name or ("%sx%s" % (G.name, H.name)), table)
-
-
 # -- file formats -----------------------------------------------------------------
 
 

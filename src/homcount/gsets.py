@@ -17,102 +17,57 @@ class ActionError(ValueError):
 
 
 class GSetAction:
-    """A left action of a finite group on points 0..npoints-1.
+    """A left action of a finite group on points 0..npoints-1, given by its
+    fixed points and its free orbits.
 
-    The table rows are one permutation per group element; orbits are
-    classified as fixed (size 1) or free (size |G| with trivial stabilizer)
-    on construction, anything else is recorded and rejected by the Rubik
-    operations.
+    orbits[i][g] is the point g . r_i, where r_i = orbits[i][0] is the
+    section representative of orbit i, so g . orbits[i][h] =
+    orbits[i][g h] and every non-fixed orbit is free by construction.
     """
 
-    def __init__(self, group, npoints, table):
+    def __init__(self, group, fixed_points, orbits):
         self.group = group
-        self.npoints = npoints
-        if len(table) != group.order:
-            raise ActionError("need one action row per group element")
-        self.table = [tuple(row) for row in table]
-        for row in self.table:
-            if len(row) != npoints:
-                raise ActionError("action row length mismatch")
-            perms.check_perm(row)
-        self._check_axioms()
-        self._classify_orbits()
+        self.fixed_points = list(fixed_points)
+        self.free_orbits = [tuple(orb) for orb in orbits]
+        if any(len(orb) != group.order for orb in self.free_orbits):
+            raise ActionError("a free orbit needs one point per group element")
+        points = self.fixed_points + [pt for orb in self.free_orbits
+                                      for pt in orb]
+        self.npoints = len(points)
+        if sorted(points) != list(range(self.npoints)):
+            raise ActionError("orbits and fixed points overlap or leave gaps")
+        self.section = tuple(orb[0] for orb in self.free_orbits)
+        # coords[pt] = (i, g) with pt = g . section[i]
+        self.coords = {pt: (i, g) for i, orb in enumerate(self.free_orbits)
+                       for g, pt in enumerate(orb)}
 
     def apply(self, g, x):
-        return self.table[g][x]
-
-    def _check_axioms(self):
-        G = self.group
-        if self.table[0] != perms.identity_perm(self.npoints):
-            raise ActionError("identity does not act trivially")
-        gen_ids, steps = G.generator_data()
-        for elem, parent, gi in steps:
-            g = gen_ids[gi]
-            expect = perms.mult(self.table[g], self.table[parent])
-            if self.table[elem] != expect:
-                raise ActionError("action is not compatible with the product")
-
-    def _classify_orbits(self):
-        G = self.group
-        seen = [False] * self.npoints
-        self.fixed_points = []
-        self.free_orbits = []          # list of sorted point tuples
-        self.bad_orbits = []
-        for x in range(self.npoints):
-            if seen[x]:
-                continue
-            orbit = sorted({self.table[g][x] for g in G.elements()})
-            for y in orbit:
-                seen[y] = True
-            if len(orbit) == 1:
-                self.fixed_points.append(x)
-            elif len(orbit) == G.order:
-                self.free_orbits.append(tuple(orbit))
-            else:
-                self.bad_orbits.append(tuple(orbit))
-        # section: smallest point of each free orbit
-        self.section = tuple(orb[0] for orb in self.free_orbits)
-        self._coords = {}
-        for i, rep in enumerate(self.section):
-            for g in G.elements():
-                pt = self.table[g][rep]
-                if pt in self._coords:
-                    raise ActionError("orbit %d is not free" % i)
-                self._coords[pt] = (i, g)
-
-    def coords(self, pt):
-        """(orbit index, g) with pt = g . section[orbit index]."""
-        return self._coords[pt]
-
-    def is_equivariant(self, p):
-        gen_ids, _ = self.group.generator_data()
-        for g in gen_ids:
-            row = self.table[g]
-            for x in range(self.npoints):
-                if p[row[x]] != row[p[x]]:
-                    return False
-        return True
+        if x not in self.coords:
+            return x
+        i, h = self.coords[x]
+        return self.free_orbits[i][self.group.mul(g, h)]
 
     def decompose(self, p):
         """Split an equivariant permutation into fixed part, orbit permutation
-        and section-relative group components."""
-        if not self.is_equivariant(p):
+        and section-relative group components.
+
+        Raises unless p is equivariant: the rebuilt permutation is, and it
+        agrees with p on the fixed points and the representatives, whose
+        images determine an equivariant permutation."""
+        images = [self.coords.get(p[rep]) for rep in self.section]
+        if None in images:
+            raise ActionError("a representative is sent to a fixed point")
+        orbit_perm = tuple(j for j, _ in images)
+        components = tuple(h for _, h in images)
+        if len(set(orbit_perm)) != len(orbit_perm):
+            raise ActionError("two representatives are sent into one orbit")
+        fixed_map = {x: p[x] for x in self.fixed_points}
+        if any(y in self.coords for y in fixed_map.values()):
+            raise ActionError("equivariant image of a fixed point must be fixed")
+        if tuple(p) != equivariant_perm(self, orbit_perm, components,
+                                        fixed_map):
             raise ActionError("permutation does not commute with the action")
-        if self.bad_orbits:
-            raise ActionError("action has a non-free, non-fixed orbit")
-        fixed_map = {}
-        for x in self.fixed_points:
-            if p[x] not in self.fixed_points:
-                raise ActionError("equivariant image of a fixed point must be fixed")
-            fixed_map[x] = p[x]
-        n = len(self.free_orbits)
-        orbit_perm = [None] * n
-        components = [None] * n
-        for i, rep in enumerate(self.section):
-            j, h = self._coords[p[rep]]
-            orbit_perm[i] = j
-            components[i] = h
-        return fixed_map, tuple(orbit_perm), tuple(components)
+        return fixed_map, orbit_perm, components
 
 
 def _fixed_parity(fixed_map):
@@ -153,22 +108,21 @@ def rubik_order(n, gamma):
 
 
 def equivariant_perm(act, orbit_perm, components, fixed_map=None):
-    """Build the equivariant permutation with the given decomposition data."""
-    n = len(act.free_orbits)
+    """The equivariant permutation sending g . section[i] to (g h_i) .
+    section[orbit_perm[i]] and permuting the fixed points by fixed_map,
+    the identity where it is silent."""
+    perms.check_perm(orbit_perm)
+    G = act.group
+    # column h of the multiplication table lists g h for every g
+    columns = [G._table[h::G.order] for h in G.elements()]
     p = list(range(act.npoints))
-    if fixed_map:
-        for x, y in fixed_map.items():
-            p[x] = y
-    for i in range(n):
-        rep = act.section[i]
-        j, h = orbit_perm[i], components[i]
-        target_rep = act.section[j]
-        for g in act.group.elements():
-            # g . rep  ->  (g h) . section[j]
-            p[act.table[g][rep]] = act.table[act.group.mul(g, h)][target_rep]
-    p = tuple(p)
-    perms.check_perm(p)
-    return p
+    for x, y in (fixed_map or {}).items():
+        p[x] = y
+    for orb, j, h in zip(act.free_orbits, orbit_perm, components):
+        target = act.free_orbits[j]
+        for pt, gh in zip(orb, columns[h]):
+            p[pt] = target[gh]
+    return tuple(p)
 
 
 def rubik_generators(act):
@@ -340,13 +294,6 @@ def make_free_action(gamma, n_orbits, n_fixed=0):
     representative first, laid out so that g . (orbit i, h) = (orbit i, g*h).
     """
     q = gamma.order
-    npts = n_fixed + n_orbits * q
-    table = []
-    for g in gamma.elements():
-        row = list(range(n_fixed)) + [0] * (n_orbits * q)
-        for i in range(n_orbits):
-            base = n_fixed + i * q
-            for h in gamma.elements():
-                row[base + h] = base + gamma.mul(g, h)
-        table.append(tuple(row))
-    return GSetAction(gamma, npts, table)
+    return GSetAction(gamma, range(n_fixed),
+                      [range(n_fixed + i * q, n_fixed + (i + 1) * q)
+                       for i in range(n_orbits)])

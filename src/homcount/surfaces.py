@@ -84,37 +84,6 @@ def count_reps(g, G):
     return acc[0]
 
 
-def enumerate_reps(g, G, filter="all", limits=DEFAULT_LIMITS, ext=None):
-    """An iterator over the genus-g representation tuples passing the filter.
-
-    Walks the |G|^(2g-2) prefixes in lexicographic order and reads the
-    solutions of the surface relation in the last handle off the
-    commutator-solution table; genus 0 has the one empty tuple.  filter is
-    one of "all", "surjective", "schur-zero" (the latter needs a stem
-    extension and a perfect target).
-    """
-    _check_genus(g)
-    if filter not in ("all", "surjective", "schur-zero"):
-        raise SurfaceError("unknown filter %r" % filter)
-    if filter == "schur-zero" and ext is None:
-        raise SurfaceError("schur-zero filter needs a stem extension")
-    if G.order ** (2 * g - 1) > limits.max_enumeration:
-        raise WorkBoundExceeded(
-            "enumeration %d^%d exceeds budget" % (G.order, 2 * g - 1))
-    if g == 0:
-        tuples = iter([()])
-    else:
-        sols = commutator_solutions(G)
-        tuples = (prefix + ab
-                  for prefix in product(G.elements(), repeat=2 * g - 2)
-                  for ab in sols[G.inv(surface_relator(G, prefix))])
-    if filter == "all":
-        return tuples
-    generates = generation_test(G)
-    return (t for t in tuples if generates(t) and (
-        filter == "surjective" or schur_invariant(t, G, ext) == 0))
-
-
 class RepSampler:
     """Draws valid genus-g tuples: uniform prefix, then a random solution of
     the surface relation in the last handle (valid, not exactly uniform)."""

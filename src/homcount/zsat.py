@@ -55,17 +55,21 @@ class ZAlphabet:
         self.scratch = orbits(10, 11)
         self.action = make_free_action(gamma, 11, n_fixed=1)
         # the diagonal action on ordered pairs of symbols, with pair
-        # encoding (a, b) -> a*|A| + b
+        # encoding (a, b) -> a*|A| + b; scanning the codes upward numbers
+        # the free orbits by least pair and makes that pair the section
         A = self.size
-        table = []
-        for row in self.action.table:
-            pair_row = [0] * (A * A)
-            for a in range(A):
-                ra = row[a] * A
-                for b in range(A):
-                    pair_row[a * A + b] = ra + row[b]
-            table.append(tuple(pair_row))
-        self.square_action = GSetAction(gamma, A * A, table)
+        rows = [[self.action.apply(g, a) for a in range(A)]
+                for g in gamma.elements()]
+        seen = bytearray(A * A)
+        pair_orbits = []
+        for code in range(1, A * A):
+            if not seen[code]:
+                a, b = divmod(code, A)
+                orbit = [row[a] * A + row[b] for row in rows]
+                for pt in orbit:
+                    seen[pt] = 1
+                pair_orbits.append(orbit)
+        self.square_action = GSetAction(gamma, [0], pair_orbits)
 
     # -- orbit bookkeeping ------------------------------------------------------
 
@@ -127,8 +131,8 @@ def extend_to_rubik(partial, zal):
     for src, dst in partial.items():
         if src == dst == 0:
             continue
-        i, g = act.coords(src)
-        j, h = act.coords(dst)
+        i, g = act.coords[src]
+        j, h = act.coords[dst]
         want = G.mul(G.inv(g), h)
         if orbit_img[i] is None:
             orbit_img[i] = j
@@ -173,8 +177,7 @@ def extend_to_rubik(partial, zal):
         s1 = scratch_pair_orbits[0]
         comps[s1] = G.mul(comps[s1], fix)
 
-    gate = equivariant_perm(act, tuple(orbit_img), tuple(comps),
-                            fixed_map={act.fixed_points[0]: act.fixed_points[0]})
+    gate = equivariant_perm(act, tuple(orbit_img), tuple(comps))
     if not rubik_membership(gate, act):
         raise ZsatError("extension failed the Rubik membership check")
     return gate

@@ -10,13 +10,23 @@ from homcount.circuits import (BooleanCircuit, CircuitError, RsatIF,
                                pack_parameters, parse_boolean_text,
                                parse_reversible_text, reduce_pipeline,
                                regroup_embed, uncompute_wrap, verify_parsimony,
-                               encode_word, decode_word, count_accepted,
+                               encode_word, count_accepted,
                                _bit_gates)
 from homcount.counting import CountingLimits, DEFAULT_LIMITS, WorkBoundExceeded
 from conftest import count_words
 
 AND2 = BooleanCircuit(2, [("AND", (0, 1), (2,))], 2)
 OR2 = BooleanCircuit(2, [("OR", (0, 1), (2,))], 2)
+
+
+def decode_word(code, q, k):
+    """The k base-q digits of code, most significant first: the inverse of
+    encode_word."""
+    out = [0] * k
+    for i in range(k - 1, -1, -1):
+        out[i] = code % q
+        code //= q
+    return tuple(out)
 
 
 def _apply_opcodes(opcodes, bits):

@@ -135,6 +135,18 @@ def test_rubik_check_command(capsys):
     assert rep["theorem-instance"] == "PASS"
 
 
+def test_rubik_check_trivial_gamma(capsys, tmp_path):
+    # over the trivial group every free orbit is one point, so the Rubik
+    # group of 7 orbits is Alt(7)
+    path = tmp_path / "trivial.grp"
+    path.write_text("group T 1\ntable\n0\n")
+    code, out = run(capsys, "rubik-check", "--gamma", str(path))
+    rep = parse_report(out)
+    assert code == 0
+    assert (rep["generated-order"], rep["expected-order"],
+            rep["theorem-instance"]) == ("2520", "2520", "PASS")
+
+
 def test_heegaard_command(capsys, tmp_path):
     path = tmp_path / "lens.glu"
     path.write_text("genus 1\nword tb1 tb1 tb1 tb1 tb1\n")

@@ -9,7 +9,7 @@ from homcount import groups, perms
 from homcount.groups import (FiniteGroup, GroupError, Subgroup,
                              _hom_from_gen_images, automorphisms,
                              close_under_product, commutator_subgroup,
-                             derived_subgroup, direct_product,
+                             derived_subgroup,
                              find_isomorphism, load_group, parse_group_text,
                              subgroup_lattice, subgroup_membership_masks,
                              write_group_file)
@@ -17,6 +17,21 @@ from conftest import data_path
 
 
 # -- independent oracles: pairwise closure and the full |G|^2 hom check ---------
+
+
+def direct_product(G, H, name=None):
+    """G x H with pair encoding id = a*|H| + b."""
+    n = G.order * H.order
+    table = [0] * (n * n)
+    oh = H.order
+    for a1 in range(G.order):
+        for b1 in range(oh):
+            x = a1 * oh + b1
+            for a2 in range(G.order):
+                for b2 in range(oh):
+                    y = a2 * oh + b2
+                    table[x * n + y] = G.mul(a1, a2) * oh + H.mul(b1, b2)
+    return FiniteGroup(name or ("%sx%s" % (G.name, H.name)), table)
 
 
 def oracle_close(G, seed_ids):

@@ -10,6 +10,7 @@ from homcount.gsets import (ActionError, GSetAction, equivariant_perm,
                             goursat_decompose, make_free_action,
                             rubik_generators, rubik_membership, rubik_order,
                             rubik_surjectivity_check)
+from homcount.zsat import ZAlphabet
 from conftest import mulclose
 
 
@@ -17,11 +18,80 @@ def test_action_axioms(z3):
     act = make_free_action(z3, 2, n_fixed=1)
     assert act.fixed_points == [0]
     assert len(act.free_orbits) == 2
-    # wrong table: identity row corrupted
-    bad = [list(r) for r in act.table]
-    bad[0] = list(range(1, act.npoints)) + [0]
+    # overlapping orbits, or an orbit of the wrong size, do not partition
+    # the points into fixed points and free orbits
     with pytest.raises(ActionError):
-        GSetAction(z3, act.npoints, bad)
+        GSetAction(z3, [0], [(1, 2, 3), (3, 4, 5)])
+    with pytest.raises(ActionError):
+        GSetAction(z3, [0], [(1, 2, 3), (4, 5)])
+
+
+def table_orbits(act):
+    """Oracle for the orbit data: build the action table from apply, check
+    the action axioms on it, and classify its orbits by least point into
+    fixed points and free orbits, the least points forming the section."""
+    G = act.group
+    table = [[act.apply(g, x) for x in range(act.npoints)]
+             for g in G.elements()]
+    assert table[0] == list(range(act.npoints))
+    for g in G.elements():
+        for h in G.elements():
+            assert table[G.mul(g, h)] == [table[g][y] for y in table[h]]
+    fixed, free, seen = [], [], set()
+    for x in range(act.npoints):
+        if x in seen:
+            continue
+        orbit = sorted({row[x] for row in table})
+        seen.update(orbit)
+        if len(orbit) == 1:
+            fixed.append(x)
+        else:
+            assert len(orbit) == G.order
+            free.append(set(orbit))
+    section = tuple(min(orb) for orb in free)
+    coords = {table[g][rep]: (i, g) for i, rep in enumerate(section)
+              for g in G.elements()}
+    assert len(coords) == act.npoints - len(fixed)
+    return fixed, free, section, coords
+
+
+def test_orbits_match_table_scan(z2, z3, s3, a4):
+    actions = [make_free_action(gamma, 3, n_fixed)
+               for gamma in (z2, z3, s3, a4) for n_fixed in (0, 1)]
+    actions += [ZAlphabet(gamma).square_action for gamma in (z2, z3, s3)]
+    for act in actions:
+        fixed, free, section, coords = table_orbits(act)
+        assert act.fixed_points == fixed
+        assert [set(orb) for orb in act.free_orbits] == free
+        assert act.section == section
+        assert act.coords == coords
+
+
+def test_decompose_rejects_non_equivariant(z2, s3):
+    act = make_free_action(s3, 3, n_fixed=1)
+    p = equivariant_perm(act, (1, 2, 0), (1, 2, 3))
+    assert act.decompose(p) == ({0: 0}, (1, 2, 0), (1, 2, 3))
+    # agrees with p on the fixed point and every representative, but swaps
+    # two points inside one orbit
+    orb = act.free_orbits[0]
+    bad = list(p)
+    bad[orb[1]], bad[orb[2]] = bad[orb[2]], bad[orb[1]]
+    # two representatives sent into orbit 0
+    into_one = list(range(act.npoints))
+    rep = act.section[1]
+    into_one[rep], into_one[orb[1]] = orb[1], rep
+    # the fixed point sent into an orbit, off the representatives
+    fixed_out = list(range(act.npoints))
+    fixed_out[0], fixed_out[orb[1]] = orb[1], 0
+    # a representative of the squared zombie action sent to the fixed pair
+    square = ZAlphabet(z2).square_action
+    to_fixed = list(range(square.npoints))
+    rep = square.section[0]
+    to_fixed[rep], to_fixed[0] = 0, rep
+    for act, q in ((act, bad), (act, into_one), (act, fixed_out),
+                   (square, to_fixed)):
+        with pytest.raises(ActionError):
+            act.decompose(tuple(q))
 
 
 def test_rubik_order_values(z2, s3):

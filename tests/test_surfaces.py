@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -7,14 +8,47 @@ from homcount.groups import (FiniteGroup, GroupError, automorphisms,
                              close_under_product, subgroup_membership_masks)
 from homcount.surfaces import (AutTables, HeegaardGluing, MCGGenerator,
                                OrbitReport, OrbitRow, RepSampler, SurfaceError,
-                               compile_program, count_reps, enumerate_reps,
-                               generation_test, generator_steps, gluing_h1,
+                               _check_genus, commutator_solutions,
+                               compile_program, count_reps, generation_test,
+                               generator_steps, gluing_h1,
                                heegaard_count, is_torelli_word, load_gluing,
                                mcg_apply, orbit_report, inverse_word,
                                parse_gluing_text, resolve_word, run_word,
                                schur_invariant, standard_generators,
-                               surface_relation_holds, word_h1_matrix)
-from homcount.counting import WorkBoundExceeded
+                               surface_relation_holds, surface_relator,
+                               word_h1_matrix)
+from homcount.counting import DEFAULT_LIMITS, WorkBoundExceeded
+
+
+def enumerate_reps(g, G, filter="all", limits=DEFAULT_LIMITS, ext=None):
+    """An iterator over the genus-g representation tuples passing the filter.
+
+    Walks the |G|^(2g-2) prefixes in lexicographic order and reads the
+    solutions of the surface relation in the last handle off the
+    commutator-solution table; genus 0 has the one empty tuple.  filter is
+    one of "all", "surjective", "schur-zero" (the latter needs a stem
+    extension and a perfect target).
+    """
+    _check_genus(g)
+    if filter not in ("all", "surjective", "schur-zero"):
+        raise SurfaceError("unknown filter %r" % filter)
+    if filter == "schur-zero" and ext is None:
+        raise SurfaceError("schur-zero filter needs a stem extension")
+    if G.order ** (2 * g - 1) > limits.max_enumeration:
+        raise WorkBoundExceeded(
+            "enumeration %d^%d exceeds budget" % (G.order, 2 * g - 1))
+    if g == 0:
+        tuples = iter([()])
+    else:
+        sols = commutator_solutions(G)
+        tuples = (prefix + ab
+                  for prefix in product(G.elements(), repeat=2 * g - 2)
+                  for ab in sols[G.inv(surface_relator(G, prefix))])
+    if filter == "all":
+        return tuples
+    generates = generation_test(G)
+    return (t for t in tuples if generates(t) and (
+        filter == "surjective" or schur_invariant(t, G, ext) == 0))
 
 
 # -- oracles: the per-letter evaluator the compiled programs replaced ----------
@@ -371,7 +405,6 @@ def test_orbit_transitivity_recorded(a5, sl25_ext):
     documents what the loaded generator set actually achieves for A5.
     """
     from homcount.groups import subgroup_membership_masks
-    from homcount.surfaces import enumerate_reps
     rng = random.Random(7)
     sampler = RepSampler(2, a5)
     masks, full_bit = subgroup_membership_masks(a5)

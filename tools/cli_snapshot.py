@@ -13,7 +13,7 @@ malformed-circuit case of tests/test_cli.py, and a sweep of
 --max-enumeration budgets over the presentation counters, which shows the
 budgets under which each search raises, the zombie-stage commands
 (verify-parsimony, compile-zsat) over Z2, Z3 and S3 under --max-states and
---max-enumeration budgets, goursat on A5 x A5, rubik-check over Z3, S3
+--max-enumeration budgets and over A4 once, goursat on A5 x A5, rubik-check over Z3, S3
 and A5 at 7 and 9 orbits, orbit over S3 at genus 2, and heegaard-count of
 the homology sphere gluing over A5.  The commands and the cases
 come from the tree this script is in, as do README example inputs that the
@@ -93,6 +93,11 @@ def main(checkout):
                 run(argv)
                 for budget in budgets:
                     run([*budget, *argv])
+        # A4, whose squared zombie action has 1474 free orbits, once each
+        with open("a4.grp", "w") as fh:
+            fh.write("group A4 12\nperm-gens\n(0 1 2)\n(1 2 3)\n")
+        for command, circuit in zombie:
+            run([command, "--circuit", circuit, "--gamma", "a4.grp"])
         # A5 x A5 closed from its four generator pairs
         with open("a5xa5.txt", "w") as fh:
             fh.write("1 0\n2 0\n0 1\n0 2\n")
