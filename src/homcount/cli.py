@@ -155,9 +155,10 @@ def cmd_verify_parsimony(args, rep):
     lim = _limits(args)
     zal = None
     if args.gamma:
-        zal = zsat.ZAlphabet(_load_group_arg(args.gamma))
-        if bc.n_inputs != 2:
-            zal = None
+        gamma = zsat.check_gamma(_load_group_arg(args.gamma))
+        if bc.n_inputs == 2:
+            zal = zsat.ZAlphabet(gamma)
+        else:
             rep.add("zsat", "skipped (table bridge is width 2)")
     result = circuits.verify_parsimony(bc, limits=lim)
     ok = result.ok

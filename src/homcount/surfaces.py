@@ -4,12 +4,13 @@ mapping-class generator actions, orbit exploration, and Heegaard counting.
 A genus-g representation is a 2g-tuple (a1, b1, ..., ag, bg) of group element
 ids satisfying prod [ai, bi] = 1.  Generator substitution rules are written
 against an abstract (mul, inv) interface so the same rule acts on integer
-homology vectors (abelianized) and, run once on symbolic slot names, compiles
-into a straight-line program over a group's table.
+homology vectors (abelianized), on columns of element ids (one entry per
+Aut(G)-class of Heegaard tuples) and, run once on symbolic slot names,
+compiles into a straight-line program over a group's table.
 """
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain
 from operator import itemgetter
 
 from .groups import GroupError, automorphisms, subgroup_membership_masks
@@ -26,13 +27,18 @@ def _check_genus(g):
         raise SurfaceError("genus must be non-negative, got %d" % g)
 
 
-def surface_relator(G, tup):
+def relator(tup, mul, inv, one):
     """prod [a_i, b_i] over the handles of a tuple (or of a prefix of whole
-    handles)."""
-    acc = 0
+    handles) through the (mul, inv) interface, starting from one."""
+    acc = one
     for i in range(0, len(tup), 2):
-        acc = G.mul(acc, G.comm(tup[i], tup[i + 1]))
+        a, b = tup[i], tup[i + 1]
+        acc = mul(acc, mul(mul(a, b), mul(inv(a), inv(b))))
     return acc
+
+
+def surface_relator(G, tup):
+    return relator(tup, G.mul, G.inv, 0)
 
 
 def surface_relation_holds(G, tup):
@@ -294,10 +300,10 @@ class _Tracer:
     """The (mul, inv) interface over symbolic names, recording one line of
     a straight-line program per distinct product or inverse.
 
-    Products with the identity and inverses of inverses fold away, so the
-    identity slots of a Heegaard tuple cost nothing.  Names are the slot
-    names x0.., IDENTITY and the recorded v0..; nothing else is accepted,
-    so no text but those names and integers reaches the program source.
+    Products with the identity and inverses of inverses fold away.  Names
+    are the slot names x0.., IDENTITY and the recorded v0..; nothing else is
+    accepted, so no text but those names and integers reaches the program
+    source.
     """
 
     def __init__(self, slots):
@@ -335,13 +341,7 @@ class _Tracer:
         return self.memo[x]
 
     def relator(self, tup):
-        """prod [a_i, b_i], associated as surface_relator does."""
-        acc = IDENTITY
-        for i in range(0, len(tup), 2):
-            a, b = tup[i], tup[i + 1]
-            acc = self.mul(acc, self.mul(self.mul(a, b),
-                                         self.mul(self.inv(a), self.inv(b))))
-        return acc
+        return relator(tup, self.mul, self.inv, IDENTITY)
 
     def source(self, out):
         if isinstance(out, tuple):
@@ -364,11 +364,15 @@ def compile_program(G, n_slots, build):
         % (", ".join(slots), "".join("  %s\n" % ln for ln in tr.lines), ret)
     namespace = {}
     exec(compile(src, "<mapping class program>", "exec"), namespace)
-    # rows[a][b] = a*b: a row lookup allocates no int, a flat a*n + b does;
     # popping make leaves no cycle, so the tables go with the program
+    return namespace.pop("make")(_table_rows(G), G._inv)
+
+
+def _table_rows(G):
+    """rows[a][b] = a*b: a row lookup allocates no int, a flat a*n + b
+    does."""
     n = G.order
-    return namespace.pop("make")(
-        [G._table[a * n:(a + 1) * n] for a in range(n)], G._inv)
+    return [G._table[a * n:(a + 1) * n] for a in range(n)]
 
 
 def generator_steps(G, gens, g):
@@ -734,36 +738,88 @@ def load_gluing(path):
         return parse_gluing_text(fh.read())
 
 
+# Why counting per Aut(G)-class is exact.
+#
+# Each letter of the pulled-back word W is a (mul, inv) rule, so each entry
+# of W(t) is a word in the entries of t, and W(phi(t)) = phi(W(t)) for every
+# automorphism phi.  With t = (1, b1, .., 1, bg), phi(t) = (1, phi(b1), ..,
+# 1, phi(bg)), and phi fixes 1, so the a-slots of W(phi(t)) are trivial iff
+# those of W(t) are, and the relator of W(phi(t)) is phi of the relator of
+# W(t), trivial iff that one is.  phi(b1), .., phi(bg) generate G iff b1, ..,
+# bg do.  So every test is constant on the Aut-class of (b1, .., bg), and
+# each count is the sum of the sizes of the classes whose representative
+# passes.
+#
+# The classes.  Every tuple of a class is phi(r) for its least tuple r.
+# The first entry of phi(r) is in the Aut-orbit of r1, and it is r1 exactly
+# when phi fixes r1; then the rest is phi(r2, .., rg) with phi in Stab(r1).
+# So r1 is the least point of its Aut-orbit, r2 the least point of its
+# Stab(r1)-orbit, and so on: taking the least point of each orbit of the
+# prefix's stabilizer, level by level, gives each class exactly once, by
+# its least tuple.  The class has |Aut|/|Stab(r1, .., rg)| tuples, which
+# telescopes into the product of the orbit lengths along the chain, since
+# the orbit of rk under Stab(r1, .., rk-1) has |Stab(r1, .., rk-1)| /
+# |Stab(r1, .., rk)| points.
+
+
+def aut_classes(G, g):
+    """(r, size) for each Aut(G)-class of G^g: r is the class's least tuple
+    and size its number of tuples.  The comment above proves it."""
+    # (r, the stabilizer of r minus its last entry, size): a stabilizer is
+    # cut down only when a further level needs it
+    classes = [((), automorphisms(G), 1)]
+    for _ in range(g):
+        nxt = []
+        for rep, stab, size in classes:
+            if rep:
+                stab = [phi for phi in stab if phi[rep[-1]] == rep[-1]]
+            seen = set()
+            for x, images in enumerate(zip(*stab)):     # x under each of stab
+                if x not in seen:
+                    orbit = set(images)
+                    seen |= orbit
+                    nxt.append((rep + (x,), stab, size * len(orbit)))
+        classes = nxt
+    return [(rep, size) for rep, _, size in classes]
+
+
 def heegaard_count(h, G, limits=DEFAULT_LIMITS):
     """#H, surjections and #Q for the manifold glued from two genus-g
     handlebodies along the word's mapping class.
 
-    The initial handlebody kills a1..ag, so the tuples scanned are
+    The initial handlebody kills a1..ag, so the tuples counted are
     (1, b1, ..., 1, bg); the final handlebody's constraint is that the
-    pulled-back tuple also has trivial a-slots.
+    pulled-back tuple also has trivial a-slots.  The word is pulled back
+    once, over columns holding one entry per Aut(G)-class of (b1, .., bg),
+    and each class counts with its size; the comment above proves it.
     """
     g = h.genus
     if G.order ** g > limits.max_enumeration:
         raise WorkBoundExceeded("heegaard enumeration %d^%d over budget"
                                 % (G.order, g))
     pull_back = inverse_word(resolve_word(h.word, g))
+    classes = aut_classes(G, g)
+    rows, inverse = _table_rows(G), G._inv
 
-    def build(tr, bs):
-        tup = run_word(pull_back, tuple(x for b in bs for x in (IDENTITY, b)),
-                       tr.mul, tr.inv)
-        return (tr.relator(tup),) + tup[0::2]
+    def mul(xs, ys):
+        return [rows[x][y] for x, y in zip(xs, ys)]
 
-    # (b1..bg) -> (relator, a-slots) of the pulled-back tuple (1, b1, .., 1, bg)
-    program = compile_program(G, g, build)
+    def inv(xs):
+        return list(map(inverse.__getitem__, xs))
+
+    # (1, b1, .., 1, bg) as columns over the class representatives
+    one = [0] * len(classes)
+    bs = zip(*(rep for rep, _ in classes))
+    tup = run_word(pull_back, tuple(x for b in bs for x in (one, list(b))),
+                   mul, inv)
     generates = generation_test(G)
-    trivial = (0,) * (g + 1)
-    homs = 0
-    surj = 0
-    for bvals in product(range(G.order), repeat=g):
-        out = program(*bvals)
-        if out == trivial:
-            homs += 1
-            surj += generates(bvals)
-        elif out[0] != 0:
+    homs = surj = 0
+    for (rep, size), rel, *a_slots in zip(classes, relator(tup, mul, inv, one),
+                                          *tup[0::2]):
+        if rel:
             raise SurfaceError("generator broke the surface relation")
+        if not any(a_slots):
+            homs += size
+            if generates(rep):
+                surj += size
     return HomCount(homs, surj, quotient_count(surj, G))

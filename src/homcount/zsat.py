@@ -22,6 +22,14 @@ class ZsatError(ValueError):
     pass
 
 
+def check_gamma(gamma):
+    """gamma itself; a ZsatError unless it is non-trivial, the one condition
+    for a zombie alphabet, so callers can refuse it before building one."""
+    if gamma.order < 2:
+        raise ZsatError("zombie alphabets need a non-trivial group")
+    return gamma
+
+
 class ZAlphabet:
     """The zombie alphabet of Gamma: symbol 0 is the zombie, then 11 free
     orbits of |Gamma| symbols, orbit k on 1 + k|Gamma| .. (k + 1)|Gamma|
@@ -37,9 +45,7 @@ class ZAlphabet:
     """
 
     def __init__(self, gamma):
-        if gamma.order < 2:
-            raise ZsatError("zombie alphabets need a non-trivial group")
-        self.gamma = gamma
+        self.gamma = check_gamma(gamma)
         q = gamma.order
         self.size = 1 + 11 * q
         self.zombie = 0

@@ -158,6 +158,27 @@ def a4():
 
 
 @pytest.fixture(scope="session")
+def s4():
+    return FiniteGroup.from_perm_gens(
+        "S4", [perms.parse_cycles("(0 1)", 4),
+               perms.parse_cycles("(0 1 2 3)", 4)])
+
+
+@pytest.fixture(scope="session")
+def sl23():
+    """SL(2,3) acting on the eight non-zero vectors of F_3^2."""
+    vecs = [(x, y) for x in range(3) for y in range(3) if (x, y) != (0, 0)]
+    index = {v: i for i, v in enumerate(vecs)}
+
+    def image(m):
+        return tuple(index[((m[0][0] * x + m[0][1] * y) % 3,
+                            (m[1][0] * x + m[1][1] * y) % 3)] for x, y in vecs)
+
+    return FiniteGroup.from_perm_gens(
+        "SL23", [image(((1, 1), (0, 1))), image(((0, 2), (1, 0)))])
+
+
+@pytest.fixture(scope="session")
 def a5():
     return load_group(data_path("a5.grp"))
 

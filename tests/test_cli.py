@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from homcount import zsat
 from homcount.circuits import load_boolean, load_reversible, reduce_pipeline
 from homcount.cli import main
 from conftest import DATA
@@ -108,6 +109,27 @@ def test_verify_parsimony_command(capsys, tmp_path):
     assert rep["parsimony"] == "PASS"
     assert rep["csat"] == rep["rsat4"] == "1"
     assert rep["zsat"] == "3"
+
+
+def test_verify_parsimony_builds_no_unused_alphabet(capsys, tmp_path,
+                                                    monkeypatch):
+    """Only the width-2 table bridge builds a zombie alphabet, but a trivial
+    Gamma is refused whatever the circuit's width."""
+    circuit = tmp_path / "andor3.bool"
+    circuit.write_text("in 3\nAND 0 1 -> 3\nOR 3 2 -> 4\nout 4\n")
+    trivial = tmp_path / "trivial.grp"
+    trivial.write_text("group T 1\ntable\n0\n")
+    code, out = run(capsys, "verify-parsimony", "--circuit", str(circuit),
+                    "--gamma", str(trivial))
+    assert code == 2
+    assert parse_report(out) == {
+        "error": "ZsatError: zombie alphabets need a non-trivial group"}
+    monkeypatch.setattr(zsat, "ZAlphabet", None)
+    code, out = run(capsys, "verify-parsimony", "--circuit", str(circuit),
+                    "--gamma", "a5.grp")
+    rep = parse_report(out)
+    assert code == 0 and rep["parsimony"] == "PASS"
+    assert rep["zsat"] == "skipped (table bridge is width 2)"
 
 
 def test_reduce_command(capsys, tmp_path):

@@ -113,25 +113,6 @@ def oracle_lattice(G):
     return subs, [[set(B) <= set(A) for B in subs] for A in subs]
 
 
-def _s4():
-    return FiniteGroup.from_perm_gens(
-        "S4", [perms.parse_cycles("(0 1)", 4),
-               perms.parse_cycles("(0 1 2 3)", 4)])
-
-
-def _sl23():
-    """SL(2,3) acting on the eight non-zero vectors of F_3^2."""
-    vecs = [(x, y) for x in range(3) for y in range(3) if (x, y) != (0, 0)]
-    index = {v: i for i, v in enumerate(vecs)}
-
-    def image(m):
-        return tuple(index[((m[0][0] * x + m[0][1] * y) % 3,
-                            (m[1][0] * x + m[1][1] * y) % 3)] for x, y in vecs)
-
-    return FiniteGroup.from_perm_gens(
-        "SL23", [image(((1, 1), (0, 1))), image(((0, 2), (1, 0)))])
-
-
 def test_cyclic_table():
     z4 = FiniteGroup.cyclic(4)
     assert z4.order == 4
@@ -237,9 +218,9 @@ def test_subgroup_lattice_counts(z4, s3, a5):
             assert lat.contains[i][j] == (set(B.members) <= set(A.members))
 
 
-def test_lattice_matches_oracle(s3, a4, a5):
+def test_lattice_matches_oracle(s3, a4, s4, sl23, a5):
     s3xz2 = direct_product(s3, FiniteGroup.cyclic(2))   # table mode only
-    for G in (s3, a4, _s4(), _sl23(), a5, s3xz2):
+    for G in (s3, a4, s4, sl23, a5, s3xz2):
         lat = subgroup_lattice(G)
         subs, contains = oracle_lattice(G)
         assert [H.members for H in lat.subgroups] == subs
@@ -261,16 +242,16 @@ def test_lattice_closes_once_per_coset(monkeypatch, a5):
     assert calls[0] <= 1100
 
 
-def test_closure_matches_oracle(a5):
+def test_closure_matches_oracle(a5, s4, sl23):
     rng = random.Random(11)
-    for G in (a5, _s4(), _sl23()):
+    for G in (a5, s4, sl23):
         for _ in range(400):
             seeds = [rng.randrange(G.order) for _ in range(rng.randint(0, 5))]
             assert close_under_product(G, seeds) == oracle_close(G, seeds)
 
 
-def test_hom_extension_matches_oracle(s3, a4):
-    targets = (s3, a4, _s4(), _sl23())
+def test_hom_extension_matches_oracle(s3, a4, s4, sl23):
+    targets = (s3, a4, s4, sl23)
     for G in targets:
         gen_ids, steps = G.generator_data()
         for H in targets:
@@ -279,8 +260,8 @@ def test_hom_extension_matches_oracle(s3, a4):
                         == oracle_hom_from_gen_images(G, H, steps, images))
 
 
-def test_automorphisms_match_oracle(s3, a4, a5):
-    for G in (s3, a4, _s4(), a5):
+def test_automorphisms_match_oracle(s3, a4, s4, a5):
+    for G in (s3, a4, s4, a5):
         assert automorphisms(G) == oracle_automorphisms(G)
 
 

@@ -9,8 +9,8 @@ from homcount.groups import (FiniteGroup, GroupError, automorphisms,
 from homcount.surfaces import (AutTables, HeegaardGluing, MCGGenerator,
                                OrbitReport, OrbitRow, RepSampler, SurfaceError,
                                _check_genus, commutator_solutions,
-                               compile_program, count_reps, generation_test,
-                               generator_steps, gluing_h1,
+                               aut_classes, compile_program, count_reps,
+                               generation_test, generator_steps, gluing_h1,
                                heegaard_count, is_torelli_word, load_gluing,
                                mcg_apply, orbit_report, inverse_word,
                                parse_gluing_text, resolve_word, run_word,
@@ -151,12 +151,6 @@ def oracle_heegaard(h, G):
                 acc &= masks[b]
             surj += acc == full_bit
     return homs, surj
-
-
-def s4_group():
-    return FiniteGroup.from_perm_gens(
-        "S4", [perms.parse_cycles("(0 1)", 4),
-               perms.parse_cycles("(0 1 2 3)", 4)])
 
 
 def random_word(rng, g, max_len=10):
@@ -303,16 +297,15 @@ def assert_matches_tuple_walk(seeds, G, g, ext=None):
     return rep
 
 
-def test_orbit_classes_match_tuple_walk_s3_s4(s3):
+def test_orbit_classes_match_tuple_walk_s3_s4(s3, s4):
     rng = random.Random(4)
     sampler = RepSampler(2, s3)
     # the seeds of test_orbit_report_classes
     assert_matches_tuple_walk(
         [sampler.draw(rng) for _ in range(5)] + [(0, 0, 0, 0)], s3, 2)
     assert_matches_tuple_walk(orbit_seeds(s3, 1, 6, rng), s3, 1)
-    S4 = s4_group()
     rep = assert_matches_tuple_walk(
-        orbit_seeds(S4, 2, 8, random.Random(15)) + [(0, 0, 0, 0)], S4, 2)
+        orbit_seeds(s4, 2, 8, random.Random(15)) + [(0, 0, 0, 0)], s4, 2)
     assert len(rep.rows) > 2
 
 
@@ -523,14 +516,48 @@ def test_compiled_steps_match_generators_a5(a5):
     check_steps(a5, [sampler.draw(rng) for _ in range(2000)])
 
 
-def test_heegaard_matches_oracle(s3, a4):
+def test_heegaard_matches_oracle(s3, a4, s4, sl23, a5):
+    from conftest import data_path
     rng = random.Random(9)
-    cases = [(G, 1 + k % 2) for G in (s3, a4, s4_group()) for k in range(20)]
-    cases += [(s3, 3)] * 6
-    for G, g in cases:
-        h = HeegaardGluing(g, random_word(rng, g))
+    cases = [(G, 1 + k % 2) for G in (s3, a4, s4) for k in range(20)]
+    cases += [(s3, 3)] * 6 + [(sl23, 2)] * 8 + [(a4, 3)] * 3 + [(a5, 2)] * 3
+    gluings = [(G, HeegaardGluing(g, random_word(rng, g))) for G, g in cases]
+    # 120 surjections onto A5
+    gluings.append((a5, load_gluing(data_path("hsphere.glu"))))
+    surjective = set()
+    for G, h in gluings:
         out = heegaard_count(h, G)
         assert (out.homs, out.surjections) == oracle_heegaard(h, G), h
+        if out.surjections:
+            surjective.add((G.name, h.genus))
+    assert {("SL23", 2), ("A4", 3), ("A5", 2)} <= surjective
+
+
+def brute_force_classes(G, g):
+    """The Aut(G)-orbits of G^g, each found by applying every automorphism
+    to the least tuple not yet covered."""
+    auts = automorphisms(G)
+    orbits, seen = [], set()
+    for t in product(G.elements(), repeat=g):
+        if t not in seen:
+            orbit = {tuple(phi[x] for x in t) for phi in auts}
+            seen |= orbit
+            orbits.append(orbit)
+    return orbits
+
+
+def test_aut_classes_partition_tuples(s3, a4, s4):
+    for G, g in [(G, g) for G in (s3, a4, s4) for g in (0, 1, 2)] + [(s3, 3)]:
+        classes = aut_classes(G, g)
+        orbits = brute_force_classes(G, g)
+        assert len(classes) == len(orbits)
+        orbit_of = {t: k for k, orbit in enumerate(orbits) for t in orbit}
+        assert sorted(orbit_of[r] for r, _ in classes) == list(
+            range(len(orbits)))
+        for r, size in classes:
+            assert r == min(orbits[orbit_of[r]])
+            assert size == len(orbits[orbit_of[r]])
+        assert sum(size for _, size in classes) == G.order ** g
 
 
 def test_mcg_apply_matches_oracle(s3, a4):
@@ -636,7 +663,7 @@ def test_unknown_names_are_typed_errors():
         heegaard_count(HeegaardGluing(1, ["ta1", "foo"]), FiniteGroup.trivial())
 
 
-def test_genus_and_seed_length_checked():
+def test_genus_and_seed_length_checked(s4):
     G = FiniteGroup.cyclic(2)
     assert list(enumerate_reps(0, G)) == [()] and count_reps(0, G) == 1
     for call in (enumerate_reps, count_reps,
@@ -646,10 +673,10 @@ def test_genus_and_seed_length_checked():
     with pytest.raises(SurfaceError):
         parse_gluing_text("genus -1\nword\n")
     assert parse_gluing_text("genus 0\n").genus == 0
-    assert heegaard_count(HeegaardGluing(0, []), s4_group()).homs == 1
+    assert heegaard_count(HeegaardGluing(0, []), s4).homs == 1
     for seeds, g in (([(0, 0)], -1), ([(0, 0)], 2)):
         with pytest.raises(SurfaceError):
-            orbit_report(seeds, s4_group(), g)
+            orbit_report(seeds, s4, g)
 
 
 def test_schur_invariant_leaves_the_extension_alone(a5, sl25_ext):

@@ -13,10 +13,12 @@ malformed-circuit case of tests/test_cli.py, and a sweep of
 --max-enumeration budgets over the presentation counters, which shows the
 budgets under which each search raises, the zombie-stage commands
 (verify-parsimony, compile-zsat) over Z2, Z3 and S3 under --max-states and
---max-enumeration budgets and over A4 once, goursat on A5 x A5, rubik-check over Z3, S3
-and A5 at 7 and 9 orbits, orbit over S3 at genus 2, and heegaard-count of
-the homology sphere gluing over A5.  The commands and the cases
-come from the tree this script is in, as do README example inputs that the
+--max-enumeration budgets and over A4 once, goursat on A5 x A5,
+rubik-check over Z3, S3 and A5 at 7 and 9 orbits, orbit over S3 at genus
+2, and heegaard-count of the lens space over S3 and A5, of the homology
+sphere over S3, SL(2,5) and A5 (there also at --max-enumeration 3599 and
+3600) and of a genus-3 gluing over S3.  The commands and the cases come
+from the tree this script is in, as do README example inputs that the
 checkout's data directory lacks.
 """
 
@@ -109,7 +111,18 @@ def main(checkout):
                 run(["rubik-check", "--gamma", gamma, "--orbits", orbits])
         run(["orbit", "--group", "s3.grp", "--genus", "2",
              "--orbit-seeds", "5"])
-        run(["heegaard-count", "--gluing", "hsphere.glu", "--group", "a5.grp"])
+        # Heegaard counts, and the budget |G|^g = 3600 of A5 at genus 2
+        with open("genus3.glu", "w") as fh:
+            fh.write("genus 3\nword tb1 tb1 tb2 tb2 tb2 chain2 tb3 swap2\n")
+        for gluing, group in [("lens5.glu", "s3.grp"), ("lens5.glu", "a5.grp"),
+                              ("hsphere.glu", "s3.grp"),
+                              ("hsphere.glu", "sl25.grp"),
+                              ("hsphere.glu", "a5.grp"),
+                              ("genus3.glu", "s3.grp")]:
+            run(["heegaard-count", "--gluing", gluing, "--group", group])
+        for budget in ("3599", "3600"):
+            run(["--max-enumeration", budget, "heegaard-count", "--gluing",
+                 "hsphere.glu", "--group", "a5.grp"])
     finally:
         os.chdir(TREE)
         shutil.rmtree(work)
