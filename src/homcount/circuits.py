@@ -135,22 +135,46 @@ def count_accepted(q, gates, inputs, accepts, limits, stage):
     per copy; inputs and accepts give one symbol collection per wire.
 
     A Sweep over the gates in order: a wire enters at its first gate with
-    one copy of each row per input symbol, each gate maps its wires'
+    one copy of each row per live input symbol, each gate maps its wires'
     columns through its table, and after its last gate the wire's
-    unaccepted rows are dropped, its column goes and equal rows merge.
-    limits.max_states bounds the rows."""
+    unaccepted rows are dropped, its column goes and equal rows merge.  An
+    input symbol is live when the wire accepts it or one of the wire's
+    gates moves it; one that no gate moves stays on the wire to the end
+    and is rejected, so it never enters.  limits.max_states bounds the
+    rows entered, limits.max_enumeration every word of product(*inputs)."""
     if math.prod(map(len, inputs)) > limits.max_enumeration:
         raise WorkBoundExceeded("%s enumeration over budget" % stage)
     accepts = [frozenset(acc) for acc in accepts]
-    last = {w: i for i, (wires, _) in enumerate(gates) for w in wires}
+    last, on_wire = {}, {}
+    for i, (wires, perm) in enumerate(gates):
+        for slot, w in enumerate(wires):
+            last[w] = i
+            on_wire.setdefault(w, []).append((perm, len(wires) - 1 - slot))
     factor = math.prod(sum(map(accepts[w].__contains__, inputs[w]))
                        for w in range(len(inputs)) if w not in last)
+    moved = {}              # (id(table), place, symbol) -> the table moves it
+
+    def moves(perm, place, s):
+        key = id(perm), place, s
+        if key not in moved:
+            low = q ** place
+            # the codes with s there run in blocks of low, one per q * low
+            moved[key] = any(x // low % q != s
+                             for start in range(s * low, len(perm), q * low)
+                             for x in perm[start:start + low])
+        return moved[key]
+
+    live = {w: [s for s in inputs[w] if s in accepts[w]
+                or any(moves(perm, place, s) for perm, place in on_wire[w])]
+            for w in on_wire}
+    if not all(live.values()):
+        return 0
     sweep = Sweep(q, limits.max_states, stage)
     cols, col = sweep.cols, sweep.col
     for i, (wires, perm) in enumerate(gates):
         for w in wires:
             if w not in cols:
-                sweep.enter(w, inputs[w])
+                sweep.enter(w, live[w])
         codes = cols[wires[0]]
         for w in wires[1:-1]:
             codes = [c * q + x for c, x in zip(codes, cols[w])]

@@ -211,8 +211,10 @@ class Sweep:
     and one multiplicity per row.  A variable enters with one copy of each
     row per symbol, a mask keeps rows, and forgetting variables drops their
     columns and merges the rows left equal.  max_states bounds the rows an
-    enter would make; no other operation adds rows.  cols is updated in
-    place, so a caller may hold it across operations."""
+    enter would make, from the symbols the caller enters (count_accepted
+    leaves out input symbols that can no longer be accepted); no other
+    operation adds rows.  cols is updated in place, so a caller may hold it
+    across operations."""
 
     def __init__(self, q, max_states, stage):
         self.col = bytes if q <= 256 else list

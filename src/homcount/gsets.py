@@ -88,11 +88,16 @@ def rubik_membership(p, act):
     for the single-zombie alphabets used downstream.
     """
     fixed_map, orbit_perm, components = act.decompose(p)
-    if _fixed_parity(fixed_map) != 0:
-        return False
+    return (_fixed_parity(fixed_map) == 0
+            and rubik_coordinates(act.group, orbit_perm, components))
+
+
+def rubik_coordinates(G, orbit_perm, components):
+    """The membership rule on the coordinates of an equivariant
+    permutation that fixes its fixed points: the orbit permutation is even
+    and the product of the components lies in [G, G]."""
     if perms.perm_parity(orbit_perm) != 0:
         return False
-    G = act.group
     acc = 0
     for h in components:
         acc = G.mul(acc, h)

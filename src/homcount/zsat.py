@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import perms
 from .groups import derived_subgroup
 from .gsets import (GSetAction, equivariant_perm, make_free_action,
-                    rubik_membership)
+                    rubik_coordinates, rubik_membership)
 from .counting import DEFAULT_LIMITS
 from .circuits import RsatIF, apply_gates, count_accepted, encode_word
 
@@ -183,10 +183,9 @@ def extend_to_rubik(partial, zal):
         s1 = scratch_pair_orbits[0]
         comps[s1] = G.mul(comps[s1], fix)
 
-    gate = equivariant_perm(act, tuple(orbit_img), tuple(comps))
-    if not rubik_membership(gate, act):
+    if not rubik_coordinates(G, orbit_img, comps):
         raise ZsatError("extension failed the Rubik membership check")
-    return gate
+    return equivariant_perm(act, tuple(orbit_img), tuple(comps))
 
 
 # -- compilation ----------------------------------------------------------------------

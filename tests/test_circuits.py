@@ -335,6 +335,25 @@ def test_stage_budget_messages():
         assert str(exc.value) == "%s enumeration over budget" % stage
 
 
+def test_stage3_state_budget_is_exact():
+    # six pair symbols, each entering with only the two initialization
+    # symbols in psi's image out of four: 2^6 rows at the peak
+    bc = BooleanCircuit(4, [("AND", (1, 2), (4,)), ("AND", (3, 2), (5,)),
+                            ("AND", (2, 3), (6,)), ("NOT", (3,), (7,))], 1)
+    _, _, r3, _ = reduce_pipeline(bc)
+    assert r3.width == 6
+    least = 64      # 4096 = 4^6 when every input symbol entered
+    assert r3.count(CountingLimits(max_states=least)) == bc.count_sat() == 8
+    with pytest.raises(WorkBoundExceeded) as exc:
+        r3.count(CountingLimits(max_states=least - 1))
+    assert str(exc.value) == "RSAT state budget %d exceeded" % (least - 1)
+    # the word bound still covers every input word, entered or not
+    words = len(r3.init) ** r3.width
+    with pytest.raises(WorkBoundExceeded) as exc:
+        r3.count(CountingLimits(max_enumeration=words - 1))
+    assert str(exc.value) == "RSAT enumeration over budget"
+
+
 def test_eval_errors():
     circ = RsatIF(2, 2, None, None)
     with pytest.raises(CircuitError, match="word width mismatch"):
@@ -394,6 +413,76 @@ def test_sweep_matches_word_oracle():
         accepts = [rng.sample(range(q), 150) for _ in range(3)]
         assert count_accepted(q, gates, inputs, accepts, CountingLimits(),
                               "TEST") == count_words(q, gates, inputs, accepts)
+
+
+def _freezing_table(rng, q, keep):
+    """A random table on len(keep) wires that leaves the digit keep[j] in
+    place at slot j wherever it stands, for each slot whose entry is not
+    None: it permutes the codes within each class of digits kept."""
+    classes = {}
+    for word in itertools.product(range(q), repeat=len(keep)):
+        key = tuple(x == s for x, s in zip(word, keep))
+        classes.setdefault(key, []).append(encode_word(word, q))
+    table = [None] * q ** len(keep)
+    for codes in classes.values():
+        for c, image in zip(codes, rng.sample(codes, len(codes))):
+            table[c] = image
+    return tuple(table)
+
+
+def test_live_inputs_match_oracle():
+    # each wire has a chosen symbol that most of its gates leave in place;
+    # an input symbol kept by every gate on its wire and not accepted there
+    # never enters the sweep, and the word oracle still runs every word
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(300):
+        q = rng.choice((2, 3, 4))
+        width = rng.randint(2, 5)
+        frozen = [rng.randrange(q) for _ in range(width)]
+        gates, keeps = [], {}
+        for _ in range(rng.randint(1, 5)):
+            k = rng.randint(1, min(3, width))
+            wires = tuple(rng.sample(range(width), k))
+            keep = [frozen[w] if rng.random() < 0.7 else None for w in wires]
+            gates.append((wires, _freezing_table(rng, q, keep)))
+            for w, s in zip(wires, keep):
+                keeps.setdefault(w, []).append(s is not None)
+            seen.add("arity %d" % len(wires))
+            if list(wires) != sorted(wires):
+                seen.add("non-ascending")
+        inputs = [tuple(rng.choices(range(q), k=rng.randint(0, q)))
+                  + (frozen[w],) * rng.randint(0, 2) for w in range(width)]
+        accepts = [rng.sample(range(q), rng.randint(0, q))
+                   for _ in range(width)]
+        assert count_accepted(q, gates, inputs, accepts, CountingLimits(),
+                              "TEST") == count_words(q, gates, inputs, accepts)
+        seen.add("q %d" % q)
+        for w in range(width):
+            if w not in keeps:
+                seen.add("untouched")
+            elif frozen[w] in inputs[w]:
+                accepted = frozen[w] in accepts[w]
+                if all(keeps[w]):
+                    seen.add("frozen %s" % ("accepted" if accepted
+                                            else "unaccepted"))
+                elif keeps[w][0] and not accepted:
+                    seen.add("kept first, moved later")
+    assert seen >= {"arity 1", "arity 2", "arity 3", "non-ascending",
+                    "q 2", "q 3", "q 4", "untouched", "frozen accepted",
+                    "frozen unaccepted", "kept first, moved later"}
+    # wire 0 has no gate; every input of wire 2 is kept and unaccepted, so
+    # the count is 0 before a row is entered
+    q, rng = 3, random.Random(20)
+    gates = [((2, 1), _freezing_table(rng, q, (2, None))),
+             ((1, 2), _freezing_table(rng, q, (None, 2)))]
+    inputs, accepts = [(0, 1), (0, 1, 2), (2, 2)], [(0,), (0, 1), (0, 1)]
+    assert count_words(q, gates, inputs, accepts) == 0
+    assert count_accepted(q, gates, inputs, accepts,
+                          CountingLimits(max_states=0), "TEST") == 0
+    inputs[2] = (1, 2)
+    assert count_accepted(q, gates, inputs, accepts, CountingLimits(),
+                          "TEST") == count_words(q, gates, inputs, accepts)
 
 
 def _planar_bits(stage):

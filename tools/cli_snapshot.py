@@ -13,13 +13,14 @@ malformed-circuit case of tests/test_cli.py, and a sweep of
 --max-enumeration budgets over the presentation counters, which shows the
 budgets under which each search raises, the zombie-stage commands
 (verify-parsimony, compile-zsat) over Z2, Z3 and S3 under --max-states and
---max-enumeration budgets and over A4 once, goursat on A5 x A5,
-rubik-check over Z3, S3 and A5 at 7 and 9 orbits, orbit over S3 at genus
-2, and heegaard-count of the lens space over S3 and A5, of the homology
-sphere over S3, SL(2,5) and A5 (there also at --max-enumeration 3599 and
-3600) and of a genus-3 gluing over S3.  The commands and the cases come
-from the tree this script is in, as do README example inputs that the
-checkout's data directory lacks.
+--max-enumeration budgets and over A4 once, verify-parsimony of a 4-input
+circuit with six stage-3 symbols unbudgeted and under --max-states 2^0 ..
+2^12, goursat on A5 x A5, rubik-check over Z3, S3 and A5 at 7 and 9
+orbits, orbit over S3 at genus 2, and heegaard-count of the lens space
+over S3 and A5, of the homology sphere over S3, SL(2,5) and A5 (there
+also at --max-enumeration 3599 and 3600) and of a genus-3 gluing over S3.
+The commands and the cases come from the tree this script is in, as do
+README example inputs that the checkout's data directory lacks.
 """
 
 import contextlib
@@ -95,6 +96,15 @@ def main(checkout):
                 run(argv)
                 for budget in budgets:
                     run([*budget, *argv])
+        # a 4-input circuit whose stage 3 has six pair symbols, over the
+        # state budgets around the stage-3 and stage-4 peaks
+        with open("four.bool", "w") as fh:
+            fh.write("in 4\nCOPY 0 -> 4 5\nAND 4 1 -> 6\nOR 5 2 -> 7\n"
+                     "AND 6 7 -> 8\nAND 8 3 -> 9\nout 9\n")
+        run(["verify-parsimony", "--circuit", "four.bool"])
+        for k in range(13):
+            run(["--max-states", str(2 ** k), "verify-parsimony",
+                 "--circuit", "four.bool"])
         # A4, whose squared zombie action has 1474 free orbits, once each
         with open("a4.grp", "w") as fh:
             fh.write("group A4 12\nperm-gens\n(0 1 2)\n(1 2 3)\n")
