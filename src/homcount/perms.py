@@ -88,7 +88,7 @@ def cycle_perm(n, cycle):
     return tuple(p)
 
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_CYCLE = r"\(([^()]*)\)"
 
 
 def parse_cycles(text, degree=0):
@@ -98,11 +98,11 @@ def parse_cycles(text, degree=0):
     larger degree is given.  "()" is the identity.
     """
     stripped = text.strip()
-    leftover = _CYCLE_RE.sub("", stripped).strip()
+    leftover = re.sub(_CYCLE, "", stripped).strip()
     if leftover:
         raise ValueError("bad cycle notation: %r" % text)
     cycles = []
-    for m in _CYCLE_RE.finditer(stripped):
+    for m in re.finditer(_CYCLE, stripped):
         body = m.group(1).replace(",", " ").split()
         if not body:
             continue

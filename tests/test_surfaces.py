@@ -8,15 +8,14 @@ from homcount.groups import (FiniteGroup, GroupError, automorphisms,
                              close_under_product, subgroup_membership_masks)
 from homcount.surfaces import (AutTables, HeegaardGluing, MCGGenerator,
                                OrbitReport, OrbitRow, RepSampler, SurfaceError,
-                               _check_genus, commutator_solutions,
-                               aut_classes, compile_program, count_reps,
-                               generation_test, generator_steps, gluing_h1,
-                               heegaard_count, is_torelli_word, load_gluing,
-                               mcg_apply, orbit_report, inverse_word,
-                               parse_gluing_text, resolve_word, run_word,
-                               schur_invariant, standard_generators,
-                               surface_relation_holds, surface_relator,
-                               word_h1_matrix)
+                               _check_genus, _column_ops, commutator_solutions,
+                               aut_classes, count_reps, generation_test,
+                               gluing_h1, heegaard_count, is_torelli_word,
+                               load_gluing, mcg_apply, orbit_report,
+                               inverse_word, parse_gluing_text, relator,
+                               resolve_word, run_word, schur_invariant,
+                               standard_generators, surface_relation_holds,
+                               surface_relator, word_h1_matrix)
 from homcount.counting import DEFAULT_LIMITS, WorkBoundExceeded
 
 
@@ -51,7 +50,7 @@ def enumerate_reps(g, G, filter="all", limits=DEFAULT_LIMITS, ext=None):
         filter == "surjective" or schur_invariant(t, G, ext) == 0))
 
 
-# -- oracles: the per-letter evaluator the compiled programs replaced ----------
+# -- oracles: one tuple at a time, through the group's own mul and inv ---------
 
 
 def unapply(gen, G, tup):
@@ -76,20 +75,13 @@ def oracle_mcg_apply(word, G, tup):
     return tup
 
 
-def orbit_report_tuples(seeds, G, g, gens=None, ext=None,
-                        max_visited=2_000_000):
+def orbit_report_tuples(seeds, G, g, ext=None, max_visited=2_000_000):
     """Oracle for orbit_report: the walk over every tuple of every orbit,
-    with the Schur class of every surjective tuple and Aut-closure read off
-    the stored orbit."""
-    if gens is None:
-        gens = standard_generators(g)
+    one generator step at a time, with the Schur class of every surjective
+    tuple and Aut-closure read off the stored orbit."""
+    gens = standard_generators(g)
     auts = automorphisms(G)
     surjective = generation_test(G)
-    neighbours = generator_steps(G, gens, g)
-    if ext is not None:
-        lifted_relator = compile_program(ext.cover, 2 * g,
-                                         lambda tr, t: tr.relator(t))
-        lift = [ext.lifts[x][0] for x in G.elements()].__getitem__
 
     seen = {}
     rows = []
@@ -108,7 +100,8 @@ def orbit_report_tuples(seeds, G, g, gens=None, ext=None,
         while frontier:
             if len(orbit) > room:
                 raise WorkBoundExceeded("orbit memory bound hit")
-            for nxt in neighbours(*frontier.pop()):
+            t = frontier.pop()
+            for nxt in (gen.apply(G, t) for gen in gens):
                 if nxt not in orbit:
                     orbit.add(nxt)
                     frontier.append(nxt)
@@ -118,13 +111,8 @@ def orbit_report_tuples(seeds, G, g, gens=None, ext=None,
         sch = schur_invariant(seed, G, ext) if (ext is not None
                                                 and surj) else -1
         if ext is not None and surj:
-            classes = set()
-            for t in orbit:
-                if surjective(t):
-                    acc = lifted_relator(*map(lift, t))
-                    if acc not in ext.center:
-                        schur_invariant(t, G, ext)  # raises the typed error
-                    classes.add(acc)
+            classes = {schur_invariant(t, G, ext) for t in orbit
+                       if surjective(t)}
             if len(classes) > 1:
                 raise SurfaceError("orbit mixes Schur classes")
         aut_closed = all(tuple(phi[x] for x in seed) in orbit for phi in auts)
@@ -377,18 +365,25 @@ def test_orbit_schur_classes_never_mix(a5, sl25_ext):
     assert rep.rows[0].schur_class in (0, sl25_ext.center_ids[1])
 
 
-def test_mcg_commutes_with_automorphisms(s3):
+def test_mcg_commutes_with_automorphisms(s3, a5):
+    # every rule combines its inputs only through mul and inv, so it
+    # commutes with every automorphism, on single tuples and on columns
     rng = random.Random(6)
-    sampler = RepSampler(2, s3)
-    auts = automorphisms(s3)
-    gens = standard_generators(2)
-    for _ in range(1000):
-        t = sampler.draw(rng)
-        phi = auts[rng.randrange(len(auts))]
-        gen = gens[rng.randrange(len(gens))]
-        lhs = tuple(phi[x] for x in gen.apply(s3, t))
-        rhs = gen.apply(s3, tuple(phi[x] for x in t))
-        assert lhs == rhs
+    for G, n in ((s3, 100), (a5, 200)):
+        mul, inv = _column_ops(G)
+        sampler = RepSampler(2, G)
+        tuples = [sampler.draw(rng) for _ in range(n)]
+        auts = automorphisms(G)
+        phis = [auts[rng.randrange(len(auts))] for _ in tuples]
+        images = [tuple(phi[x] for x in t) for phi, t in zip(phis, tuples)]
+        for gen in standard_generators(2):
+            for rule in (gen.rule, gen.inverse_rule):
+                outs = [rule(t, G.mul, G.inv) for t in tuples]
+                lhs = [tuple(phi[x] for x in out)
+                       for phi, out in zip(phis, outs)]
+                assert lhs == [rule(u, G.mul, G.inv) for u in images]
+                assert list(zip(*rule(columns_of(tuples), mul, inv))) == outs
+                assert list(zip(*rule(columns_of(images), mul, inv))) == lhs
 
 
 def test_orbit_transitivity_recorded(a5, sl25_ext):
@@ -492,25 +487,31 @@ def test_heegaard_homology_sphere_profile(a5, s3, a4):
     assert out.homs == len(automorphisms(a5)) * out.quotients + 1
 
 
-# -- compiled programs against the oracles -------------------------------------
+# -- column evaluation against the oracles -------------------------------------
+
+
+def columns_of(tuples):
+    """Tuples of equal length stacked into columns, one row per tuple."""
+    return tuple(map(list, zip(*tuples)))
 
 
 def check_steps(G, tuples):
-    """The forward steps against apply; each inverse rule, through its '
-    letter, against unapply."""
-    gens = standard_generators(2)
-    steps = generator_steps(G, gens, 2)
-    for t in tuples:
-        assert steps(*t) == tuple(gen.apply(G, t) for gen in gens)
-        for gen in gens:
+    """The forward steps, run over columns, against apply per tuple; each
+    inverse rule, through its ' letter, against unapply."""
+    mul, inv = _column_ops(G)
+    columns = columns_of(tuples)
+    for gen in standard_generators(2):
+        assert list(zip(*gen.rule(columns, mul, inv))) == [
+            gen.apply(G, t) for t in tuples]
+        for t in tuples:
             assert mcg_apply([gen.name + "'"], G, t) == unapply(gen, G, t)
 
 
-def test_compiled_steps_match_generators_s3(s3):
+def test_column_steps_match_generators_s3(s3):
     check_steps(s3, list(enumerate_reps(2, s3)))
 
 
-def test_compiled_steps_match_generators_a5(a5):
+def test_column_steps_match_generators_a5(a5):
     rng = random.Random(8)
     sampler = RepSampler(2, a5)
     check_steps(a5, [sampler.draw(rng) for _ in range(2000)])
@@ -613,18 +614,17 @@ def test_broken_rule_is_caught(s3, monkeypatch):
         mcg_apply(["ta1"], s3, (0, 1, 0, 2))
 
 
-def test_traced_relator_matches_schur_invariant(a5, sl25_ext):
+def test_column_relator_matches_schur_invariant(a5, sl25_ext):
     rng = random.Random(13)
     sampler = RepSampler(2, a5)
-    relator = surfaces.compile_program(sl25_ext.cover, 4,
-                                       lambda tr, t: tr.relator(t))
-    for _ in range(300):
-        t = sampler.draw(rng)
-        lifted = [sl25_ext.lifts[x][0] for x in t]
-        assert relator(*lifted) == schur_invariant(t, a5, sl25_ext)
+    tuples = [sampler.draw(rng) for _ in range(300)]
+    lifted = columns_of([[sl25_ext.lifts[x][0] for x in t] for t in tuples])
+    mul, inv = _column_ops(sl25_ext.cover)
+    assert relator(lifted, mul, inv, [0] * len(tuples)) == [
+        schur_invariant(t, a5, sl25_ext) for t in tuples]
 
 
-def test_orbit_schur_check_catches_broken_rules(a5, sl25_ext):
+def test_orbit_schur_check_catches_broken_rules(a5, sl25_ext, monkeypatch):
     masks, full_bit = subgroup_membership_masks(a5)
 
     def surjective(t):
@@ -642,15 +642,9 @@ def test_orbit_schur_check_catches_broken_rules(a5, sl25_ext):
         if (surjective(seed) and surjective(image)
                 and not surface_relation_holds(a5, image)):
             break
+    monkeypatch.setattr(surfaces, "standard_generators", lambda g: [broken])
     with pytest.raises(SurfaceError, match="violates the surface relation"):
-        orbit_report([seed], a5, 2, gens=[broken], ext=sl25_ext)
-
-
-def test_rules_outside_the_interface_are_refused(s3):
-    gen = MCGGenerator("bad", lambda t, mul, inv: (t[0], "I[0]"), None)
-    with pytest.raises(SurfaceError, match="interface"):
-        surfaces.compile_program(s3, 2, lambda tr, t: gen.rule(t, tr.mul,
-                                                               tr.inv))
+        orbit_report([seed], a5, 2, ext=sl25_ext)
 
 
 def test_unknown_names_are_typed_errors():

@@ -16,9 +16,10 @@ budgets under which each search raises, the zombie-stage commands
 --max-enumeration budgets and over A4 once, verify-parsimony of a 4-input
 circuit with six stage-3 symbols unbudgeted and under --max-states 2^0 ..
 2^12, goursat on A5 x A5, rubik-check over Z3, S3 and A5 at 7 and 9
-orbits, orbit over S3 at genus 2, and heegaard-count of the lens space
-over S3 and A5, of the homology sphere over S3, SL(2,5) and A5 (there
-also at --max-enumeration 3599 and 3600) and of a genus-3 gluing over S3.
+orbits, orbit over S3 at genus 2 and 3 and over A5 at genus 2 with the
+SL(2,5) extension, and heegaard-count of the lens space over S3 and A5,
+of the homology sphere over S3, SL(2,5) and A5 (there also at
+--max-enumeration 3599 and 3600) and of a genus-3 gluing over S3.
 The commands and the cases come from the tree this script is in, as do
 README example inputs that the checkout's data directory lacks.
 """
@@ -121,6 +122,10 @@ def main(checkout):
                 run(["rubik-check", "--gamma", gamma, "--orbits", orbits])
         run(["orbit", "--group", "s3.grp", "--genus", "2",
              "--orbit-seeds", "5"])
+        run(["orbit", "--group", "s3.grp", "--genus", "3",
+             "--orbit-seeds", "4"])
+        run(["orbit", "--group", "a5.grp", "--extension", "sl25-ext.ext",
+             "--genus", "2", "--orbit-seeds", "3"])
         # Heegaard counts, and the budget |G|^g = 3600 of A5 at genus 2
         with open("genus3.glu", "w") as fh:
             fh.write("genus 3\nword tb1 tb1 tb2 tb2 tb2 chain2 tb3 swap2\n")
