@@ -521,18 +521,25 @@ def greedy_ordering(X):
     """A valid ordering chosen greedily to keep prefix boundaries small.
 
     At each step pick, among simplices whose faces are all placed, one that
-    minimizes (boundary size, edge boundary size), breaking ties by dimension
-    then vertex tuple.  Candidates are scored by the change they would make
-    to an incremental PrefixBoundary, so a step costs time linear in the
-    number of candidates.
+    minimizes (deferral rank, boundary size, edge boundary size), breaking
+    ties by dimension then vertex tuple.  The deferral rank is 0 for edges
+    with cofaces, triangles and tetrahedra, 1 for vertices, so a vertex
+    enters only when nothing else fits, and 2 for edges without cofaces,
+    which come last: there each is a pinned tree edge or a |G| multiplier
+    of the cocycle DP and never widens its sweep.  Any valid ordering gives
+    the DP the same count; the rank only changes the work it does.
+    Candidates are scored by the change they would make to an incremental
+    PrefixBoundary, so a step costs time linear in the number of candidates.
     """
     bd = PrefixBoundary(X)
     unplaced = {s: len(faces(s)) for s in X.simplices()}
     candidates = {s for s, k in unplaced.items() if k == 0}
     ordering = []
+    defer = dict.fromkeys(X.by_dim[0], 1)
+    defer.update((e, 2) for e in X.by_dim[1] if not X._cofaces[e])
 
     def score(s):
-        return bd.delta(s) + (len(s), s)
+        return (defer.get(s, 0),) + bd.delta(s) + (len(s), s)
 
     while candidates:
         s = min(candidates, key=score)

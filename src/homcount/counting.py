@@ -278,6 +278,11 @@ def dp_cocycle_count(X, ordering=None, G=None, limits=DEFAULT_LIMITS,
     with |G| labels.  Edges whose cofaces are completed are summed out.
     With tree_gauge the spanning-tree edges are pinned to the identity,
     which counts tree-gauged cocycles, i.e. homomorphisms, directly.
+    Without an ordering the sweep follows greedy_ordering(X).  Every valid
+    ordering yields the same count: in any order each triangle is checked
+    once, each edge label is summed out once, and any spanning tree serves
+    as the gauge; the ordering sets only the row counts, which
+    limits.max_states bounds.
     """
     if G is None:
         raise ValueError("group required")
@@ -395,55 +400,14 @@ def dp_cocycle_count(X, ordering=None, G=None, limits=DEFAULT_LIMITS,
     return sum(sweep.mults) * multiplier
 
 
-def _vertex_sweep_ordering(X, seed):
-    """Simplex ordering induced by breadth-first vertex distance from seed."""
-    adj = {v: set() for v in range(X.nvertices)}
-    for (u, v) in X.by_dim[1]:
-        adj[u].add(v)
-        adj[v].add(u)
-    rank = {seed: 0}
-    queue = [seed]
-    while queue:
-        u = queue.pop(0)
-        for v in sorted(adj[u]):
-            if v not in rank:
-                rank[v] = len(rank)
-                queue.append(v)
-    for v in range(X.nvertices):
-        rank.setdefault(v, len(rank))
-    return sorted(X.simplices(),
-                  key=lambda s: (max(rank[v] for v in s), len(s),
-                                 tuple(sorted(rank[v] for v in s)), s))
-
-
-_PROBE_LIMITS = CountingLimits(max_states=200_000)
-
-
 def narrow_ordering(X):
-    """Pick, among candidate orderings, the one with the smallest simulated
-    DP state peak (probed with Z/2, whose peak reflects the free label count,
-    under a 200000-state bound).
-
-    Candidates: the greedy ordering plus vertex sweeps from a few seeds.
-    """
+    """The ordering dp-count sweeps a connected complex in:
+    greedy_ordering(X), whose deferral rank keeps vertices and edges
+    without cofaces from widening the sweep.  The ordering changes only
+    the DP's work, never its count."""
     if not X.is_connected():
         raise ComplexError("dp counting needs a connected complex")
-    probe = FiniteGroup.cyclic(2)
-    candidates = [greedy_ordering(X)]
-    seeds = sorted(set([0, X.nvertices - 1, X.nvertices // 2]))
-    for seed in seeds:
-        candidates.append(_vertex_sweep_ordering(X, seed))
-    best = None
-    for cand in candidates:
-        stats = DpStats()
-        try:
-            dp_cocycle_count(X, cand, probe, tree_gauge=True, stats=stats,
-                             limits=_PROBE_LIMITS)
-        except WorkBoundExceeded:
-            stats.max_states = _PROBE_LIMITS.max_states + 1
-        if best is None or stats.max_states < best[0]:
-            best = (stats.max_states, cand)
-    return best[1]
+    return greedy_ordering(X)
 
 
 def dp_count_homs(X, ordering=None, G=None, limits=DEFAULT_LIMITS, stats=None):

@@ -314,8 +314,15 @@ def _column_ops(G):
 
 def mcg_apply(word, G, tup):
     """Apply a word of generator names (trailing ' means inverse)."""
+    tup = tuple(tup)
+    if len(tup) % 2:
+        raise SurfaceError("tuple has odd length %d" % len(tup))
+    for x in tup:
+        if x not in range(G.order):
+            raise SurfaceError("tuple entry %r is not an element of %s"
+                               % (x, G.name))
     letters = resolve_word(word, len(tup) // 2)
-    out = run_word(letters, tuple(tup), G.mul, G.inv)
+    out = run_word(letters, tup, G.mul, G.inv)
     if surface_relator(G, out) != 0:
         raise SurfaceError("generator broke the surface relation")
     return out

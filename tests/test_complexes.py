@@ -58,7 +58,17 @@ def prefix_boundary_direct(X, prefix):
 
 
 def oracle_greedy_ordering(X):
-    """The greedy ordering with every candidate's boundary recomputed."""
+    """The greedy ordering with every candidate's boundary recomputed,
+    after a deferral rank: vertices 1, edges in no triangle 2, else 0."""
+    triangles = [set(t) for t in X.simplices() if len(t) == 3]
+
+    def defer(s):
+        if len(s) == 1:
+            return 1
+        if len(s) == 2 and not any(set(s) < t for t in triangles):
+            return 2
+        return 0
+
     placed = set()
     ordering = []
     remaining = set(X.simplices())
@@ -68,7 +78,8 @@ def oracle_greedy_ordering(X):
         best = None
         for s in sorted(candidates, key=lambda t: (len(t), t)):
             bd = prefix_boundary(X, placed | {s})
-            key = (len(bd), sum(1 for t in bd if len(t) == 2), len(s), s)
+            key = (defer(s), len(bd), sum(1 for t in bd if len(t) == 2),
+                   len(s), s)
             if best is None or key < best[0]:
                 best = (key, s)
         s = best[1]

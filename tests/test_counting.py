@@ -421,13 +421,13 @@ def test_dp_matches_presentation_small(z2, z3, s3, a4):
 
 
 def test_dp_ordering_invariance(s3):
-    from homcount.counting import _vertex_sweep_ordering
     X = csaszar_torus()
-    a = dp_count_homs(X, greedy_ordering(X), s3)
-    b = dp_count_homs(X, narrow_ordering(X), s3)
-    c = dp_count_homs(X, _vertex_sweep_ordering(X, 3), s3)
-    d = dp_count_homs(X, _vertex_sweep_ordering(X, 6), s3)
-    assert a == b == c == d == 18
+    assert narrow_ordering(X) == greedy_ordering(X)
+    orderings = [greedy_ordering(X), edge_sweep(X, CSASZAR_EDGES),
+                 edge_sweep(X, CSASZAR_EDGES[::-1]),
+                 edge_sweep(X, X.by_dim[1])]
+    assert len({tuple(o) for o in orderings}) == 4
+    assert [dp_count_homs(X, o, s3) for o in orderings] == [18] * 4
 
 
 def dp_count_homs_ungauged(X, ordering=None, G=None):
@@ -491,14 +491,21 @@ CSASZAR_EDGES = [(0, 2), (3, 6), (1, 5), (1, 2), (1, 4), (0, 6), (1, 6),
 
 
 @pytest.mark.parametrize("build, group, expected", [
-    (lambda: (csaszar_torus(), None), "a4", (48, 20736, 9)),
+    (lambda: (csaszar_torus(), None), "a4", (48, 1728, 7)),
     (lambda: (grid_torus(3, 3), band_ordering(3, 3)), "a5", (300, 3600, 5)),
-    (lambda: (load_complex(data_path("rp2.cx"))[0], None), "a4", (4, 1728, 7)),
+    (lambda: (load_complex(data_path("rp2.cx"))[0], None), "a4", (4, 144, 6)),
     (lambda: (csaszar_torus(), edge_sweep(csaszar_torus(), CSASZAR_EDGES)),
      "s3", (18, 1296, 7)),
-], ids=["csaszar-A4", "grid3x3-A5", "rp2-A4", "csaszar-edge-sweep-S3"])
+    # the greedy ordering follows the grid, since a vertex enters only
+    # when nothing else fits
+    (lambda: (grid_torus(3, 4), None), "a4", (48, 1728, 10)),
+    (lambda: (grid_torus(3, 3), None), "a5", (300, 216000, 8)),
+], ids=["csaszar-A4", "grid3x3-A5", "rp2-A4", "csaszar-edge-sweep-S3",
+        "grid3x4-greedy-A4", "grid3x3-greedy-A5"])
 def test_dp_counts_and_state_peaks(request, build, group, expected):
-    # pinned from the sweep that expanded every edge into |G| labels
+    # rows with a given ordering are pinned from the sweep that expanded
+    # every edge into |G| labels; a None ordering is greedy_ordering(X),
+    # and a change to its rule may lower those peaks, never raise them
     X, ordering = build()
     stats = DpStats()
     homs = dp_count_homs(X, ordering, request.getfixturevalue(group),
@@ -507,14 +514,14 @@ def test_dp_counts_and_state_peaks(request, build, group, expected):
 
 
 def test_dp_state_budget_is_exact(a4):
-    # Csaszar over A4 peaks at 20736 rows, so that many are allowed and one
+    # Csaszar over A4 peaks at 1728 rows, so that many are allowed and one
     # fewer is not
     X = csaszar_torus()
     assert dp_count_homs(X, None, a4,
-                         limits=CountingLimits(max_states=20736)) == 48
+                         limits=CountingLimits(max_states=1728)) == 48
     with pytest.raises(WorkBoundExceeded) as exc:
-        dp_count_homs(X, None, a4, limits=CountingLimits(max_states=20735))
-    assert str(exc.value) == "DP state budget 20735 exceeded"
+        dp_count_homs(X, None, a4, limits=CountingLimits(max_states=1727))
+    assert str(exc.value) == "DP state budget 1727 exceeded"
 
 
 def test_dp_rejects_empty_complex(s3):

@@ -657,6 +657,13 @@ def test_unknown_names_are_typed_errors():
         heegaard_count(HeegaardGluing(1, ["ta1", "foo"]), FiniteGroup.trivial())
 
 
+def test_mcg_apply_rejects_malformed_tuples(s3):
+    with pytest.raises(SurfaceError, match="odd length 3"):
+        mcg_apply(["ta1"], s3, (0, 1, 0))
+    with pytest.raises(SurfaceError, match="entry 7 is not an element"):
+        mcg_apply(["ta1"], s3, (7, 1))
+
+
 def test_genus_and_seed_length_checked(s4):
     G = FiniteGroup.cyclic(2)
     assert list(enumerate_reps(0, G)) == [()] and count_reps(0, G) == 1

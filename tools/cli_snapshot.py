@@ -19,7 +19,9 @@ circuit with six stage-3 symbols unbudgeted and under --max-states 2^0 ..
 orbits, orbit over S3 at genus 2 and 3 and over A5 at genus 2 with the
 SL(2,5) extension, and heegaard-count of the lens space over S3 and A5,
 of the homology sphere over S3, SL(2,5) and A5 (there also at
---max-enumeration 3599 and 3600) and of a genus-3 gluing over S3.
+--max-enumeration 3599 and 3600) and of a genus-3 gluing over S3, and
+dp-count of the projective plane and the sphere over S3 and A5, which shows
+the state peak and widths of the ordering dp-count picks.
 The commands and the cases come from the tree this script is in, as do
 README example inputs that the checkout's data directory lacks.
 """
@@ -138,6 +140,12 @@ def main(checkout):
         for budget in ("3599", "3600"):
             run(["--max-enumeration", budget, "heegaard-count", "--gluing",
                  "hsphere.glu", "--group", "a5.grp"])
+        # complexes without an order line, so dp-count picks the ordering
+        for cx in ("rp2.cx", "s2.cx"):
+            for group in ("s3.grp", "a5.grp"):
+                argv = ["dp-count", "--complex", cx, "--group", group]
+                run(argv)
+                run(["--json"] + argv)
     finally:
         os.chdir(TREE)
         shutil.rmtree(work)
