@@ -56,10 +56,6 @@ class FiniteGroup:
     def inv(self, a):
         return self._inv[a]
 
-    def conj(self, a, b):
-        """a * b * a^-1"""
-        return self.mul(self.mul(a, b), self._inv[a])
-
     def comm(self, a, b):
         """[a, b] = a b a^-1 b^-1"""
         return self.mul(self.mul(a, b), self.mul(self._inv[a], self._inv[b]))
@@ -274,6 +270,27 @@ def element_orders(G):
     return orders
 
 
+def conjugation_rows(G):
+    """conj[x][a] = x a x^-1, one gather per x: row x of the table (x a)
+    read through column x^-1 (y -> y x^-1)."""
+    n, table, inv = G.order, G._table, G._inv
+    return [tuple(map(table[inv[x]::n].__getitem__, table[x * n:(x + 1) * n]))
+            for x in range(n)]
+
+
+def class_representatives(G):
+    """The least element of each conjugacy class, in increasing order."""
+    conj = G.cached(conjugation_rows)
+    seen = bytearray(G.order)
+    reps = []
+    for a in G.elements():
+        if not seen[a]:
+            reps.append(a)
+            for row in conj:
+                seen[row[a]] = 1
+    return reps
+
+
 @dataclass(frozen=True)
 class Subgroup:
     parent: FiniteGroup
@@ -322,37 +339,44 @@ class SubgroupLattice:
 def subgroup_lattice(G):
     """All subgroups of G with their containment relation.
 
-    Breadth-first growth: start from cyclic subgroups, then repeatedly close
-    each known subgroup H together with one extra element g.  Since
+    Breadth-first growth, one subgroup per conjugacy class: start from the
+    cyclic subgroups of the class representatives, then repeatedly close
+    each frontier subgroup H together with one extra element g.  Since
     <H, h*g> = <H, g> for every h in H, one g per right coset Hg suffices,
     and the closure starts from the generators H was found with plus g.
+    A new subgroup adds its whole conjugacy class to the found set, but
+    only it joins the frontier: <xHx^-1, xgx^-1> is the conjugate of
+    <H, g>, so extending one member of a class reaches every class the
+    others would.
     """
     if G.order > DEFAULT_ORDER_BOUND:
         raise GroupError("order %d exceeds subgroup-lattice bound %d"
                          % (G.order, DEFAULT_ORDER_BOUND))
     n, table = G.order, G._table
-    found = {close_under_product(G, []): []}
-    frontier = {}
-    for g in G.elements():
-        frontier.setdefault(close_under_product(G, [g]), [g])
-    found.update(frontier)
-    while frontier:
-        new = {}
-        for H, gens in frontier.items():
-            if len(H) == n:
+    conj = G.cached(conjugation_rows)
+    found = {close_under_product(G, [])}
+    frontier = []       # (subgroup, generators), one per class, grows in loop
+
+    def add_class(K, gens):
+        if K not in found:
+            found.update(tuple(sorted(map(row.__getitem__, K)))
+                         for row in conj)
+            frontier.append((K, gens))
+
+    for g in G.cached(class_representatives):
+        add_class(close_under_product(G, [g]), [g])
+    for H, gens in frontier:
+        if len(H) == n:
+            continue
+        covered = bytearray(n)
+        for h in H:
+            covered[h] = 1
+        for g in range(n):
+            if covered[g]:
                 continue
-            covered = bytearray(n)
             for h in H:
-                covered[h] = 1
-            for g in range(n):
-                if covered[g]:
-                    continue
-                for h in H:
-                    covered[table[h * n + g]] = 1
-                K = close_under_product(G, gens + [g])
-                if K not in found:
-                    found[K] = new[K] = gens + [g]
-        frontier = new
+                covered[table[h * n + g]] = 1
+            add_class(close_under_product(G, gens + [g]), gens + [g])
     subs = [Subgroup(G, mem) for mem in sorted(found, key=lambda m: (len(m), m))]
     sets = [frozenset(H.members) for H in subs]
     contains = [[B <= A for B in sets] for A in sets]
@@ -443,17 +467,25 @@ def _hom_from_gen_images(G, H, gen_ids, steps, images):
 
 
 def _isomorphisms(G, H):
-    """Every isomorphism G -> H as an image list.
+    """Every isomorphism G -> H that sends the first generator of G to a
+    conjugacy class representative of H, as an image list.
 
     Brute force over order-compatible images of a small generating set of G,
     in lexicographic order of the image tuple; fine for the desk-scale
-    orders this package targets.
+    orders this package targets.  Every isomorphism is an inner
+    automorphism of H after one of these.  The first images over all
+    isomorphisms form a union of classes, so the least of them is a class
+    representative and the first isomorphism yielded is the
+    lexicographically least of all.
     """
     if G.order != H.order:
         return
     gen_ids, steps = G.generator_data()
     pools = [[h for h in H.elements()
               if H.element_order(h) == G.element_order(g)] for g in gen_ids]
+    if pools:
+        reps = set(H.cached(class_representatives))
+        pools[0] = [h for h in pools[0] if h in reps]
     for images in product(*pools):
         img = _hom_from_gen_images(G, H, gen_ids, steps, images)
         if img is not None and len(set(img)) == G.order:
@@ -475,18 +507,32 @@ def automorphisms(G):
 
 
 def _automorphisms(G):
-    out = [tuple(img) for img in _isomorphisms(G, G)]
-    # full check phi(a*b) == phi(a)*phi(b): row a of the table gathered
-    # through phi against row phi(a) gathered at phi's images
+    """Aut(G) = Inn(G) times the maps _isomorphisms(G, G) yields, sorted
+    by the images of the generators: the order of an unrestricted search.
+
+    Maps are bytes, so that composing and checking are C-level translates;
+    that needs ids below 256, which automorphisms' order bound ensures.
+    Lifting the bound past 256 means replacing these gathers.
+    """
     n, table = G.order, G._table
-    rows = [table[a * n:(a + 1) * n] for a in range(n)]
-    row_getters = [itemgetter(*row) for row in rows]
+    pad = bytes(256 - n)
+    inner = {bytes(row) + pad for row in G.cached(conjugation_rows)}
+    found = set()
+    for img in _isomorphisms(G, G):
+        phi = bytes(img)
+        found.update(map(phi.translate, inner))
+    gen_ids = G.generator_data()[0]
+    out = sorted(found, key=lambda phi: [phi[g] for g in gen_ids])
+    # full check phi(a*b) == phi(a)*phi(b) over all n^2 products: the
+    # table translated through phi against, for each row a, phi translated
+    # through row phi(a)
+    flat = bytes(table)
+    rows = [flat[a * n:(a + 1) * n] + pad for a in range(n)]
     for phi in out:
-        phi_getter = itemgetter(*phi)
-        for a in range(n):
-            if row_getters[a](phi) != phi_getter(rows[phi[a]]):
-                raise GroupError("automorphism search produced a non-hom")
-    return out
+        if flat.translate(phi + pad) != b"".join(
+                map(phi.translate, map(rows.__getitem__, phi))):
+            raise GroupError("automorphism search produced a non-hom")
+    return [tuple(phi) for phi in out]
 
 
 # -- stem extensions -------------------------------------------------------------

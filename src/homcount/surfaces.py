@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
-from .groups import GroupError, automorphisms, subgroup_membership_masks
+from .groups import (GroupError, automorphisms, conjugation_rows,
+                     subgroup_membership_masks)
 from .counting import WorkBoundExceeded, DEFAULT_LIMITS, quotient_count
 from .textformat import content_lines, keyword_int
 
@@ -421,9 +422,8 @@ class AutTables:
             for x, y in enumerate(phi):
                 inv[y] = x
             self.inverse.append(self.index[tuple(inv)])
-        self.inner = sorted({self.index[tuple(G.conj(a, x)
-                                              for x in G.elements())]
-                             for a in G.elements()})
+        self.inner = sorted({self.index[row]
+                             for row in G.cached(conjugation_rows)})
         self.candidates = []    # x -> (indices, automorphisms)
         for x in G.elements():
             least = min(phi[x] for phi in auts)

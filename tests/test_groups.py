@@ -56,7 +56,8 @@ def oracle_close(G, seed_ids):
 def is_normal(H):
     """Whether every conjugate of every member of H lies in H."""
     G, mem = H.parent, set(H.members)
-    return all(G.conj(g, h) in mem for g in G.elements() for h in H.members)
+    return all(G.mul(G.mul(g, h), G.inv(g)) in mem
+               for g in G.elements() for h in H.members)
 
 
 def oracle_hom_from_gen_images(G, H, steps, images):
@@ -91,6 +92,30 @@ def oracle_automorphisms(G):
 
     rec([])
     return out
+
+
+def oracle_least_isomorphism(G, H):
+    """The isomorphism G -> H whose generator images come first in
+    lexicographic order, trying every tuple of elements of H."""
+    gen_ids, steps = G.generator_data()
+    for images in itertools.product(H.elements(), repeat=len(gen_ids)):
+        img = oracle_hom_from_gen_images(G, H, steps, images)
+        if img is not None and len(set(img)) == G.order:
+            return img
+    return None
+
+
+def small_groups():
+    """The trivial group, Z2 and V4 (Inn(G) trivial, Aut(V4) = S3), and D4
+    and Q8 (Inn(G) a proper non-trivial subgroup of Aut(G))."""
+    z2 = FiniteGroup.cyclic(2)
+    d4 = FiniteGroup.from_perm_gens(
+        "D4", [perms.parse_cycles("(0 1 2 3)", 4),
+               perms.parse_cycles("(0 2)", 4)])
+    q8 = FiniteGroup.from_perm_gens(
+        "Q8", [perms.parse_cycles("(0 1 2 3)(4 5 6 7)", 8),
+               perms.parse_cycles("(0 4 2 6)(1 7 3 5)", 8)])
+    return [FiniteGroup.trivial(), z2, direct_product(z2, z2, "V4"), d4, q8]
 
 
 def oracle_lattice(G):
@@ -220,7 +245,7 @@ def test_subgroup_lattice_counts(z4, s3, a5):
 
 def test_lattice_matches_oracle(s3, a4, s4, sl23, a5):
     s3xz2 = direct_product(s3, FiniteGroup.cyclic(2))   # table mode only
-    for G in (s3, a4, s4, sl23, a5, s3xz2):
+    for G in (*small_groups(), s3, a4, s4, sl23, a5, s3xz2):
         lat = subgroup_lattice(G)
         subs, contains = oracle_lattice(G)
         assert [H.members for H in lat.subgroups] == subs
@@ -237,9 +262,10 @@ def test_lattice_closes_once_per_coset(monkeypatch, a5):
 
     monkeypatch.setattr(groups, "close_under_product", counted)
     assert len(subgroup_lattice(a5).subgroups) == 59
-    # one closure per right coset of each subgroup (1021); one per element
-    # outside it took 3250
-    assert calls[0] <= 1100
+    # one closure per right coset of one subgroup per conjugacy class (97);
+    # one per right coset of every subgroup took 1021, one per element
+    # outside it 3250
+    assert calls[0] <= 100
 
 
 def test_closure_matches_oracle(a5, s4, sl23):
@@ -260,9 +286,23 @@ def test_hom_extension_matches_oracle(s3, a4, s4, sl23):
                         == oracle_hom_from_gen_images(G, H, steps, images))
 
 
-def test_automorphisms_match_oracle(s3, a4, s4, a5):
-    for G in (s3, a4, s4, a5):
+def test_automorphisms_match_oracle(s3, a4, s4, sl23, a5):
+    cases = (*small_groups(), s3, a4, s4, sl23, a5)
+    for G in cases:
         assert automorphisms(G) == oracle_automorphisms(G)
+    assert [len(automorphisms(G)) for G in cases] \
+        == [1, 1, 6, 8, 24, 6, 24, 24, 24, 120]
+
+
+def test_find_isomorphism_is_least(s4):
+    subs = [H.as_group() for H in subgroup_lattice(s4).subgroups]
+    pairs = 0
+    for J in subs:
+        for K in subs:
+            if J.order == K.order:
+                pairs += 1
+                assert find_isomorphism(J, K) == oracle_least_isomorphism(J, K)
+    assert pairs == 174
 
 
 def test_automorphism_self_check_fires(monkeypatch):

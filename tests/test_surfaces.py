@@ -308,6 +308,9 @@ def test_canonical_form_is_least_aut_image(a5):
     for k in range(len(aut.auts)):
         assert aut.compose(k, aut.inverse[k]) == aut.identity
     assert len(aut.inner) == 60 and len(aut.auts) == 120
+    assert aut.inner == sorted(
+        {aut.index[tuple(a5.mul(a5.mul(a, x), a5.inv(a)) for x in a5.elements())]
+         for a in a5.elements()})
 
 
 def test_orbit_classes_match_tuple_walk_non_surjective(a5, sl25_ext):
@@ -662,6 +665,8 @@ def test_mcg_apply_rejects_malformed_tuples(s3):
         mcg_apply(["ta1"], s3, (0, 1, 0))
     with pytest.raises(SurfaceError, match="entry 7 is not an element"):
         mcg_apply(["ta1"], s3, (7, 1))
+    with pytest.raises(SurfaceError, match="entry -1 is not an element"):
+        mcg_apply(["tb1'"], s3, (0, -1))
 
 
 def test_genus_and_seed_length_checked(s4):

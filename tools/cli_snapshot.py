@@ -15,13 +15,16 @@ budgets under which each search raises, the zombie-stage commands
 (verify-parsimony, compile-zsat) over Z2, Z3 and S3 under --max-states and
 --max-enumeration budgets and over A4 once, verify-parsimony of a 4-input
 circuit with six stage-3 symbols unbudgeted and under --max-states 2^0 ..
-2^12, goursat on A5 x A5, rubik-check over Z3, S3 and A5 at 7 and 9
-orbits, orbit over S3 at genus 2 and 3 and over A5 at genus 2 with the
-SL(2,5) extension, and heegaard-count of the lens space over S3 and A5,
-of the homology sphere over S3, SL(2,5) and A5 (there also at
---max-enumeration 3599 and 3600) and of a genus-3 gluing over S3, and
-dp-count of the projective plane and the sphere over S3 and A5, which shows
-the state peak and widths of the ordering dp-count picks.
+2^12, count-hom, count-quot and invert-lattice of the free group of rank
+2, the torus and the Poincare sphere over S4 and SL(2,3) with the
+heegaard-count of the homology sphere and of a genus-2 gluing with
+surjections over both, goursat on A5 x A5, rubik-check over Z3, S3 and
+A5 at 7 and 9 orbits, orbit over S3 at genus 2 and 3 and over A5 at
+genus 2 with the SL(2,5) extension, and heegaard-count of the lens space
+over S3 and A5, of the homology sphere over S3, SL(2,5) and A5 (there
+also at --max-enumeration 3599 and 3600) and of a genus-3 gluing over S3,
+and dp-count of the projective plane and the sphere over S3 and A5, which
+shows the state peak and widths of the ordering dp-count picks.
 The commands and the cases come from the tree this script is in, as do
 README example inputs that the checkout's data directory lacks.
 """
@@ -113,6 +116,28 @@ def main(checkout):
             fh.write("group A4 12\nperm-gens\n(0 1 2)\n(1 2 3)\n")
         for command, circuit in zombie:
             run([command, "--circuit", circuit, "--gamma", "a4.grp"])
+        # the lattice and Aut(G) paths over S4 and SL(2,3), which have
+        # outer automorphisms and several subgroup classes of one order
+        with open("s4.grp", "w") as fh:
+            fh.write("group S4 24\nperm-gens\n(0 1)\n(0 1 2 3)\n")
+        with open("sl23.grp", "w") as fh:
+            fh.write("group SL23 24\nperm-gens\n(0 3 6)(1 7 4)\n"
+                     "(0 5 1 2)(3 6 7 4)\n")
+        with open("free2.pres", "w") as fh:
+            fh.write("gens 2\n")
+        with open("torus.pres", "w") as fh:
+            fh.write("gens 2\nx1 x2 X1 X2\n")
+        # a genus-2 gluing with surjections onto both groups
+        with open("lens34.glu", "w") as fh:
+            fh.write("genus 2\nword tb1 tb1 tb1 tb2 tb2 tb2 tb2\n")
+        for group in ("s4.grp", "sl23.grp"):
+            for pres in ("free2.pres", "torus.pres", "poincare.pres"):
+                for command in ("count-hom", "count-quot", "invert-lattice"):
+                    argv = [command, "--presentation", pres, "--group", group]
+                    run(argv)
+                    run(["--json"] + argv)
+            for gluing in ("hsphere.glu", "lens34.glu"):
+                run(["heegaard-count", "--gluing", gluing, "--group", group])
         # A5 x A5 closed from its four generator pairs
         with open("a5xa5.txt", "w") as fh:
             fh.write("1 0\n2 0\n0 1\n0 2\n")
