@@ -96,6 +96,9 @@ def cmd_dp_count(args, rep):
     ordering = file_order
     if args.ordering:
         _, ordering = complexes.load_complex(_resolve(args.ordering))
+        if ordering is None:
+            raise complexes.ComplexError("%s has no order section"
+                                         % args.ordering)
     if ordering is None:
         ordering = counting.narrow_ordering(X)
     stats = counting.DpStats()

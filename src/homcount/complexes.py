@@ -81,19 +81,8 @@ class SimplicialComplex:
     def is_connected(self):
         """Whether the 1-skeleton is connected; a complex without vertices
         is not."""
-        if self.nvertices == 0:
-            return False
-        parent = list(range(self.nvertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (u, v) in self.by_dim[1]:
-            parent[find(u)] = find(v)
-        return len({find(v) for v in range(self.nvertices)}) == 1
+        forest = spanning_forest(self.nvertices, self.by_dim[1])
+        return self.nvertices > 0 and len(forest) == self.nvertices - 1
 
     def euler_characteristic(self):
         return sum((-1) ** k * len(self.by_dim[k]) for k in range(4))
@@ -109,6 +98,26 @@ class SimplicialComplex:
             for i, f in enumerate(faces(t)):
                 M[rows[f]][j] = (-1) ** i
         return M
+
+
+def spanning_forest(nvertices, edges):
+    """The edges that join two components of the graph on the edges before
+    them, in the order given: Kruskal's forest for that edge order."""
+    parent = list(range(nvertices))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    forest = []
+    for (u, v) in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            forest.append((u, v))
+    return forest
 
 
 def parse_complex_text(text):

@@ -10,9 +10,10 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, product, repeat
-from .groups import (FiniteGroup, GroupError, automorphisms, find_isomorphism,
-                     generates, subgroup_lattice)
-from .complexes import ComplexError, greedy_ordering, validate_ordering
+from .groups import (FiniteGroup, GroupError, automorphisms, generates,
+                     subgroup_lattice)
+from .complexes import (ComplexError, greedy_ordering, spanning_forest,
+                        validate_ordering)
 
 
 class WorkBoundExceeded(ValueError):
@@ -294,22 +295,8 @@ def dp_cocycle_count(X, ordering=None, G=None, limits=DEFAULT_LIMITS,
     pos = {s: i for i, s in enumerate(ordering)}
     # gauge tree: greedy spanning forest in ordering sequence, so each new
     # vertex enters through a pinned edge and boundary rows stay short
-    tree = set()
-    if tree_gauge:
-        parent = list(range(X.nvertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for s in ordering:
-            if len(s) == 2:
-                ru, rv = find(s[0]), find(s[1])
-                if ru != rv:
-                    parent[ru] = rv
-                    tree.add(s)
+    edges = [s for s in ordering if len(s) == 2] if tree_gauge else ()
+    tree = set(spanning_forest(X.nvertices, edges))
 
     dangling = set()
     leaving = {}            # step -> edges whose last coface is placed there
@@ -443,44 +430,34 @@ def quotient_counts_via_inversion(count_into, G):
     """Per-subgroup quotient counts by Moebius inversion over the lattice.
 
     count_into(J) must return the exact number of homomorphisms of the fixed
-    source into the group J; it and |Aut(J)| are computed once per
-    isomorphism type (a cheap fingerprint, then an isomorphism check against
-    each type seen under it) and the results are inverted down the lattice:
-    S(J) = #H(J) - sum of S(K) over proper subgroups K < J.
+    source into the group J.  Conjugate subgroups are isomorphic, so it and
+    |Aut(J)| are computed once per conjugacy class of subgroups, on the
+    class's first subgroup J, and inverted down the lattice there:
+    S(J) = #H(J) - sum of S(K) over proper subgroups K < J, each K taking
+    the value of its class.  Every subgroup's row is its class's.
     """
     lattice = subgroup_lattice(G)
-    types = {}          # fingerprint -> [(group, (#H, |Aut|))]
-
-    def counts(J):
-        fp = (J.order, tuple(sorted(J.element_order(a) for a in J.elements())))
-        seen = types.setdefault(fp, [])
-        for rep, value in seen:
-            if find_isomorphism(J, rep) is not None:
-                return value
-        seen.append((J, (count_into(J), len(automorphisms(J)))))
-        return seen[-1][1]
-
-    subs = lattice.subgroups
-    homs, auts = zip(*(counts(H.as_group()) for H in subs))
-    n = len(subs)
-    surj = [0] * n
-    for i in range(n):
-        acc = homs[i]
-        for j in range(n):
-            if j != i and lattice.contains[i][j]:
-                acc -= surj[j]
-        surj[i] = acc
-    rows = []
+    subs, classes = lattice.subgroups, lattice.classes
+    sets = [frozenset(H.members) for H in subs]
+    homs, surj, auts = {}, {}, {}
     for i, H in enumerate(subs):
-        if surj[i] < 0:
+        if classes[i] == i:
+            J = H.as_group()
+            homs[i], auts[i] = count_into(J), len(automorphisms(J))
+            # proper subgroups are smaller, so they sort before H
+            surj[i] = homs[i] - sum(surj[classes[j]] for j in range(i)
+                                    if sets[j] < sets[i])
+    rows = []
+    for H, c in zip(subs, classes):
+        if surj[c] < 0:
             raise GroupError("negative surjection count in inversion")
-        if surj[i] % auts[i] != 0:
+        if surj[c] % auts[c] != 0:
             raise GroupError("inversion: %d not divisible by |Aut| = %d"
-                             % (surj[i], auts[i]))
-        rows.append(InversionRow(H.members, H.order, homs[i], surj[i],
-                                 surj[i] // auts[i]))
-    total = homs[-1]
-    check = sum(auts[i] * rows[i].quotients for i in range(n))
+                             % (surj[c], auts[c]))
+        rows.append(InversionRow(H.members, H.order, homs[c], surj[c],
+                                 surj[c] // auts[c]))
+    total = rows[-1].homs
+    check = sum(auts[c] * row.quotients for row, c in zip(rows, classes))
     if check != total:
         raise GroupError("inversion consistency failed: %d != %d"
                          % (check, total))

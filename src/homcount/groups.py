@@ -311,9 +311,6 @@ class Subgroup:
     def order(self):
         return len(self.members)
 
-    def contains(self, other):
-        return set(other.members) <= set(self.members)
-
     def as_group(self, name=None):
         """Reindex the subgroup as a standalone FiniteGroup.
 
@@ -333,11 +330,11 @@ class Subgroup:
 class SubgroupLattice:
     group: FiniteGroup
     subgroups: list        # list of Subgroup, sorted by (order, members)
-    contains: list         # contains[i][j] True iff subgroups[j] <= subgroups[i]
+    classes: list          # classes[i]: first index of subgroups[i]'s class
 
 
 def subgroup_lattice(G):
-    """All subgroups of G with their containment relation.
+    """All subgroups of G, each with its conjugacy class.
 
     Breadth-first growth, one subgroup per conjugacy class: start from the
     cyclic subgroups of the class representatives, then repeatedly close
@@ -354,12 +351,12 @@ def subgroup_lattice(G):
                          % (G.order, DEFAULT_ORDER_BOUND))
     n, table = G.order, G._table
     conj = G.cached(conjugation_rows)
-    found = {close_under_product(G, [])}
+    found = {(0,): (0,)}    # members -> the frontier subgroup of its class
     frontier = []       # (subgroup, generators), one per class, grows in loop
 
     def add_class(K, gens):
         if K not in found:
-            found.update(tuple(sorted(map(row.__getitem__, K)))
+            found.update((tuple(sorted(map(row.__getitem__, K))), K)
                          for row in conj)
             frontier.append((K, gens))
 
@@ -377,10 +374,10 @@ def subgroup_lattice(G):
             for h in H:
                 covered[table[h * n + g]] = 1
             add_class(close_under_product(G, gens + [g]), gens + [g])
-    subs = [Subgroup(G, mem) for mem in sorted(found, key=lambda m: (len(m), m))]
-    sets = [frozenset(H.members) for H in subs]
-    contains = [[B <= A for B in sets] for A in sets]
-    return SubgroupLattice(G, subs, contains)
+    subs = sorted(found, key=lambda m: (len(m), m))
+    first = {}
+    classes = [first.setdefault(found[m], i) for i, m in enumerate(subs)]
+    return SubgroupLattice(G, [Subgroup(G, m) for m in subs], classes)
 
 
 def _membership_masks(G):

@@ -72,6 +72,15 @@ def test_dp_count_torus(capsys):
     assert code == 0 and rep["homs"] == "18"
 
 
+def test_dp_count_ordering_file_needs_order_section(capsys):
+    # rp2.cx has no order section, so it gives no ordering to sweep in
+    code, out = run(capsys, "dp-count", "--complex", "s2.cx", "--ordering",
+                    "rp2.cx", "--group", "s3.grp")
+    assert code == 2
+    assert parse_report(out)["error"] == (
+        "ComplexError: rp2.cx has no order section")
+
+
 def test_json_mirror(capsys):
     code, out = run(capsys, "--json", "homology", "--complex", "s2.cx")
     data = json.loads(out)

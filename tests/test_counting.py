@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from homcount import groups, perms
 from homcount.complexes import (ComplexError, Presentation,
                                 SimplicialComplex, band_ordering,
                                 csaszar_torus, faces, genus2_ordering,
@@ -565,6 +566,37 @@ def test_inversion_poincare(a5):
     # e:hq consistency: no proper nontrivial quotients and perfect source
     naut = 120
     assert table.total_homs == naut * table.rows[-1].quotients + 1
+
+
+def test_inversion_once_per_subgroup_class(monkeypatch, s4, a5):
+    # S4 and D4 have isomorphic subgroups that are not conjugate (two
+    # classes of order 2, two of Klein four-groups); each row must still
+    # hold that subgroup's own surjection count
+    def no_isomorphism(G, H):
+        raise AssertionError("the inversion looked for an isomorphism")
+
+    monkeypatch.setattr(groups, "find_isomorphism", no_isomorphism)
+    d4 = FiniteGroup.from_perm_gens(
+        "D4", [perms.parse_cycles("(0 1 2 3)", 4),
+               perms.parse_cycles("(0 2)", 4)])
+    free2 = Presentation(2, [])
+    for G in (s4, d4):
+        for P in (free2, TORUS_P):
+            table = quotient_counts_via_inversion(
+                lambda J: count_homs(P, J), G)
+            for row in table.rows:
+                H = groups.Subgroup(G, row.members).as_group()
+                assert row.surjections == count_surjections(P, H)[1]
+    # count_into runs once per conjugacy class of subgroups
+    for G, nclasses in ((s4, 11), (d4, 8), (a5, 9)):
+        calls = []
+
+        def count_into(J):
+            calls.append(J)
+            return J.order ** 2         # #H(F_2, J)
+
+        quotient_counts_via_inversion(count_into, G)
+        assert len(calls) == nclasses
 
 
 def test_genus2_three_routes(z3, s3):

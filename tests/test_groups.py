@@ -118,9 +118,19 @@ def small_groups():
     return [FiniteGroup.trivial(), z2, direct_product(z2, z2, "V4"), d4, q8]
 
 
+def oracle_classes(G, subs):
+    """For each subgroup of the sorted list subs, the index of the first one
+    among its conjugates x H x^-1, taken with G.mul over every x."""
+    index = {H: i for i, H in enumerate(subs)}
+    return [min(index[tuple(sorted(G.mul(G.mul(x, h), G.inv(x)) for h in H))]
+                for x in G.elements())
+            for H in subs]
+
+
 def oracle_lattice(G):
     """Every subgroup, grown by closing each new subgroup with every element
-    outside it, sorted by (order, members); containment by set inclusion."""
+    outside it, sorted by (order, members), and each one's class by
+    brute-force conjugation."""
     found = {close_under_product(G, [])}
     frontier = {close_under_product(G, [g]) for g in G.elements()}
     found |= frontier
@@ -135,7 +145,7 @@ def oracle_lattice(G):
                         new.add(K)
         frontier = new
     subs = sorted(found, key=lambda m: (len(m), m))
-    return subs, [[set(B) <= set(A) for B in subs] for A in subs]
+    return subs, oracle_classes(G, subs)
 
 
 def test_cyclic_table():
@@ -218,8 +228,12 @@ def test_subgroup_invariants(s3):
 
 
 def test_subgroup_lattice_counts(z4, s3, a5):
-    assert len(subgroup_lattice(z4).subgroups) == 3
-    assert len(subgroup_lattice(s3).subgroups) == 6
+    for G, count in ((z4, 3), (s3, 6)):
+        lat = subgroup_lattice(G)
+        assert len(lat.subgroups) == count
+        assert lat.classes == oracle_lattice(G)[1]
+    # S3: the three subgroups of order 2 are one class
+    assert subgroup_lattice(s3).classes == [0, 1, 1, 1, 4, 5]
     lat = subgroup_lattice(a5)
     # exhaustive closure oracle: subgroups generated by all element pairs,
     # saturated under one more generator
@@ -236,20 +250,20 @@ def test_subgroup_lattice_counts(z4, s3, a5):
                 if K not in found:
                     found.add(K)
                     grew = True
-    assert sorted(H.members for H in lat.subgroups) == sorted(found)
-    # containment agrees with set inclusion
-    for i, A in enumerate(lat.subgroups):
-        for j, B in enumerate(lat.subgroups):
-            assert lat.contains[i][j] == (set(B.members) <= set(A.members))
+    subs = sorted(found, key=lambda m: (len(m), m))
+    assert [H.members for H in lat.subgroups] == subs
+    # the nine conjugacy classes of subgroups of A5
+    assert lat.classes == oracle_classes(a5, subs)
+    assert len(set(lat.classes)) == 9
 
 
 def test_lattice_matches_oracle(s3, a4, s4, sl23, a5):
     s3xz2 = direct_product(s3, FiniteGroup.cyclic(2))   # table mode only
     for G in (*small_groups(), s3, a4, s4, sl23, a5, s3xz2):
         lat = subgroup_lattice(G)
-        subs, contains = oracle_lattice(G)
+        subs, classes = oracle_lattice(G)
         assert [H.members for H in lat.subgroups] == subs
-        assert lat.contains == contains
+        assert lat.classes == classes
 
 
 def test_lattice_closes_once_per_coset(monkeypatch, a5):

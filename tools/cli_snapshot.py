@@ -18,7 +18,8 @@ circuit with six stage-3 symbols unbudgeted and under --max-states 2^0 ..
 2^12, count-hom, count-quot and invert-lattice of the free group of rank
 2, the torus and the Poincare sphere over S4 and SL(2,3) with the
 heegaard-count of the homology sphere and of a genus-2 gluing with
-surjections over both, goursat on A5 x A5, rubik-check over Z3, S3 and
+surjections over both, invert-lattice of the Poincare sphere and of the
+7-vertex torus complex over D4 and Q8 given as tables, goursat on A5 x A5, rubik-check over Z3, S3 and
 A5 at 7 and 9 orbits, orbit over S3 at genus 2 and 3 and over A5 at
 genus 2 with the SL(2,5) extension, and heegaard-count of the lens space
 over S3 and A5, of the homology sphere over S3, SL(2,5) and A5 (there
@@ -37,6 +38,16 @@ import sys
 import tempfile
 
 TREE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def write_table(path, name, elems, mul):
+    """Write a table-mode group file of the elements under mul; the first
+    element is the identity."""
+    ids = {x: i for i, x in enumerate(elems)}
+    with open(path, "w") as fh:
+        fh.write("group %s %d\ntable\n" % (name, len(elems)))
+        for x in elems:
+            fh.write(" ".join(str(ids[mul(x, y)]) for y in elems) + "\n")
 
 
 def main(checkout):
@@ -138,6 +149,26 @@ def main(checkout):
                     run(["--json"] + argv)
             for gluing in ("hsphere.glu", "lens34.glu"):
                 run(["heegaard-count", "--gluing", gluing, "--group", group])
+        # the lattice over table groups with isomorphic subgroups that are
+        # not conjugate: D4 as r^i s^j (two classes of reflections, two
+        # Klein four-groups), Q8 as unit quaternions (three cyclic
+        # subgroups of order 4)
+        d4 = [(i, j) for j in (0, 1) for i in range(4)]
+        write_table("d4.grp", "D4", d4, lambda x, y: (
+            (x[0] + (-1) ** x[1] * y[0]) % 4, x[1] ^ y[1]))
+        q8 = [tuple(sign * (k == m) for m in range(4))
+              for sign in (1, -1) for k in range(4)]
+        write_table("q8.grp", "Q8", q8, lambda x, y: (
+            x[0] * y[0] - x[1] * y[1] - x[2] * y[2] - x[3] * y[3],
+            x[0] * y[1] + x[1] * y[0] + x[2] * y[3] - x[3] * y[2],
+            x[0] * y[2] - x[1] * y[3] + x[2] * y[0] + x[3] * y[1],
+            x[0] * y[3] + x[1] * y[2] - x[2] * y[1] + x[3] * y[0]))
+        for group in ("d4.grp", "q8.grp"):
+            for source in (["--presentation", "poincare.pres"],
+                           ["--complex", "torus7.cx"]):
+                argv = ["invert-lattice", *source, "--group", group]
+                run(argv)
+                run(["--json"] + argv)
         # A5 x A5 closed from its four generator pairs
         with open("a5xa5.txt", "w") as fh:
             fh.write("1 0\n2 0\n0 1\n0 2\n")
