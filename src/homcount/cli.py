@@ -214,7 +214,7 @@ def cmd_orbit(args, rep):
     sampler = surfaces.RepSampler(g, G)
     seeds = [sampler.draw(rng) for _ in range(args.orbit_seeds)]
     seeds.append(tuple([0] * (2 * g)))
-    report = surfaces.orbit_report(seeds, G, g, ext=ext)
+    report = surfaces.orbit_report(seeds, G, g, ext=ext, limits=_limits(args))
     rep.add("genus", g)
     rep.add("orbits", len(report.rows))
     rep.add("visited", report.visited)
@@ -278,9 +278,9 @@ def cmd_goursat(args, rep):
     with open(_resolve(args.subgroup)) as fh:
         pairs = [_id_pair(ln, G1, G2) for ln in content_lines(fh.read())]
     dec = gsets.goursat_decompose(pairs, G1, G2)
-    rep.add("n1-order", dec.n1.order)
-    rep.add("n2-order", dec.n2.order)
-    rep.add("quotient-order", G1.order // dec.n1.order)
+    rep.add("n1-order", len(dec.n1))
+    rep.add("n2-order", len(dec.n2))
+    rep.add("quotient-order", G1.order // len(dec.n1))
     rep.add("iso", " ".join("%d->%d" % kv for kv in sorted(dec.iso.items())))
     return 0
 

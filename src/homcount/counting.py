@@ -10,7 +10,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, product, repeat
-from .groups import (FiniteGroup, GroupError, automorphisms, generates,
+from .groups import (GroupError, as_group, automorphisms, generates,
                      subgroup_lattice)
 from .complexes import (ComplexError, greedy_ordering, spanning_forest,
                         validate_ordering)
@@ -23,7 +23,7 @@ class WorkBoundExceeded(ValueError):
 @dataclass
 class CountingLimits:
     max_enumeration: int = 5_000_000   # backtracking node budget
-    max_states: int = 2_000_000        # DP state-vector budget
+    max_states: int = 2_000_000        # DP state and orbit-walk budget
 
 
 DEFAULT_LIMITS = CountingLimits()
@@ -421,7 +421,6 @@ class InversionRow:
 
 @dataclass
 class InversionTable:
-    group: FiniteGroup
     rows: list
     total_homs: int
 
@@ -438,11 +437,11 @@ def quotient_counts_via_inversion(count_into, G):
     """
     lattice = subgroup_lattice(G)
     subs, classes = lattice.subgroups, lattice.classes
-    sets = [frozenset(H.members) for H in subs]
+    sets = [frozenset(H) for H in subs]
     homs, surj, auts = {}, {}, {}
     for i, H in enumerate(subs):
         if classes[i] == i:
-            J = H.as_group()
+            J = as_group(G, H)
             homs[i], auts[i] = count_into(J), len(automorphisms(J))
             # proper subgroups are smaller, so they sort before H
             surj[i] = homs[i] - sum(surj[classes[j]] for j in range(i)
@@ -454,11 +453,11 @@ def quotient_counts_via_inversion(count_into, G):
         if surj[c] % auts[c] != 0:
             raise GroupError("inversion: %d not divisible by |Aut| = %d"
                              % (surj[c], auts[c]))
-        rows.append(InversionRow(H.members, H.order, homs[c], surj[c],
+        rows.append(InversionRow(H, len(H), homs[c], surj[c],
                                  surj[c] // auts[c]))
     total = rows[-1].homs
     check = sum(auts[c] * row.quotients for row, c in zip(rows, classes))
     if check != total:
         raise GroupError("inversion consistency failed: %d != %d"
                          % (check, total))
-    return InversionTable(G, rows, total)
+    return InversionTable(rows, total)

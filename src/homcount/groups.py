@@ -291,45 +291,17 @@ def class_representatives(G):
     return reps
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    parent: FiniteGroup
-    members: tuple
-
-    def __post_init__(self):
-        mem = set(self.members)
-        if 0 not in mem:
-            raise GroupError("subgroup misses the identity")
-        for a in self.members:
-            if self.parent.inv(a) not in mem:
-                raise GroupError("subgroup not closed under inverse")
-            for b in self.members:
-                if self.parent.mul(a, b) not in mem:
-                    raise GroupError("subgroup not closed under product")
-
-    @property
-    def order(self):
-        return len(self.members)
-
-    def as_group(self, name=None):
-        """Reindex the subgroup as a standalone FiniteGroup.
-
-        Members keep their sorted order, so id 0 stays the identity.
-        """
-        ids = sorted(self.members)
-        pos = {x: i for i, x in enumerate(ids)}
-        n = len(ids)
-        table = [0] * (n * n)
-        for i, a in enumerate(ids):
-            for j, b in enumerate(ids):
-                table[i * n + j] = pos[self.parent.mul(a, b)]
-        return FiniteGroup(name or ("%s^sub%d" % (self.parent.name, n)), table)
+def as_group(G, members):
+    """Reindex a subgroup of G, given as its sorted member tuple, as a
+    standalone FiniteGroup; id 0 stays the identity."""
+    pos = {x: i for i, x in enumerate(members)}
+    table = [pos[G.mul(a, b)] for a in members for b in members]
+    return FiniteGroup("%s^sub%d" % (G.name, len(members)), table)
 
 
 @dataclass
 class SubgroupLattice:
-    group: FiniteGroup
-    subgroups: list        # list of Subgroup, sorted by (order, members)
+    subgroups: list        # sorted member tuples, by (order, members)
     classes: list          # classes[i]: first index of subgroups[i]'s class
 
 
@@ -377,7 +349,7 @@ def subgroup_lattice(G):
     subs = sorted(found, key=lambda m: (len(m), m))
     first = {}
     classes = [first.setdefault(found[m], i) for i, m in enumerate(subs)]
-    return SubgroupLattice(G, [Subgroup(G, m) for m in subs], classes)
+    return SubgroupLattice(subs, classes)
 
 
 def _membership_masks(G):
@@ -387,7 +359,7 @@ def _membership_masks(G):
     lattice = subgroup_lattice(G)
     masks = [0] * G.order
     for i, H in enumerate(lattice.subgroups):
-        for e in H.members:
+        for e in H:
             masks[e] |= 1 << i
     return masks, 1 << (len(lattice.subgroups) - 1)
 
@@ -402,41 +374,37 @@ def generates(G, ids):
     return len(close_under_product(G, ids)) == G.order
 
 
-def commutator_subgroup(G):
-    comms = {G.comm(a, b) for a in G.elements() for b in G.elements()}
-    return Subgroup(G, close_under_product(G, sorted(comms)))
-
-
 def derived_subgroup(G):
     """The members of [G, G] as a frozenset."""
-    return frozenset(commutator_subgroup(G).members)
+    comms = {G.comm(a, b) for a in G.elements() for b in G.elements()}
+    return frozenset(close_under_product(G, sorted(comms)))
+
+
+def coset_min_reps(G, members):
+    """Per element id a of G, the least member of the coset aN of the
+    subgroup N with these members."""
+    rep = [None] * G.order
+    for a in G.elements():
+        if rep[a] is None:
+            coset = [G.mul(a, d) for d in members]
+            least = min(coset)
+            for x in coset:
+                rep[x] = least
+    return rep
 
 
 def quotient_by_normal(G, normal_members, name=None):
     """Quotient of G by a normal subgroup, with the projection map.
 
-    Cosets are keyed by their minimal member; the identity coset gets id 0
-    and the rest follow in key order.
+    Cosets are numbered in the order of their least members, so the
+    identity coset, whose least member is 0, gets id 0.
     """
-    D = set(normal_members)
-    cosets = {}
-    for g in G.elements():
-        key = min(G.mul(g, d) for d in D)
-        cosets.setdefault(key, set()).add(g)
-    id_key = next(k for k, mem in cosets.items() if 0 in mem)
-    ordered = [id_key] + sorted(k for k in cosets if k != id_key)
-    idx = {k: i for i, k in enumerate(ordered)}
-    proj = [0] * G.order
-    for k, members in cosets.items():
-        for g in members:
-            proj[g] = idx[k]
-    n = len(ordered)
-    table = [0] * (n * n)
-    for i, k1 in enumerate(ordered):
-        for j, k2 in enumerate(ordered):
-            table[i * n + j] = proj[G.mul(k1, k2)]
-    Q = FiniteGroup(name or (G.name + "_quo"), table)
-    return Q, tuple(proj)
+    rep = coset_min_reps(G, normal_members)
+    keys = sorted(set(rep))
+    idx = {k: i for i, k in enumerate(keys)}
+    proj = tuple(idx[r] for r in rep)
+    table = [proj[G.mul(k1, k2)] for k1 in keys for k2 in keys]
+    return FiniteGroup(name or (G.name + "_quo"), table), proj
 
 
 # -- automorphisms ------------------------------------------------------------
@@ -565,8 +533,7 @@ class StemExtension:
             for g in range(C.order):
                 if C.mul(z, g) != C.mul(g, z):
                     raise GroupError("center ids are not central")
-        derived = set(commutator_subgroup(C).members)
-        if not Z <= derived:
+        if not Z <= C.cached(derived_subgroup):
             raise GroupError("center ids not inside the commutator subgroup")
         return self
 

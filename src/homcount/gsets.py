@@ -9,7 +9,7 @@ section of orbit representatives.
 from dataclasses import dataclass
 from math import factorial
 from . import perms
-from .groups import Subgroup, GroupError, derived_subgroup
+from .groups import GroupError, coset_min_reps, derived_subgroup
 
 
 class ActionError(ValueError):
@@ -215,28 +215,13 @@ def rubik_surjectivity_check(gens, act):
 # -- Goursat ---------------------------------------------------------------------
 
 
-def _coset_min_reps(N):
-    """Per element id a of N's parent, the least member of the coset a N."""
-    G = N.parent
-    rep = [None] * G.order
-    for a in G.elements():
-        if rep[a] is None:
-            coset = [G.mul(a, d) for d in N.members]
-            least = min(coset)
-            for x in coset:
-                rep[x] = least
-    return rep
-
-
 @dataclass
 class GoursatDecomposition:
-    n1: Subgroup
-    n2: Subgroup
+    n1: tuple        # the members of N1 <= G1
+    n2: tuple
+    rep1: list       # element id of G1 -> least member of its coset in G1/N1
+    rep2: list
     iso: dict        # coset-min-rep in G1/N1 -> coset-min-rep in G2/N2
-
-    def __post_init__(self):
-        self.rep1 = _coset_min_reps(self.n1)
-        self.rep2 = _coset_min_reps(self.n2)
 
     def reconstruct(self, G1, G2):
         """The subgroup of G1 x G2 cut out by the coset isomorphism."""
@@ -268,9 +253,10 @@ def goursat_decompose(pairs, G1, G2):
     if {b for _, b in H} != set(G2.elements()):
         raise GroupError("H does not surject onto the second factor")
     # the kernels of the projections, subgroups since H is one
-    N1 = Subgroup(G1, tuple(sorted(a for a, b in H if b == 0)))
-    N2 = Subgroup(G2, tuple(sorted(b for a, b in H if a == 0)))
-    dec = GoursatDecomposition(N1, N2, {})
+    N1 = tuple(sorted(a for a, b in H if b == 0))
+    N2 = tuple(sorted(b for a, b in H if a == 0))
+    dec = GoursatDecomposition(N1, N2, coset_min_reps(G1, N1),
+                               coset_min_reps(G2, N2), {})
     rep1, rep2, iso = dec.rep1, dec.rep2, dec.iso
     for a, b in H:
         r1, r2 = rep1[a], rep2[b]

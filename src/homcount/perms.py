@@ -20,6 +20,8 @@ import re
 from math import factorial, prod
 from operator import itemgetter
 
+MAX_DEGREE = 1 << 16
+
 
 def identity_perm(n):
     return tuple(range(n))
@@ -95,7 +97,7 @@ def parse_cycles(text, degree=0):
     """Parse cycle notation like "(0 1 2)(3 4)" into an image tuple.
 
     Points are nonnegative integers; the degree is max point + 1 unless a
-    larger degree is given.  "()" is the identity.
+    larger degree is given, and at most MAX_DEGREE.  "()" is the identity.
     """
     stripped = text.strip()
     leftover = re.sub(_CYCLE, "", stripped).strip()
@@ -113,6 +115,8 @@ def parse_cycles(text, degree=0):
     n = degree
     for c in cycles:
         n = max(n, max(c) + 1)
+    if n > MAX_DEGREE:
+        raise ValueError("degree %d exceeds bound %d" % (n, MAX_DEGREE))
     p = identity_perm(n)
     for c in cycles:
         p = mult(p, cycle_perm(n, c))
@@ -184,11 +188,9 @@ class PermutationGroup:
     the object is read-only and safe to share between threads.
     """
 
-    MAX_DEGREE = 1 << 16
-
     def __init__(self, degree, gens):
-        if degree > self.MAX_DEGREE:
-            raise ValueError("degree %d exceeds bound %d" % (degree, self.MAX_DEGREE))
+        if degree > MAX_DEGREE:
+            raise ValueError("degree %d exceeds bound %d" % (degree, MAX_DEGREE))
         self.degree = degree
         self._ident = identity_perm(degree)
         gens = [tuple(g) for g in gens]

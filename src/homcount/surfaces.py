@@ -529,7 +529,7 @@ class AutTables:
 # breaks it on its whole Aut-class, so such a tuple is found as well.
 
 
-def orbit_report(seeds, G, g, ext=None, max_visited=2_000_000):
+def orbit_report(seeds, G, g, ext=None, limits=DEFAULT_LIMITS):
     """Orbit decomposition of seed tuples under the mapping classes the
     generator set generates, with per-orbit surjectivity, Schur class, and
     Aut-closure flags.
@@ -549,8 +549,9 @@ def orbit_report(seeds, G, g, ext=None, max_visited=2_000_000):
     permutes the finite set of genus-g tuples, so its inverse is one of its
     powers, and the forward closure of a seed is its whole group orbit.
     Every tuple of every orbit, a seed's own included, counts toward
-    max_visited: the walk stops when its class count alone exceeds the room
-    left, and the exact orbit size is checked against it after the walk.
+    limits.max_states: the walk stops when its class count alone exceeds
+    the room left, and the exact orbit size is checked against it after
+    the walk.
     """
     _check_genus(g)
     gens = standard_generators(g)
@@ -576,7 +577,7 @@ def orbit_report(seeds, G, g, ext=None, max_visited=2_000_000):
         if any(aut.compose(aut.inverse[chi], psi) in stabilizers[i]
                for i, psi in known.get(rep, ())):
             continue
-        room = max_visited - visited
+        room = limits.max_states - visited
         classes = {rep: 0}
         records = [(seed, chi)]     # (t_r, psi_r) with psi_r(t_r) = r
         twists = set()              # (psi_r', chi) of edges onto known classes
@@ -731,7 +732,9 @@ def heegaard_count(h, G, limits=DEFAULT_LIMITS):
     and each class counts with its size; the comment above proves it.
     """
     g = h.genus
-    if G.order ** g > limits.max_enumeration:
+    # an order >= 2 to any power past the budget's bit length exceeds it
+    if G.order ** min(g, limits.max_enumeration.bit_length() + 1) \
+            > limits.max_enumeration:
         raise WorkBoundExceeded("heegaard enumeration %d^%d over budget"
                                 % (G.order, g))
     pull_back = inverse_word(resolve_word(h.word, g))

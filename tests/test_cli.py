@@ -197,6 +197,15 @@ def test_heegaard_unknown_name_as_written(capsys, tmp_path):
         "SurfaceError: unknown mapping class generator 'foo'"
 
 
+def test_orbit_walk_reads_the_state_budget(capsys):
+    code, out = run(capsys, "--max-states", "10", "--max-enumeration", "10",
+                    "orbit", "--group", "s3.grp", "--genus", "2",
+                    "--orbit-seeds", "1")
+    assert code == 2
+    assert parse_report(out)["error"] == \
+        "WorkBoundExceeded: orbit memory bound hit"
+
+
 @pytest.mark.parametrize("genus, code, visited", [
     ("0", 0, "1"), ("1", 0, "4"), ("-1", 2, None)])
 def test_orbit_genus_range(capsys, genus, code, visited):
@@ -343,7 +352,9 @@ def test_malformed_circuit_exit_code(capsys, tmp_path, command, text, error):
     assert rep["error"] == error
 
 
-@pytest.mark.parametrize("argv, name, text, error", [
+# (argv, file name, file text, error report or None for exit 0); the file's
+# path ends the command line, and sl25.grp lies next to it
+MALFORMED_HEADERS = [
     (["count-hom", "--presentation", "poincare.pres", "--group"], "bad.grp",
      "group foo", "GroupError"),
     (["count-hom", "--presentation", "poincare.pres", "--group"], "bad.grp",
@@ -428,7 +439,10 @@ def test_malformed_circuit_exit_code(capsys, tmp_path, command, text, error):
      "vertices -2\n", "ComplexError: vertex count -2 below 0"),
     pytest.param(["homology", "--complex"], "zero.cx", "vertices 0\n", None,
                  id="no-vertices"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, name, text, error", MALFORMED_HEADERS)
 def test_malformed_header_exit_code(capsys, tmp_path, argv, name, text, error):
     # an extension file names its cover relative to its own directory
     shutil.copy(os.path.join(DATA, "sl25.grp"), tmp_path)

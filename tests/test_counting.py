@@ -585,7 +585,7 @@ def test_inversion_once_per_subgroup_class(monkeypatch, s4, a5):
             table = quotient_counts_via_inversion(
                 lambda J: count_homs(P, J), G)
             for row in table.rows:
-                H = groups.Subgroup(G, row.members).as_group()
+                H = groups.as_group(G, row.members)
                 assert row.surjections == count_surjections(P, H)[1]
     # count_into runs once per conjugacy class of subgroups
     for G, nclasses in ((s4, 11), (d4, 8), (a5, 9)):

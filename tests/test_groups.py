@@ -6,11 +6,10 @@ import weakref
 import pytest
 
 from homcount import groups, perms
-from homcount.groups import (FiniteGroup, GroupError, Subgroup,
-                             _hom_from_gen_images, automorphisms,
-                             close_under_product, commutator_subgroup,
-                             derived_subgroup,
-                             find_isomorphism, load_group, parse_group_text,
+from homcount.groups import (FiniteGroup, GroupError, _hom_from_gen_images,
+                             as_group, automorphisms, close_under_product,
+                             derived_subgroup, find_isomorphism, load_group,
+                             parse_group_text, quotient_by_normal,
                              subgroup_lattice, subgroup_membership_masks,
                              write_group_file)
 from conftest import data_path
@@ -53,11 +52,11 @@ def oracle_close(G, seed_ids):
     return tuple(sorted(members))
 
 
-def is_normal(H):
-    """Whether every conjugate of every member of H lies in H."""
-    G, mem = H.parent, set(H.members)
+def is_normal(G, members):
+    """Whether every conjugate of every member lies among the members."""
+    mem = set(members)
     return all(G.mul(G.mul(g, h), G.inv(g)) in mem
-               for g in G.elements() for h in H.members)
+               for g in G.elements() for h in members)
 
 
 def oracle_hom_from_gen_images(G, H, steps, images):
@@ -213,18 +212,19 @@ def test_declared_order_checked_before_the_table(monkeypatch):
     with pytest.raises(GroupError) as exc:
         parse_group_text("group G 6 perm-gens\n(0 1)\n(0 1 2 3 4 5 6 7)\n")
     assert str(exc.value) == "declared order 6 but closure has 40320"
-    with pytest.raises(GroupError, match="exceeds bound"):
-        parse_group_text("group G 2 perm-gens\n(0 70000)\n")
+    # a point past the degree bound is rejected before any permutation
+    # of that degree is built
+    for point in (70000, 10 ** 12):
+        with pytest.raises(GroupError, match="degree %d exceeds bound 65536"
+                                             % (point + 1)):
+            parse_group_text("group G 2 perm-gens\n(0 %d)\n" % point)
 
 
 def test_subgroup_invariants(s3):
-    with pytest.raises(GroupError):
-        Subgroup(s3, (1, 2))          # misses identity
-    full = Subgroup(s3, tuple(range(6)))
-    assert full.order == 6
-    derived = commutator_subgroup(s3)
-    assert derived.order == 3
-    assert is_normal(derived)
+    assert as_group(s3, tuple(range(6)))._table == s3._table
+    derived = s3.cached(derived_subgroup)
+    assert len(derived) == 3
+    assert is_normal(s3, derived)
 
 
 def test_subgroup_lattice_counts(z4, s3, a5):
@@ -251,7 +251,7 @@ def test_subgroup_lattice_counts(z4, s3, a5):
                     found.add(K)
                     grew = True
     subs = sorted(found, key=lambda m: (len(m), m))
-    assert [H.members for H in lat.subgroups] == subs
+    assert lat.subgroups == subs
     # the nine conjugacy classes of subgroups of A5
     assert lat.classes == oracle_classes(a5, subs)
     assert len(set(lat.classes)) == 9
@@ -262,7 +262,7 @@ def test_lattice_matches_oracle(s3, a4, s4, sl23, a5):
     for G in (*small_groups(), s3, a4, s4, sl23, a5, s3xz2):
         lat = subgroup_lattice(G)
         subs, classes = oracle_lattice(G)
-        assert [H.members for H in lat.subgroups] == subs
+        assert lat.subgroups == subs
         assert lat.classes == classes
 
 
@@ -309,7 +309,7 @@ def test_automorphisms_match_oracle(s3, a4, s4, sl23, a5):
 
 
 def test_find_isomorphism_is_least(s4):
-    subs = [H.as_group() for H in subgroup_lattice(s4).subgroups]
+    subs = [as_group(s4, H) for H in subgroup_lattice(s4).subgroups]
     pairs = 0
     for J in subs:
         for K in subs:
@@ -361,11 +361,30 @@ def test_automorphism_counts(z4, s3, a5):
 
 
 def test_commutators_and_abelianization(z4, s3, a5):
-    assert commutator_subgroup(z4).order == 1
-    assert commutator_subgroup(a5).order == 60
     assert a5.is_perfect() and not s3.is_perfect()
     assert [len(G.cached(derived_subgroup)) for G in (s3, z4, a5)] \
         == [3, 1, 60]
+
+
+def test_quotient_by_normal(s4, sl23):
+    quotients = 0
+    for G in (s4, sl23, *small_groups()[3:]):
+        for N in subgroup_lattice(G).subgroups:
+            if not is_normal(G, N):
+                continue
+            quotients += 1
+            Q, proj = quotient_by_normal(G, N)
+            assert Q.order == G.order // len(N)
+            assert sorted(set(proj)) == list(range(Q.order))
+            assert all(proj[G.mul(a, b)] == Q.mul(proj[a], proj[b])
+                       for a in G.elements() for b in G.elements())
+            assert [a for a in G.elements() if proj[a] == 0] == list(N)
+            # ids follow the least member of each coset
+            least = [proj.index(q) for q in range(Q.order)]
+            assert least == sorted(least) and least[0] == 0
+    # S4: 1, V4, A4, S4; SL(2,3): 1, Z2, Q8, SL(2,3); D4: 1, Z2, three of
+    # order 4, D4; Q8: 1, Z2, three of order 4, Q8
+    assert quotients == 4 + 4 + 6 + 6
 
 
 def test_find_isomorphism(z4, s3):
@@ -385,7 +404,7 @@ def test_stem_extension_file(a5, sl25_ext):
     assert ext.cover.order == 120
     assert len(ext.center_ids) == 2
     # central, inside the derived subgroup, kernel exact
-    derived = set(commutator_subgroup(ext.cover).members)
+    derived = ext.cover.cached(derived_subgroup)
     for z in ext.center_ids:
         assert z in derived
         for g in range(ext.cover.order):

@@ -16,7 +16,8 @@ from homcount.surfaces import (AutTables, HeegaardGluing, MCGGenerator,
                                resolve_word, run_word, schur_invariant,
                                standard_generators, surface_relation_holds,
                                surface_relator, word_h1_matrix)
-from homcount.counting import DEFAULT_LIMITS, WorkBoundExceeded
+from homcount.counting import (DEFAULT_LIMITS, CountingLimits,
+                               WorkBoundExceeded)
 
 
 def enumerate_reps(g, G, filter="all", limits=DEFAULT_LIMITS, ext=None):
@@ -364,7 +365,8 @@ def test_orbit_schur_classes_never_mix(a5, sl25_ext):
         # keep tiny orbits out: demand a surjective tuple
         if len(close_under_product(a5, t)) == 60:
             seeds.append(t)
-    rep = orbit_report(seeds[:1], a5, 2, ext=sl25_ext, max_visited=400_000)
+    rep = orbit_report(seeds[:1], a5, 2, ext=sl25_ext,
+                       limits=CountingLimits(max_states=400_000))
     assert rep.rows[0].schur_class in (0, sl25_ext.center_ids[1])
 
 
@@ -411,7 +413,8 @@ def test_orbit_transitivity_recorded(a5, sl25_ext):
         t = sampler.draw(rng)
         if surjective(t) and schur_invariant(t, a5, sl25_ext) == 0:
             seed = t
-    rep = orbit_report([seed], a5, 2, ext=sl25_ext, max_visited=2_000_000)
+    rep = orbit_report([seed], a5, 2, ext=sl25_ext,
+                       limits=CountingLimits(max_states=2_000_000))
     total = sum(1 for _ in enumerate_reps(2, a5, filter="schur-zero",
                                           ext=sl25_ext))
     print("[RECORD] genus-2 A5 schur-zero orbit: size %d of %d, "
@@ -433,6 +436,18 @@ def test_heegaard_empty_word(s3, a5):
         assert heegaard_count(HeegaardGluing(g, []), s3).homs == 6 ** g
     for g in (1, 2):
         assert heegaard_count(HeegaardGluing(g, []), a5).homs == 60 ** g
+
+
+def test_heegaard_budget(s3):
+    # |G|^g against the budget, exact at the boundary
+    gluing = HeegaardGluing(2, ["tb1"])
+    assert heegaard_count(gluing, s3,
+                          CountingLimits(max_enumeration=36)).homs == 6
+    with pytest.raises(WorkBoundExceeded, match="6\\^2 over budget"):
+        heegaard_count(gluing, s3, CountingLimits(max_enumeration=35))
+    # a huge genus is rejected without building 6^g
+    with pytest.raises(WorkBoundExceeded, match="6\\^100000000 over budget"):
+        heegaard_count(HeegaardGluing(10 ** 8, ["tb1"]), s3)
 
 
 def test_heegaard_lens_space(s3, a5):
@@ -591,10 +606,11 @@ def test_orbit_bound_counts_every_orbit(s3):
     # the one-tuple orbit of the trivial seed first, and last
     for seeds in ([(0, 0, 0, 0)] + drawn, drawn + [(0, 0, 0, 0)]):
         visited = orbit_report(seeds, s3, 2).visited
-        assert orbit_report(seeds, s3, 2,
-                            max_visited=visited).visited == visited
+        limits = CountingLimits(max_states=visited)
+        assert orbit_report(seeds, s3, 2, limits=limits).visited == visited
         with pytest.raises(WorkBoundExceeded):
-            orbit_report(seeds, s3, 2, max_visited=visited - 1)
+            orbit_report(seeds, s3, 2,
+                         limits=CountingLimits(max_states=visited - 1))
 
 
 def broken_twist_a(i, g):

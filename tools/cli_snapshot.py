@@ -8,10 +8,10 @@ byte for byte:
 
 For the checkout's package and bundled data it prints the exit code and the
 text and --json reports of every command in the README's command block,
-the file `reduce --output` writes there, the error report of every
-malformed-circuit case of tests/test_cli.py, and a sweep of
---max-enumeration budgets over the presentation counters, which shows the
-budgets under which each search raises, the zombie-stage commands
+the file `reduce --output` writes there, the report of every
+malformed-circuit and malformed-header case of tests/test_cli.py, and a
+sweep of --max-enumeration budgets over the presentation counters, which
+shows the budgets under which each search raises, the zombie-stage commands
 (verify-parsimony, compile-zsat) over Z2, Z3 and S3 under --max-states and
 --max-enumeration budgets and over A4 once, verify-parsimony of a 4-input
 circuit with six stage-3 symbols unbudgeted and under --max-states 2^0 ..
@@ -86,6 +86,17 @@ def main(checkout):
             gamma = ["--gamma", "z2.grp"] if command == "compile-zsat" else []
             print("--- %r" % text)
             run([command, "--circuit", "circuit"] + gamma)
+        # the header files in a directory of their own, so that none shadows
+        # a data file, with the cover an extension file names next to them
+        os.mkdir("headers")
+        shutil.copy(os.path.join(data, "sl25.grp"), "headers")
+        for case in test_cli.MALFORMED_HEADERS:
+            argv, name, text, _ = getattr(case, "values", case)
+            path = os.path.join("headers", name)
+            with open(path, "w") as fh:
+                fh.write(text)
+            print("--- %r" % text)
+            run(argv + [path])
         poincare = ["--presentation", "poincare.pres", "--group", "a5.grp"]
         # 3660 = 60 + 60^2 nodes is the least budget these complete under
         for command in ("count-hom", "count-quot", "invert-lattice"):
