@@ -245,6 +245,7 @@ def cmd_heegaard_count(args, rep):
 
 def cmd_rubik_check(args, rep):
     gamma = _load_group_arg(args.gamma)
+    gsets.check_rubik_degree(args.orbits * gamma.order)
     act = gsets.make_free_action(gamma, args.orbits)
     gens = gsets.rubik_generators(act)
     result = gsets.rubik_surjectivity_check(gens, act)

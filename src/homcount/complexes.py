@@ -11,6 +11,11 @@ from itertools import combinations
 from .textformat import content_lines, int_fields, keyword_int
 
 
+# the largest `vertices` or `gens` header a file may declare: each vertex
+# and each generator takes memory before any count starts
+MAX_HEADER = 1 << 16
+
+
 class ComplexError(ValueError):
     pass
 
@@ -122,7 +127,7 @@ def spanning_forest(nvertices, edges):
 
 def parse_complex_text(text):
     lines = content_lines(text) or [""]
-    n = keyword_int(lines[0], "vertices", ComplexError)
+    n = keyword_int(lines[0], "vertices", ComplexError, MAX_HEADER)
     maximal = []
     ordering_lines = None
     for ln in lines[1:]:
@@ -273,7 +278,7 @@ class Presentation:
 def parse_presentation_text(text):
     import re
     lines = content_lines(text) or [""]
-    ngens = keyword_int(lines[0], "gens", ComplexError)
+    ngens = keyword_int(lines[0], "gens", ComplexError, MAX_HEADER)
     rels = []
     for ln in lines[1:]:
         if ln == "e":

@@ -185,13 +185,20 @@ class PermutationGroup:
     """Permutation group with exact order via a stabilizer chain.
 
     The chain is built once, deterministically, on first query; afterwards
-    the object is read-only and safe to share between threads.
+    the object is read-only and safe to share between threads.  The chain's
+    first levels sit on the distinct points of base, in order; a level
+    whose point the group fixes has that point alone as its orbit.
     """
 
-    def __init__(self, degree, gens):
+    def __init__(self, degree, gens, base=()):
         if degree > MAX_DEGREE:
             raise ValueError("degree %d exceeds bound %d" % (degree, MAX_DEGREE))
         self.degree = degree
+        self.base = tuple(base)
+        if (len(set(self.base)) != len(self.base)
+                or not all(0 <= pt < degree for pt in self.base)):
+            raise ValueError("base needs distinct points of 0..%d, got %r"
+                             % (degree - 1, self.base))
         self._ident = identity_perm(degree)
         gens = [tuple(g) for g in gens]
         for g in gens:
@@ -206,7 +213,8 @@ class PermutationGroup:
         # stopped at level j joins levels k..j (j may be a new level)
         if self._chain is not None:
             return
-        ident, chain = self._ident, []
+        ident = self._ident
+        chain = [_Level(pt, ident) for pt in self.base]
         stack = [(0, g) for g in reversed(self.gens)]
         while stack:
             k, h = stack.pop()
@@ -220,9 +228,14 @@ class PermutationGroup:
                 stack.extend((m + 1, s) for s in chain[m].extend(h, ident))
         self._chain = chain
 
-    def order(self):
+    def orbit_lengths(self):
+        """The basic orbit lengths: the k-th is that of the k-th base point
+        under the stabilizer of the base points before it."""
         self._ensure_chain()
-        return prod(len(level.orbit) for level in self._chain)
+        return tuple(len(level.orbit) for level in self._chain)
+
+    def order(self):
+        return prod(self.orbit_lengths())
 
     def contains(self, p):
         p = tuple(p)

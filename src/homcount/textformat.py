@@ -21,9 +21,13 @@ def int_fields(tokens, line, error):
         raise error("expected integers in line %r" % line) from None
 
 
-def keyword_int(line, keyword, error):
-    """The integer n of a line that reads exactly `<keyword> <n>`."""
+def keyword_int(line, keyword, error, bound=None):
+    """The integer n of a line that reads exactly `<keyword> <n>`; raises
+    when n exceeds bound, if one is given."""
     toks = line.split()
     if len(toks) != 2 or toks[0] != keyword:
         raise error("expected '%s <integer>', got %r" % (keyword, line))
-    return int_fields(toks[1:], line, error)[0]
+    n = int_fields(toks[1:], line, error)[0]
+    if bound is not None and n > bound:
+        raise error("%s %d exceeds bound %d" % (keyword, n, bound))
+    return n

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from homcount import zsat
+from homcount import gsets, perms, zsat
 from homcount.circuits import load_boolean, load_reversible, reduce_pipeline
 from homcount.cli import main
 from conftest import DATA
@@ -176,6 +176,20 @@ def test_rubik_check_trivial_gamma(capsys, tmp_path):
     assert code == 0
     assert (rep["generated-order"], rep["expected-order"],
             rep["theorem-instance"]) == ("2520", "2520", "PASS")
+
+
+def test_rubik_check_degree_bound(capsys, monkeypatch):
+    # refused from the degree alone, before an action or a chain is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built past the degree bound")
+    monkeypatch.setattr(gsets, "make_free_action", unreachable)
+    monkeypatch.setattr(perms, "PermutationGroup", unreachable)
+    code, out = run(capsys, "rubik-check", "--gamma", "z2.grp", "--orbits",
+                    "1000000000")
+    assert code == 2
+    assert parse_report(out) == {"error": "ActionError: action degree "
+                                 "2000000000 exceeds Rubik bound %d"
+                                 % gsets.MAX_RUBIK_DEGREE}
 
 
 def test_heegaard_command(capsys, tmp_path):
@@ -439,6 +453,13 @@ MALFORMED_HEADERS = [
      "vertices -2\n", "ComplexError: vertex count -2 below 0"),
     pytest.param(["homology", "--complex"], "zero.cx", "vertices 0\n", None,
                  id="no-vertices"),
+    # header counts one past their bounds, refused before anything is built
+    (["dp-count", "--group", "s3.grp", "--complex"], "big.cx",
+     "vertices 65537\n", "ComplexError: vertices 65537 exceeds bound 65536"),
+    (["count-hom", "--group", "s3.grp", "--presentation"], "big.pres",
+     "gens 65537\n", "ComplexError: gens 65537 exceeds bound 65536"),
+    (["heegaard-count", "--group", "a5.grp", "--gluing"], "big.glu",
+     "genus 129\nword tb1\n", "SurfaceError: genus 129 exceeds bound 128"),
 ]
 
 

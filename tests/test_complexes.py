@@ -7,7 +7,7 @@ from homcount.complexes import (ComplexError, Presentation, PrefixBoundary,
                                 csaszar_torus, faces, genus2_ordering,
                                 genus2_surface, greedy_ordering, grid_torus,
                                 homology, load_complex, ordering_width,
-                                parse_presentation_text,
+                                parse_complex_text, parse_presentation_text,
                                 presentation_from_complex, smith_normal_form,
                                 validate_ordering)
 from conftest import data_path
@@ -187,6 +187,12 @@ def test_presentation_parsing():
         parse_presentation_text("gens 1\nx2\n")
     with pytest.raises(ComplexError):
         parse_presentation_text("x1\n")
+    # header counts are bounded before one slot or simplex is laid out
+    assert parse_presentation_text("gens 65536\n").ngens == 65536
+    with pytest.raises(ComplexError, match="gens 200000000 exceeds bound"):
+        parse_presentation_text("gens 200000000\n")
+    with pytest.raises(ComplexError, match="vertices 200000000 exceeds bound"):
+        parse_complex_text("vertices 200000000\n")
     assert "x1" in Presentation(1, [(1,)]).format()
 
 

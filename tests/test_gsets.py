@@ -251,6 +251,57 @@ def test_surjectivity_report(z2, z3, s3):
     assert not rep.two_transitive
 
 
+def two_transitive_oracle(gens, act):
+    """Flag (ii) by a BFS over ordered point pairs: the orbit of the
+    representatives of free orbits 0 and 1 under gens and their inverses
+    holds every pair of points in distinct free orbits."""
+    start = (act.free_orbits[0][0], act.free_orbits[1][0])
+    seen = {start}
+    frontier = [start]
+    gens_both = list(gens) + [perms.inverse(p) for p in gens]
+    while frontier:
+        x, y = frontier.pop()
+        for p in gens_both:
+            nxt = (p[x], p[y])
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    n_free = len(act.free_orbits) * act.group.order
+    return len(seen) == n_free * (n_free - act.group.order)
+
+
+def test_two_transitive_matches_pair_bfs(z2, z3, z4, s3):
+    # random subsets of the standard set, conjugated by a random equivariant
+    # permutation, which keeps them in the (normal) Rubik group; at an odd
+    # orbit count also the lift of the orbit n-cycle with the anti-diagonal
+    # pairs, transitive on the free points but not 2-transitive
+    v4 = FiniteGroup.from_table(
+        "V4", [0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 0, 1, 3, 2, 1, 0])
+    rng = random.Random(20261020)
+    actions = [make_free_action(gamma, n) for gamma in (z2, z3, z4, v4, s3)
+               for n in (7, 8, 9)] + [make_free_action(z3, 7, n_fixed=1)]
+    seen = set()
+    for act in actions:
+        n, q = len(act.free_orbits), act.group.order
+        gens = rubik_generators(act)
+        subsets = [[g for g in gens if rng.random() < 0.75] or gens[:1]
+                   for _ in range(6)]
+        if n % 2:
+            shift = tuple(range(1, n)) + (0,)
+            subsets.append([equivariant_perm(act, shift, (0,) * n)]
+                           + gens[n - 2:])
+        for subset in subsets:
+            orbit_perm = rng.sample(range(n), n)
+            c = equivariant_perm(act, tuple(orbit_perm),
+                                 tuple(rng.randrange(q) for _ in range(n)))
+            conj = [perms.mult(perms.mult(perms.inverse(c), g), c)
+                    for g in subset]
+            want = two_transitive_oracle(conj, act)
+            assert rubik_surjectivity_check(conj, act).two_transitive == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
 def test_goursat(s3, z4):
     diag = [(x, x) for x in s3.elements()]
     dec = goursat_decompose(diag, s3, s3)

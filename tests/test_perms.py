@@ -100,15 +100,31 @@ def _random_perm_on(rng, n, support):
     return tuple(p)
 
 
+def point_orbit(gens, x):
+    orbit, frontier = {x}, [x]
+    for y in frontier:
+        for g in gens:
+            if g[y] not in orbit:
+                orbit.add(g[y])
+                frontier.append(g[y])
+    return orbit
+
+
 def test_chain_matches_oracle_chain_randomized():
     # supports up to 16 points: far past what mulclose can enumerate
-    rng = random.Random(20261018)
+    rng, base_rng = random.Random(20261018), random.Random(20261020)
     for _ in range(200):
         n = rng.randint(2, 16)
         gens = [_random_perm_on(rng, n, rng.sample(range(n), rng.randint(2, n)))
                 for _ in range(rng.randint(1, 3))]
         group = PermutationGroup(n, gens)
         assert group.order() == oracle_chain_order(gens)
+        # a base prefix drawn from a stream of its own, so the groups and
+        # probes stay those of the chain without one
+        base = base_rng.sample(range(n), base_rng.randint(1, min(n, 3)))
+        based = PermutationGroup(n, gens, base=base)
+        assert based.order() == group.order()
+        assert based.orbit_lengths()[0] == len(point_orbit(gens, base[0]))
         word = tuple(range(n))
         for _ in range(rng.randint(1, 6)):
             word = mult(word, rng.choice(gens))
@@ -116,7 +132,23 @@ def test_chain_matches_oracle_chain_randomized():
                   mult(word, _random_perm_on(rng, n, rng.sample(range(n), 2)))]
         for p in probes:
             assert group.contains(p) == oracle_chain_contains(gens, p)
+            assert based.contains(p) == group.contains(p)
         assert group.contains(word)
+
+
+def test_chain_base_prefix():
+    # S3 on 0..2 next to a point 3 that every generator fixes: the base
+    # point 3 gets a level whose orbit is {3}
+    gens = [cycle_perm(4, [0, 1]), cycle_perm(4, [0, 1, 2])]
+    group = PermutationGroup(4, gens, base=(3, 2))
+    assert group.orbit_lengths() == (1, 3, 2)
+    assert group.order() == 6
+    assert group.contains(cycle_perm(4, [1, 2]))
+    assert not group.contains(cycle_perm(4, [2, 3]))
+    assert PermutationGroup(4, [], base=(0, 1)).orbit_lengths() == (1, 1)
+    for base in [(0, 0), (1, 4), (-1,)]:
+        with pytest.raises(ValueError):
+            PermutationGroup(4, gens, base=base)
 
 
 @pytest.mark.parametrize("n_orbits", [7, 8, 9])

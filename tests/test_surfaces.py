@@ -695,6 +695,9 @@ def test_genus_and_seed_length_checked(s4):
     with pytest.raises(SurfaceError):
         parse_gluing_text("genus -1\nword\n")
     assert parse_gluing_text("genus 0\n").genus == 0
+    assert parse_gluing_text("genus 128\n").genus == 128
+    with pytest.raises(SurfaceError, match="genus 1000000 exceeds bound 128"):
+        parse_gluing_text("genus 1000000\nword tb1\n")
     assert heegaard_count(HeegaardGluing(0, []), s4).homs == 1
     for seeds, g in (([(0, 0)], -1), ([(0, 0)], 2)):
         with pytest.raises(SurfaceError):

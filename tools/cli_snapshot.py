@@ -19,9 +19,10 @@ circuit with six stage-3 symbols unbudgeted and under --max-states 2^0 ..
 2, the torus and the Poincare sphere over S4 and SL(2,3) with the
 heegaard-count of the homology sphere and of a genus-2 gluing with
 surjections over both, invert-lattice of the Poincare sphere and of the
-7-vertex torus complex over D4 and Q8 given as tables, goursat on A5 x A5, rubik-check over Z3, S3 and
-A5 at 7 and 9 orbits, orbit over S3 at genus 2 and 3 and over A5 at
-genus 2 with the SL(2,5) extension, and heegaard-count of the lens space
+7-vertex torus complex over D4 and Q8 given as tables, goursat on A5 x A5,
+rubik-check over Z3, S3 and A5 at 7 and 9 orbits and over Z2 at 8, text
+and --json, orbit over S3 at genus 2 and 3 and over A5 at genus 2 with
+the SL(2,5) extension, and heegaard-count of the lens space
 over S3 and A5, of the homology sphere over S3, SL(2,5) and A5 (there
 also at --max-enumeration 3599 and 3600) and of a genus-3 gluing over S3,
 and dp-count of the projective plane and the sphere over S3 and A5, which
@@ -186,9 +187,11 @@ def main(checkout):
         run(["goursat", "--group", "a5.grp", "--group2", "a5.grp",
              "--subgroup", "a5xa5.txt"])
         # the commands that read the derived subgroup and Aut(G)
-        for gamma in ("z3.grp", "s3.grp", "a5.grp"):
-            for orbits in ("7", "9"):
-                run(["rubik-check", "--gamma", gamma, "--orbits", orbits])
+        for gamma, orbits in [(g, k) for g in ("z3.grp", "s3.grp", "a5.grp")
+                              for k in ("7", "9")] + [("z2.grp", "8")]:
+            argv = ["rubik-check", "--gamma", gamma, "--orbits", orbits]
+            run(argv)
+            run(["--json"] + argv)
         run(["orbit", "--group", "s3.grp", "--genus", "2",
              "--orbit-seeds", "5"])
         run(["orbit", "--group", "s3.grp", "--genus", "3",
