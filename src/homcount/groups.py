@@ -7,12 +7,13 @@ code (automorphism search, stem extension data files) relies on.
 
 import os
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from operator import itemgetter
 from . import perms
 from .textformat import content_lines, int_fields
 
 DEFAULT_ORDER_BOUND = 120
+MAX_GROUP_ORDER = 1 << 11
 
 
 class GroupError(ValueError):
@@ -78,9 +79,7 @@ class FiniteGroup:
             row = self._table[a * n:(a + 1) * n]
             if sorted(row) != list(range(n)):
                 raise GroupError("row %d of the table is not a bijection" % a)
-            for b in range(n):
-                if row[b] == 0:
-                    inv[a] = b
+            inv[a] = row.index(0)
         for a in range(n):
             if self.mul(inv[a], a) != 0:
                 raise GroupError("inverse table inconsistent at %d" % a)
@@ -137,6 +136,10 @@ class FiniteGroup:
 
         Element 0 is the identity; elements appear in discovery order, which
         makes the id assignment deterministic for a fixed generator list.
+        The table is filled column by column along the build steps: for
+        the step (e, parent, gen), a * e = (a * parent) * gen, so column e
+        is column parent read through the closure's right translates by
+        gen.  That is n * k permutation products and n^2 list reads.
         """
         gens = [tuple(g) for g in gens]
         if not gens:
@@ -149,21 +152,21 @@ class FiniteGroup:
         elems = [ident]
         index = {ident: 0}
         words = []  # build steps (element, parent, gen index)
+        right = [[] for _ in gens]  # right[gi][i] = id of elems[i] * gens[gi]
         i = 0
         while i < len(elems):
             for gi, g in enumerate(gens):
                 c = perms.mult(elems[i], g)
-                if c not in index:
-                    index[c] = len(elems)
+                j = index.setdefault(c, len(elems))
+                if j == len(elems):
                     elems.append(c)
-                    words.append((len(elems) - 1, i, gi))
+                    words.append((j, i, gi))
+                right[gi].append(j)
             i += 1
-        order = len(elems)
-        table = [0] * (order * order)
-        for a in range(order):
-            for b in range(order):
-                table[a * order + b] = index[perms.mult(elems[a], elems[b])]
-        grp = cls(name, table)
+        cols = [range(len(elems))]
+        for _, parent, gi in words:
+            cols.append(tuple(map(right[gi].__getitem__, cols[parent])))
+        grp = cls(name, list(chain.from_iterable(zip(*cols))))
         grp._memo[_generator_data] = ([index[g] for g in gens], words)
         grp._perm_elems = elems
         return grp
@@ -552,6 +555,9 @@ def parse_group_text(text):
     (order,) = int_fields(head[2:3], " ".join(head[:4]), GroupError)
     if order < 1:
         raise GroupError("group order must be at least 1, got %d" % order)
+    if order > MAX_GROUP_ORDER:
+        raise GroupError("group order %d exceeds bound %d"
+                         % (order, MAX_GROUP_ORDER))
     body = head[4].splitlines() if len(head) > 4 else []
     if mode == "table":
         ids = [x for ln in body

@@ -460,6 +460,11 @@ MALFORMED_HEADERS = [
      "gens 65537\n", "ComplexError: gens 65537 exceeds bound 65536"),
     (["heegaard-count", "--group", "a5.grp", "--gluing"], "big.glu",
      "genus 129\nword tb1\n", "SurfaceError: genus 129 exceeds bound 128"),
+    # S8 with its true order passes the chain: refused by the order bound,
+    # not a 40320^2 table
+    (["count-hom", "--presentation", "poincare.pres", "--group"], "s8.grp",
+     "group S8 40320\nperm-gens\n(0 1)\n(0 1 2 3 4 5 6 7)\n",
+     "GroupError: group order 40320 exceeds bound 2048"),
 ]
 
 

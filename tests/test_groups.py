@@ -12,6 +12,7 @@ from homcount.groups import (FiniteGroup, GroupError, _hom_from_gen_images,
                              parse_group_text, quotient_by_normal,
                              subgroup_lattice, subgroup_membership_masks,
                              write_group_file)
+from homcount.textformat import content_lines
 from conftest import data_path
 
 
@@ -104,6 +105,33 @@ def oracle_least_isomorphism(G, H):
     return None
 
 
+def oracle_perm_table(gens, degree=0):
+    """The breadth-first closure of from_perm_gens with its table filled by
+    all n^2 permutation products: (table, gen_ids, steps, elements)."""
+    n = max([degree] + [len(g) for g in gens])
+    gens = [tuple(g) + tuple(range(len(g), n)) for g in gens]
+    elems = [perms.identity_perm(n)]
+    index = {elems[0]: 0}
+    steps = []
+    for i, a in enumerate(elems):
+        for gi, g in enumerate(gens):
+            c = perms.mult(a, g)
+            if c not in index:
+                index[c] = len(elems)
+                steps.append((len(elems), i, gi))
+                elems.append(c)
+    table = [index[perms.mult(a, b)] for a in elems for b in elems]
+    return table, [index[g] for g in gens], steps, elems
+
+
+def shipped_perm_gens(name):
+    """The generators of a shipped perm-gens group file."""
+    with open(data_path(name)) as fh:
+        lines = content_lines(fh.read())
+    assert lines[1] == "perm-gens"
+    return [perms.parse_cycles(line) for line in lines[2:]]
+
+
 def small_groups():
     """The trivial group, Z2 and V4 (Inn(G) trivial, Aut(V4) = S3), and D4
     and Q8 (Inn(G) a proper non-trivial subgroup of Aut(G))."""
@@ -160,6 +188,80 @@ def test_perm_gen_closure_orders(s3, a5):
     assert a5.order == 60
 
 
+def random_block_perm(rng, blocks, degree):
+    """A random permutation of range(degree) mapping each block to itself,
+    given with its trailing fixed points stripped half the time."""
+    p = list(range(degree))
+    for block in blocks:
+        for x, y in zip(block, rng.sample(block, len(block))):
+            p[x] = y
+    if rng.random() < 0.5:
+        while p and p[-1] == len(p) - 1:
+            p.pop()
+    return tuple(p)
+
+
+def test_perm_table_matches_product_oracle():
+    # generators preserve blocks of at most 4 points, so every group has
+    # order at most |S4 x S3| = 144
+    rng = random.Random(2026)
+    cases = [([()], 0), ([(0,)], 0), ([()], 3), ([(0, 1, 2), (0, 1, 2)], 5)]
+    cases += [(shipped_perm_gens(name), 0)
+              for name in ("a5.grp", "s3.grp", "sl25.grp")]
+    seen, degrees = set(), set()
+    for _ in range(150):
+        degree = rng.randint(1, 7)
+        points = rng.sample(range(degree), degree)
+        blocks = []
+        while points:
+            size = rng.randint(1, 4)
+            blocks.append(points[:size])
+            points = points[size:]
+        gens = [random_block_perm(rng, blocks, degree)
+                for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.2:
+            gens.append(rng.choice(gens))
+        if rng.random() < 0.2:
+            gens.insert(rng.randrange(len(gens) + 1), tuple(range(degree)))
+        cases.append((gens, rng.choice([0, degree, degree + 2])))
+    for gens, degree in cases:
+        table, gen_ids, steps, elems = oracle_perm_table(gens, degree)
+        G = FiniteGroup.from_perm_gens("G", gens, degree=degree)
+        assert G._table == table
+        assert G.generator_data() == (gen_ids, steps)
+        assert G._perm_elems == elems
+        n = len(elems[0])
+        padded = [tuple(g) + tuple(range(len(g), n)) for g in gens]
+        degrees.add(n)
+        seen.update(tag for tag, occurs in (
+            ("short generator", any(len(g) < n for g in gens)),
+            ("degree past every generator", degree > max(map(len, gens))),
+            ("repeated generator", len(set(padded)) < len(padded)),
+            ("identity generator", perms.identity_perm(n) in padded),
+            ("trivial group", len(elems) == 1),
+            ("three generators", len(set(padded)) == 3)) if occurs)
+    assert len(seen) == 6 and set(range(1, 8)) <= degrees
+
+
+def test_perm_table_costs_one_product_per_translate(monkeypatch):
+    calls = []
+    mult = perms.mult
+
+    def counted(p, q):
+        calls.append(1)
+        return mult(p, q)
+
+    monkeypatch.setattr(perms, "mult", counted)
+    s4_gens = [perms.parse_cycles("(0 1)", 4),
+               perms.parse_cycles("(0 1 2 3)", 4)]
+    # order times the two generators
+    for gens, order, products in ((shipped_perm_gens("a5.grp"), 60, 120),
+                                  (s4_gens, 24, 48)):
+        calls.clear()
+        assert FiniteGroup.from_perm_gens("G", gens).order == order
+        assert len(calls) == products
+
+
 def test_bad_tables():
     with pytest.raises(GroupError):
         FiniteGroup("bad", [0, 0, 0, 0])
@@ -212,6 +314,19 @@ def test_declared_order_checked_before_the_table(monkeypatch):
     with pytest.raises(GroupError) as exc:
         parse_group_text("group G 6 perm-gens\n(0 1)\n(0 1 2 3 4 5 6 7)\n")
     assert str(exc.value) == "declared order 6 but closure has 40320"
+    # S8 with its true order passes the chain, so the order bound must
+    # refuse it; the bound comes before the body in both modes
+    with pytest.raises(GroupError) as exc:
+        parse_group_text("group S8 40320\nperm-gens\n(0 1)\n"
+                         "(0 1 2 3 4 5 6 7)\n")
+    assert str(exc.value) == "group order 40320 exceeds bound 2048"
+    for mode in ("table", "perm-gens"):
+        with pytest.raises(GroupError, match="order 2049 exceeds bound"):
+            parse_group_text("group G 2049 %s\nx (0 1\n" % mode)
+    # the bound itself is allowed: (Z2)^11 reaches the table
+    cycles = "".join("(%d %d)\n" % (2 * i, 2 * i + 1) for i in range(11))
+    with pytest.raises(AssertionError, match="table built"):
+        parse_group_text("group E 2048 perm-gens\n" + cycles)
     # a point past the degree bound is rejected before any permutation
     # of that degree is built
     for point in (70000, 10 ** 12):
