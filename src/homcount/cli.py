@@ -212,6 +212,11 @@ def cmd_orbit(args, rep):
     rng = random.Random(args.seed)
     g = args.genus
     sampler = surfaces.RepSampler(g, G)
+    # the seeds and the trivial tuple are states of the walk too
+    entries = (args.orbit_seeds + 1) * max(1, 2 * g)
+    if entries > args.max_states:
+        raise WorkBoundExceeded("orbit seeds hold %d entries, over state "
+                                "budget %d" % (entries, args.max_states))
     seeds = [sampler.draw(rng) for _ in range(args.orbit_seeds)]
     seeds.append(tuple([0] * (2 * g)))
     report = surfaces.orbit_report(seeds, G, g, ext=ext, limits=_limits(args))

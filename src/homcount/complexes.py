@@ -299,23 +299,11 @@ def load_presentation(path):
 
 def presentation_from_complex(X):
     """Spanning-tree presentation of the fundamental group of a connected
-    complex: one generator per non-tree edge, one relator per triangle."""
-    if not X.is_connected():
+    complex: one generator per edge outside Kruskal's forest, in edge
+    order, one relator per triangle."""
+    tree = set(spanning_forest(X.nvertices, X.by_dim[1]))
+    if X.nvertices == 0 or len(tree) != X.nvertices - 1:
         raise ComplexError("complex is not connected")
-    adj = {v: [] for v in range(X.nvertices)}
-    for (u, v) in X.by_dim[1]:
-        adj[u].append(v)
-        adj[v].append(u)
-    tree = set()
-    seen = {0}
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for v in sorted(adj[u]):
-            if v not in seen:
-                seen.add(v)
-                tree.add(tuple(sorted((u, v))))
-                queue.append(v)
     gen_of = {}
     idx = 0
     for e in X.by_dim[1]:

@@ -148,26 +148,13 @@ class FiniteGroup:
         gens = [tuple(g) + tuple(range(len(g), n)) for g in gens]
         for g in gens:
             perms.check_perm(g)
-        ident = perms.identity_perm(n)
-        elems = [ident]
-        index = {ident: 0}
-        words = []  # build steps (element, parent, gen index)
-        right = [[] for _ in gens]  # right[gi][i] = id of elems[i] * gens[gi]
-        i = 0
-        while i < len(elems):
-            for gi, g in enumerate(gens):
-                c = perms.mult(elems[i], g)
-                j = index.setdefault(c, len(elems))
-                if j == len(elems):
-                    elems.append(c)
-                    words.append((j, i, gi))
-                right[gi].append(j)
-            i += 1
+        elems, words, right = bfs_closure(perms.identity_perm(n), gens,
+                                          perms.mult)
         cols = [range(len(elems))]
         for _, parent, gi in words:
             cols.append(tuple(map(right[gi].__getitem__, cols[parent])))
         grp = cls(name, list(chain.from_iterable(zip(*cols))))
-        grp._memo[_generator_data] = ([index[g] for g in gens], words)
+        grp._memo[_generator_data] = ([r[0] for r in right], words)
         grp._perm_elems = elems
         return grp
 
@@ -230,35 +217,53 @@ def close_under_product(G, seed_ids):
     return tuple(sorted(members))
 
 
-def _generator_data(G):
-    """FiniteGroup.generator_data's greedy search: each step adds the
-    element whose closure with those reached so far is largest."""
-    gen_ids = []
-    reached = {0}
-    while len(reached) < G.order:
-        best = None
-        for g in range(1, G.order):
-            if g in reached:
-                continue
-            closure = close_under_product(G, sorted(reached | {g}))
-            if best is None or len(closure) > best[1]:
-                best = (g, len(closure), closure)
-                if len(closure) == G.order:
-                    break
-        gen_ids.append(best[0])
-        reached = set(best[2])
+def bfs_closure(one, gens, mul):
+    """Breadth-first closure of one under right multiplication by gens
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
+    ch. 3), in n * k products: the elements in discovery order, the build
+    steps (element, parent, gen index) as positions, and right, where
+    right[gi][i] is the position of elements[i] * gens[gi]."""
+    elements = [one]
+    index = {one: 0}
     steps = []
-    seen = {0}
-    queue = [0]
-    while queue:
-        a = queue.pop(0)
-        for gi, g in enumerate(gen_ids):
-            c = G.mul(a, g)
-            if c not in seen:
-                seen.add(c)
-                steps.append((c, a, gi))
-                queue.append(c)
-    return gen_ids, steps
+    right = [[] for _ in gens]
+    for i, x in enumerate(elements):
+        for gi, g in enumerate(gens):
+            c = mul(x, g)
+            j = index.setdefault(c, len(elements))
+            if j == len(elements):
+                elements.append(c)
+                steps.append((j, i, gi))
+            right[gi].append(j)
+    return elements, steps, right
+
+
+def _generator_data(G):
+    """FiniteGroup.generator_data's greedy search: each step adds the least
+    element whose closure with the reached subgroup H is largest.  Since
+    <H, h*g> = <H, g> for every h in H, only the least element g of each
+    right coset Hg is closed, seeded with the generators found so far."""
+    n, table = G.order, G._table
+    gen_ids, reached = [], (0,)
+    while len(reached) < n:
+        covered = bytearray(n)
+        for h in reached:
+            covered[h] = 1
+        best = reached
+        for g in range(1, n):
+            if covered[g]:
+                continue
+            for h in reached:
+                covered[table[h * n + g]] = 1
+            closure = close_under_product(G, gen_ids + [g])
+            if len(closure) > len(best):
+                best, gen = closure, g
+                if len(closure) == n:
+                    break
+        gen_ids.append(gen)
+        reached = best
+    elements, steps, _ = bfs_closure(0, gen_ids, G.mul)
+    return gen_ids, [(elements[e], elements[p], gi) for e, p, gi in steps]
 
 
 def element_orders(G):

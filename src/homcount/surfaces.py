@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
+from . import perms
 from .groups import (GroupError, automorphisms, conjugation_rows,
                      subgroup_membership_masks)
 from .counting import WorkBoundExceeded, DEFAULT_LIMITS, quotient_count
@@ -21,7 +22,10 @@ from .textformat import content_lines, keyword_int
 
 # the largest genus a gluing file may declare: the homology of the glued
 # manifold is a Smith normal form of a 2g x 2g matrix, cubic in g (about
-# 0.4 s at this bound and 4 s at twice it on a 2 vCPU machine)
+# 0.4 s at this bound and 4 s at twice it on a 2 vCPU machine); also the
+# largest an orbit walk or a sampler takes, as each of the 5g - 3 steps
+# rewrites 2g entries (the trivial seed's walk over S3 takes 7 s at genus
+# 1000)
 MAX_GENUS = 128
 
 
@@ -29,9 +33,16 @@ class SurfaceError(ValueError):
     pass
 
 
-def _check_genus(g):
+def _check_genus(g, bound=None):
     if g < 0:
         raise SurfaceError("genus must be non-negative, got %d" % g)
+    if bound is not None and g > bound:
+        raise SurfaceError("genus %d exceeds bound %d" % (g, bound))
+
+
+def commutator(a, b, mul, inv):
+    """[a, b] = a b a^-1 b^-1 through the (mul, inv) interface."""
+    return mul(mul(a, b), mul(inv(a), inv(b)))
 
 
 def relator(tup, mul, inv, one):
@@ -39,8 +50,7 @@ def relator(tup, mul, inv, one):
     handles) through the (mul, inv) interface, starting from one."""
     acc = one
     for i in range(0, len(tup), 2):
-        a, b = tup[i], tup[i + 1]
-        acc = mul(acc, mul(mul(a, b), mul(inv(a), inv(b))))
+        acc = mul(acc, commutator(tup[i], tup[i + 1], mul, inv))
     return acc
 
 
@@ -102,7 +112,7 @@ class RepSampler:
     the surface relation in the last handle (valid, not exactly uniform)."""
 
     def __init__(self, g, G):
-        _check_genus(g)
+        _check_genus(g, MAX_GENUS)
         self.g, self.G = g, G
         self.sols = commutator_solutions(G)
 
@@ -180,12 +190,8 @@ def _separating_twist(i, g):
     """Twist along the separating curve after handle i: conjugates handles
     1..i by the accumulated relator prefix (by its inverse to undo)."""
     def body(t, mul, inv, flip):
-        acc = None
-        for j in range(i + 1):
-            a, b = t[2 * j], t[2 * j + 1]
-            c = mul(mul(a, b), mul(inv(a), inv(b)))
-            acc = c if acc is None else mul(acc, c)
-        u = flip(acc)
+        u = flip(relator(t[2:2 * i + 2], mul, inv,
+                         commutator(t[0], t[1], mul, inv)))
         v = inv(u)
         out = list(t)
         for j in range(i + 1):
@@ -236,7 +242,7 @@ def _handle_swap(i, g):
     def rule(t, mul, inv):
         a, b = t[2 * i], t[2 * i + 1]
         c, d = t[2 * i + 2], t[2 * i + 3]
-        w = mul(mul(a, b), mul(inv(a), inv(b)))
+        w = commutator(a, b, mul, inv)
         v = inv(w)
         out = list(t)
         out[2 * i] = mul(mul(w, c), v)
@@ -248,7 +254,7 @@ def _handle_swap(i, g):
     def unrule(t, mul, inv):
         c2, d2 = t[2 * i], t[2 * i + 1]
         a, b = t[2 * i + 2], t[2 * i + 3]
-        w = mul(mul(a, b), mul(inv(a), inv(b)))
+        w = commutator(a, b, mul, inv)
         v = inv(w)
         out = list(t)
         out[2 * i] = a
@@ -421,12 +427,7 @@ class AutTables:
         self.auts = auts = automorphisms(G)
         self.index = {phi: k for k, phi in enumerate(auts)}
         self.identity = self.index[tuple(G.elements())]
-        self.inverse = []
-        for phi in auts:
-            inv = [0] * G.order
-            for x, y in enumerate(phi):
-                inv[y] = x
-            self.inverse.append(self.index[tuple(inv)])
+        self.inverse = [self.index[perms.inverse(phi)] for phi in auts]
         self.inner = sorted({self.index[row]
                              for row in G.cached(conjugation_rows)})
         self.candidates = []    # x -> (indices, automorphisms)
@@ -558,7 +559,7 @@ def orbit_report(seeds, G, g, ext=None, limits=DEFAULT_LIMITS):
     the room left, and the exact orbit size is checked against it after
     the walk.
     """
-    _check_genus(g)
+    _check_genus(g, MAX_GENUS)
     gens = standard_generators(g)
     aut = G.cached(AutTables)
     surjective = generation_test(G)

@@ -221,7 +221,8 @@ def test_orbit_walk_reads_the_state_budget(capsys):
 
 
 @pytest.mark.parametrize("genus, code, visited", [
-    ("0", 0, "1"), ("1", 0, "4"), ("-1", 2, None)])
+    ("0", 0, "1"), ("1", 0, "4"), ("-1", 2, None), ("129", 2, None),
+    ("4000", 2, None)])
 def test_orbit_genus_range(capsys, genus, code, visited):
     got, out = run(capsys, "orbit", "--group", "s3.grp", "--genus", genus,
                    "--orbit-seeds", "1")
@@ -229,8 +230,34 @@ def test_orbit_genus_range(capsys, genus, code, visited):
     assert got == code
     if visited is None:
         assert rep["error"].startswith("SurfaceError: ")
+        if int(genus) > 0:
+            assert rep["error"].endswith("genus %s exceeds bound 128" % genus)
     else:
         assert rep["visited"] == visited
+
+
+@pytest.mark.parametrize("budget, seeds, genus, entries", [
+    ("2000000", "1000000", "1", 2000002), ("11", "2", "2", 12),
+    ("2", "2", "0", 3)])
+def test_orbit_seeds_read_the_state_budget(capsys, budget, seeds, genus,
+                                           entries):
+    # (seeds + 1) tuples of max(1, 2g) entries, refused before any draw
+    code, out = run(capsys, "--max-states", budget, "orbit", "--group",
+                    "s3.grp", "--genus", genus, "--orbit-seeds", seeds)
+    assert code == 2
+    assert parse_report(out)["error"] == (
+        "WorkBoundExceeded: orbit seeds hold %d entries, over state budget %s"
+        % (entries, budget))
+
+
+def test_orbit_seeds_at_the_state_budget_are_walked(capsys):
+    code, out = run(capsys, "--max-states", "12", "orbit", "--group",
+                    "s3.grp", "--genus", "2", "--orbit-seeds", "2")
+    assert parse_report(out)["error"] == \
+        "WorkBoundExceeded: orbit memory bound hit"
+    code, out = run(capsys, "--max-states", "3", "orbit", "--group",
+                    "s3.grp", "--genus", "0", "--orbit-seeds", "2")
+    assert code == 0 and parse_report(out)["visited"] == "1"
 
 
 def test_compile_zsat_command(capsys, tmp_path):

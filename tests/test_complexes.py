@@ -10,6 +10,7 @@ from homcount.complexes import (ComplexError, Presentation, PrefixBoundary,
                                 parse_complex_text, parse_presentation_text,
                                 presentation_from_complex, smith_normal_form,
                                 validate_ordering)
+from homcount.counting import count_homs, dp_count_homs, narrow_ordering
 from conftest import data_path
 
 
@@ -205,6 +206,53 @@ def test_presentation_from_complex_shapes():
     two = SimplicialComplex(6, [(0, 1, 2), (3, 4, 5)])
     with pytest.raises(ComplexError):
         presentation_from_complex(two)
+
+
+def oracle_non_forest_edges(X):
+    """The edges, in order, whose ends the edges before them already join,
+    by a search over those earlier edges."""
+    out = []
+    for k, (u, v) in enumerate(X.by_dim[1]):
+        reach, stack = {u}, [u]
+        while stack:
+            x = stack.pop()
+            for a, b in X.by_dim[1][:k]:
+                for y, z in ((a, b), (b, a)):
+                    if y == x and z not in reach:
+                        reach.add(z)
+                        stack.append(z)
+        if v in reach:
+            out.append((u, v))
+    return out
+
+
+def test_presentation_generators_are_the_non_forest_edges():
+    # a breadth-first tree from vertex 0 takes (1, 3) and (2, 3), where
+    # the forest over the edge order takes (1, 2) and (1, 3)
+    X = SimplicialComplex(4, [(0, 3), (1, 2, 3)])
+    P, gen_of = presentation_from_complex(X)
+    assert gen_of == {(2, 3): 1} and P.relators == [(1,)]
+    checked = 0
+    for X in boundary_test_complexes():
+        if not X.is_connected():
+            continue
+        P, gen_of = presentation_from_complex(X)
+        assert list(gen_of) == oracle_non_forest_edges(X)
+        assert list(gen_of.values()) == list(range(1, P.ngens + 1))
+        checked += 1
+    assert checked >= 40
+
+
+def test_presentation_counts_match_the_dp(s3):
+    rng = random.Random(27)
+    complexes = [csaszar_torus(), genus2_surface()]
+    while len(complexes) < 30:
+        X = random_complex(rng)
+        if X.is_connected():
+            complexes.append(X)
+    for X in complexes:
+        P, _ = presentation_from_complex(X)
+        assert count_homs(P, s3) == dp_count_homs(X, narrow_ordering(X), s3)
 
 
 def test_boundary_definitions_agree():

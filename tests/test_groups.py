@@ -124,6 +124,45 @@ def oracle_perm_table(gens, degree=0):
     return table, [index[g] for g in gens], steps, elems
 
 
+def oracle_generator_data(G):
+    """The greedy search closing every element outside the reached
+    subgroup at each step, then the build steps by a queue."""
+    gen_ids = []
+    reached = {0}
+    while len(reached) < G.order:
+        best = None
+        for g in range(1, G.order):
+            if g in reached:
+                continue
+            closure = close_under_product(G, sorted(reached | {g}))
+            if best is None or len(closure) > best[1]:
+                best = (g, len(closure), closure)
+                if len(closure) == G.order:
+                    break
+        gen_ids.append(best[0])
+        reached = set(best[2])
+    steps = []
+    seen = {0}
+    queue = [0]
+    while queue:
+        a = queue.pop(0)
+        for gi, g in enumerate(gen_ids):
+            c = G.mul(a, g)
+            if c not in seen:
+                seen.add(c)
+                steps.append((c, a, gi))
+                queue.append(c)
+    return gen_ids, steps
+
+
+def elementary_abelian(k):
+    """E_{2^k} as a table, the direct product of k copies of Z2."""
+    G = FiniteGroup.trivial()
+    for _ in range(k):
+        G = direct_product(G, FiniteGroup.cyclic(2))
+    return G
+
+
 def shipped_perm_gens(name):
     """The generators of a shipped perm-gens group file."""
     with open(data_path(name)) as fh:
@@ -500,6 +539,39 @@ def test_quotient_by_normal(s4, sl23):
     # S4: 1, V4, A4, S4; SL(2,3): 1, Z2, Q8, SL(2,3); D4: 1, Z2, three of
     # order 4, D4; Q8: 1, Z2, three of order 4, Q8
     assert quotients == 4 + 4 + 6 + 6
+
+
+def test_generator_data_matches_oracle(s4, sl23, a5):
+    z2, z4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)
+    tables = [FiniteGroup.cyclic(n) for n in range(1, 13)]
+    tables += [direct_product(z2, z4), elementary_abelian(3)]
+    # D4 and Q8 as tables, so the search runs rather than the closure data
+    tables += [FiniteGroup(G.name, G._table) for G in small_groups()[3:]]
+    for G in (s4, sl23, a5):
+        tables += [as_group(G, H) for H in subgroup_lattice(G).subgroups]
+    for G in (s4, sl23, *small_groups()[3:]):
+        tables += [quotient_by_normal(G, N)[0]
+                   for N in subgroup_lattice(G).subgroups if is_normal(G, N)]
+    tables += [elementary_abelian(k) for k in range(7)]
+    for G in tables:
+        assert groups._generator_data(G) == oracle_generator_data(G), G
+
+
+def test_generator_search_closes_once_per_coset(monkeypatch):
+    calls = [0]
+    close = groups.close_under_product
+
+    def counted(G, seed_ids):
+        calls[0] += 1
+        return close(G, seed_ids)
+
+    monkeypatch.setattr(groups, "close_under_product", counted)
+    G = elementary_abelian(6)
+    assert len(G.generator_data()[0]) == 6
+    # each step closes one element of every right coset of the reached
+    # subgroup but itself, 63 + 31 + ... + 1 = 120, where one per element
+    # outside it took 63 + 62 + 60 + 56 + 48 + 1 = 290
+    assert calls[0] == 120
 
 
 def test_find_isomorphism(z4, s3):

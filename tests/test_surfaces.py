@@ -172,17 +172,20 @@ def test_enumerate_schur_zero(a5, sl25_ext):
     assert 0 < zero < total
 
 
-def test_generators_preserve_relation(s3):
+def test_generators_preserve_relation(s3, a5):
     rng = random.Random(1)
-    sampler = RepSampler(2, s3)
-    gens = standard_generators(2)
-    assert len(gens) == 7
-    for _ in range(300):
-        t = sampler.draw(rng)
-        for gen in gens:
-            t2 = gen.apply(s3, t)
-            assert surface_relation_holds(s3, t2)
-            assert unapply(gen, s3, t2) == t
+    # sep2 and swap2 act from genus 3: the separating twist conjugates by
+    # the whole relator prefix, the swap by the moved handle's commutator
+    for G, g, draws in ((s3, 2, 300), (s3, 3, 60), (a5, 3, 60), (a5, 4, 60)):
+        sampler = RepSampler(g, G)
+        gens = standard_generators(g)
+        assert len(gens) == 5 * g - 3
+        for _ in range(draws):
+            t = sampler.draw(rng)
+            for gen in gens:
+                t2 = gen.apply(G, t)
+                assert surface_relation_holds(G, t2), gen.name
+                assert unapply(gen, G, t2) == t, gen.name
 
 
 def test_generators_bijective_on_rep_set(s3):
@@ -702,6 +705,13 @@ def test_genus_and_seed_length_checked(s4):
     for seeds, g in (([(0, 0)], -1), ([(0, 0)], 2)):
         with pytest.raises(SurfaceError):
             orbit_report(seeds, s4, g)
+    # orbit walks and samplers take a genus up to the gluing bound
+    assert orbit_report([(0,) * 256], s4, 128).visited == 1
+    assert len(RepSampler(128, G).draw(random.Random(0))) == 256
+    for call in (lambda: orbit_report([(0,) * 258], s4, 129),
+                 lambda: RepSampler(129, G)):
+        with pytest.raises(SurfaceError, match="^genus 129 exceeds bound 128$"):
+            call()
 
 
 def test_schur_invariant_leaves_the_extension_alone(a5, sl25_ext):

@@ -25,8 +25,9 @@ and --json, orbit over S3 at genus 2 and 3 and over A5 at genus 2 with
 the SL(2,5) extension, and heegaard-count of the lens space
 over S3 and A5, of the homology sphere over S3, SL(2,5) and A5 (there
 also at --max-enumeration 3599 and 3600) and of a genus-3 gluing over S3,
-and dp-count of the projective plane and the sphere over S3 and A5, which
-shows the state peak and widths of the ordering dp-count picks.
+dp-count of the projective plane and the sphere over S3 and A5, which
+shows the state peak and widths of the ordering dp-count picks, and orbit
+past its genus bound and with more seed entries than --max-states.
 The commands and the cases come from the tree this script is in, as do
 README example inputs that the checkout's data directory lacks.
 """
@@ -216,6 +217,12 @@ def main(checkout):
                 argv = ["dp-count", "--complex", cx, "--group", group]
                 run(argv)
                 run(["--json"] + argv)
+        # the orbit walk's bounds: a genus past surfaces.MAX_GENUS, and
+        # seed tuples holding more entries than the state budget
+        run(["orbit", "--group", "s3.grp", "--genus", "129",
+             "--orbit-seeds", "0"])
+        run(["--max-states", "100", "orbit", "--group", "s3.grp", "--genus",
+             "2", "--orbit-seeds", "30"])
     finally:
         os.chdir(TREE)
         shutil.rmtree(work)
