@@ -75,9 +75,11 @@ class FiniteGroup:
     def _build_inverse(self):
         n = self.order
         inv = [-1] * n
+        # n entries that make up the set 0..n-1 are a bijection onto it
+        ids = set(range(n))
         for a in range(n):
             row = self._table[a * n:(a + 1) * n]
-            if sorted(row) != list(range(n)):
+            if set(row) != ids:
                 raise GroupError("row %d of the table is not a bijection" % a)
             inv[a] = row.index(0)
         for a in range(n):
@@ -100,9 +102,9 @@ class FiniteGroup:
         for a in range(n):
             if self.mul(0, a) != a or self.mul(a, 0) != a:
                 raise GroupError("id 0 is not a two-sided identity")
-        cols = [[self._table[a * n + b] for a in range(n)] for b in range(n)]
+        ids = set(range(n))
         for b in range(n):
-            if sorted(cols[b]) != list(range(n)):
+            if set(self._table[b::n]) != ids:
                 raise GroupError("column %d of the table is not a bijection" % b)
         gen_ids, steps = self.generator_data()
         # a group's generators reach it all, whatever the table's closure

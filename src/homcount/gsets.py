@@ -8,6 +8,7 @@ section of orbit representatives.
 
 from dataclasses import dataclass
 from math import factorial
+from operator import itemgetter
 from . import perms
 from .groups import GroupError, coset_min_reps, derived_subgroup
 
@@ -50,6 +51,9 @@ class GSetAction:
         if sorted(points) != list(range(self.npoints)):
             raise ActionError("orbits and fixed points overlap or leave gaps")
         self.section = tuple(orb[0] for orb in self.free_orbits)
+        # equivariant_perm lists images in this layout, fixed points then
+        # orbits; the gather puts them back in point order
+        self._to_point_order = _tuple_getter(perms.inverse(points))
         # coords[pt] = (i, g) with pt = g . section[i]
         self.coords = {pt: (i, g) for i, orb in enumerate(self.free_orbits)
                        for g, pt in enumerate(orb)}
@@ -125,22 +129,32 @@ def rubik_order(n, gamma):
             * (factorial(n) // 2))
 
 
+def _tuple_getter(indices):
+    """operator.itemgetter(*indices), but a tuple at every length: with
+    one index itemgetter returns the bare item, and it needs at least one."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda seq: tuple(seq[i] for i in indices)
+
+
+def column_getters(G):
+    """Getter h gathers a sequence indexed by G at the products g h, in g
+    order: column h of the multiplication table."""
+    return [_tuple_getter(G._table[h::G.order]) for h in G.elements()]
+
+
 def equivariant_perm(act, orbit_perm, components, fixed_map=None):
     """The equivariant permutation sending g . section[i] to (g h_i) .
     section[orbit_perm[i]] and permuting the fixed points by fixed_map,
     the identity where it is silent."""
     perms.check_perm(orbit_perm)
-    G = act.group
-    # column h of the multiplication table lists g h for every g
-    columns = [G._table[h::G.order] for h in G.elements()]
-    p = list(range(act.npoints))
-    for x, y in (fixed_map or {}).items():
-        p[x] = y
-    for orb, j, h in zip(act.free_orbits, orbit_perm, components):
-        target = act.free_orbits[j]
-        for pt, gh in zip(orb, columns[h]):
-            p[pt] = target[gh]
-    return tuple(p)
+    columns = act.group.cached(column_getters)
+    fixed_map = fixed_map or {}
+    images = [fixed_map.get(x, x) for x in act.fixed_points]
+    orbits = act.free_orbits
+    for j, h in zip(orbit_perm, components):
+        images.extend(columns[h](orbits[j]))
+    return act._to_point_order(images)
 
 
 def rubik_generators(act):

@@ -42,40 +42,15 @@ class ZAlphabet:
     and has |I u F| + 2|Gamma| symbols; |A| = 11|Gamma| + 1 =
     2|I u F| + 3|Gamma| + 1; and the scratch pairs form |Gamma| >= 2 free
     orbits of the squared action, the two that extend_to_rubik needs.
+
+    There is one alphabet per Gamma: ZAlphabet(gamma) is built on first
+    use and kept in gamma.cached, and every later call returns that object
+    with its squared action and scratch pair orbits; the warning gate is
+    kept there too.  It is shared, so it is read-only.
     """
 
-    def __init__(self, gamma):
-        self.gamma = check_gamma(gamma)
-        q = gamma.order
-        self.size = 1 + 11 * q
-        self.zombie = 0
-
-        def orbits(lo, hi):
-            return tuple(range(1 + lo * q, 1 + hi * q))
-
-        self.init = orbits(0, 2)
-        self.final = orbits(2, 4)
-        self.warning = orbits(4, 10)
-        self.z1 = self.warning[0]
-        self.z2 = self.warning[q]
-        self.scratch = orbits(10, 11)
-        self.action = make_free_action(gamma, 11, n_fixed=1)
-        # the diagonal action on ordered pairs of symbols, with pair
-        # encoding (a, b) -> a*|A| + b; scanning the codes upward numbers
-        # the free orbits by least pair and makes that pair the section
-        A = self.size
-        rows = [[self.action.apply(g, a) for a in range(A)]
-                for g in gamma.elements()]
-        seen = bytearray(A * A)
-        pair_orbits = []
-        for code in range(1, A * A):
-            if not seen[code]:
-                a, b = divmod(code, A)
-                orbit = [row[a] * A + row[b] for row in rows]
-                for pt in orbit:
-                    seen[pt] = 1
-                pair_orbits.append(orbit)
-        self.square_action = GSetAction(gamma, [0], pair_orbits)
+    def __new__(cls, gamma):
+        return check_gamma(gamma).cached(_build_alphabet)
 
     # -- orbit bookkeeping ------------------------------------------------------
 
@@ -97,6 +72,47 @@ class ZAlphabet:
         as orbit indices; this is the alphabet of circuits fed to the
         compiler."""
         return (0, 1, 2, 3), (0, 1), (2, 3)
+
+
+def _build_alphabet(gamma):
+    zal = object.__new__(ZAlphabet)
+    zal.gamma = gamma
+    q = gamma.order
+    zal.size = A = 1 + 11 * q
+    zal.zombie = 0
+
+    def orbits(lo, hi):
+        return tuple(range(1 + lo * q, 1 + hi * q))
+
+    zal.init = orbits(0, 2)
+    zal.final = orbits(2, 4)
+    zal.warning = orbits(4, 10)
+    zal.z1 = zal.warning[0]
+    zal.z2 = zal.warning[q]
+    zal.scratch = orbits(10, 11)
+    zal.action = make_free_action(gamma, 11, n_fixed=1)
+    # the diagonal action on ordered pairs of symbols, with pair
+    # encoding (a, b) -> a*|A| + b; scanning the codes upward numbers
+    # the free orbits by least pair and makes that pair the section
+    rows = [[zal.action.apply(g, a) for a in range(A)]
+            for g in gamma.elements()]
+    seen = bytearray(A * A)
+    pair_orbits = []
+    for code in range(1, A * A):
+        if not seen[code]:
+            a, b = divmod(code, A)
+            orbit = [row[a] * A + row[b] for row in rows]
+            for pt in orbit:
+                seen[pt] = 1
+            pair_orbits.append(orbit)
+    zal.square_action = GSetAction(gamma, [0], pair_orbits)
+    # the free orbits of scratch pairs, which extend_to_rubik keeps for
+    # its parity and anti-diagonal repairs
+    scratch = set(zal.scratch)
+    zal.scratch_pair_orbits = tuple(
+        i for i, orb in enumerate(zal.square_action.free_orbits)
+        if orb[0] // A in scratch and orb[0] % A in scratch)
+    return zal
 
 
 @dataclass
@@ -145,13 +161,7 @@ def extend_to_rubik(partial, zal):
             comps[i] = want
         elif orbit_img[i] != j or comps[i] != want:
             raise ZsatError("partial gate is not equivariantly consistent")
-    A = zal.size
-    scratch_set = set(zal.scratch)
-    scratch_pair_orbits = []
-    for i, orb in enumerate(act.free_orbits):
-        a, b = orb[0] // A, orb[0] % A
-        if a in scratch_set and b in scratch_set:
-            scratch_pair_orbits.append(i)
+    scratch_pair_orbits = zal.scratch_pair_orbits
     if len(scratch_pair_orbits) < 2:
         raise ZsatError("fewer than 2 scratch pair orbits available")
 
@@ -213,9 +223,15 @@ def compile_gate(gamma_gate, zal):
 def postcomputation_gate(zal):
     """The warning gate: mixed zombie pairs emit the distinguished warning
     symbols, misaligned data pairs map through the equivariant bijection
-    into the rest of the warning alphabet, aligned pairs are fixed.  Each
-    orbit is given through its pair whose first data symbol is a section
-    representative."""
+    into the rest of the warning alphabet, aligned pairs are fixed.  One
+    table per Gamma, built on first use and kept in gamma.cached."""
+    return zal.gamma.cached(_warning_gate)
+
+
+def _warning_gate(gamma):
+    # each orbit is given through its pair whose first data symbol is a
+    # section representative
+    zal = ZAlphabet(gamma)
     A = zal.size
     q = zal.gamma.order
     iu_f = zal.init + zal.final

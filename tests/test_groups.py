@@ -304,6 +304,16 @@ def test_perm_table_costs_one_product_per_translate(monkeypatch):
 def test_bad_tables():
     with pytest.raises(GroupError):
         FiniteGroup("bad", [0, 0, 0, 0])
+    # a row with a duplicate id, a negative id, an id past the order
+    for table in ([0, 1, 2, 1, 2, 0, 2, 2, 1], [0, 1, 2, 1, 2, 0, 2, 0, -1],
+                  [0, 1, 2, 1, 2, 0, 2, 0, 3]):
+        with pytest.raises(GroupError, match="row 2 of the table"):
+            FiniteGroup("bad", table)
+    # bijective rows, a two-sided identity and inverses, but column 1 holds
+    # id 1 three times
+    with pytest.raises(GroupError, match="column 1 of the table"):
+        FiniteGroup("bad", [0, 1, 2, 3, 1, 0, 2, 3, 2, 1, 0, 3,
+                            3, 1, 2, 0]).check()
     # identity not two-sided: table with rows permuted
     with pytest.raises(GroupError):
         FiniteGroup("bad", [1, 0, 0, 1]).check()

@@ -67,6 +67,50 @@ def test_orbits_match_table_scan(z2, z3, s3, a4):
         assert act.coords == coords
 
 
+def oracle_equivariant_perm(act, orbit_perm, components, fixed_map=None):
+    """The per-orbit loop that equivariant_perm's gathers replaced: each
+    point g . section[i] is sent to (g h_i) . section[orbit_perm[i]] in
+    turn, and each fixed point by fixed_map."""
+    perms.check_perm(orbit_perm)
+    G = act.group
+    # column h of the multiplication table lists g h for every g
+    columns = [G._table[h::G.order] for h in G.elements()]
+    p = list(range(act.npoints))
+    for x, y in (fixed_map or {}).items():
+        p[x] = y
+    for orb, j, h in zip(act.free_orbits, orbit_perm, components):
+        target = act.free_orbits[j]
+        for pt, gh in zip(orb, columns[h]):
+            p[pt] = target[gh]
+    return tuple(p)
+
+
+def test_equivariant_perm_matches_oracle(z2, z3, s3):
+    trivial = FiniteGroup.trivial()
+    actions = [make_free_action(gamma, n, n_fixed) for gamma in (z2, z3, s3)
+               for n, n_fixed in ((3, 0), (4, 1), (5, 3))]
+    # the squared actions list their orbits out of point order
+    actions += [ZAlphabet(gamma).square_action for gamma in (z2, z3, s3)]
+    # one-point columns and orbits, one-orbit and one-point actions, where
+    # an itemgetter of one index would return a bare value, and no points
+    actions += [make_free_action(trivial, 4, 2), make_free_action(trivial, 1),
+                make_free_action(s3, 1), make_free_action(z2, 1, 2),
+                make_free_action(z3, 0, 1), make_free_action(z3, 0)]
+    rng = random.Random(31)
+    for act in actions:
+        n = len(act.free_orbits)
+        for _ in range(6):
+            op = list(range(n))
+            rng.shuffle(op)
+            comps = tuple(rng.randrange(act.group.order) for _ in range(n))
+            images = list(act.fixed_points)
+            rng.shuffle(images)
+            for fixed_map in (None, dict(zip(act.fixed_points, images))):
+                p = equivariant_perm(act, tuple(op), comps, fixed_map)
+                assert p == oracle_equivariant_perm(act, tuple(op), comps,
+                                                    fixed_map)
+
+
 def test_decompose_rejects_non_equivariant(z2, s3):
     act = make_free_action(s3, 3, n_fixed=1)
     p = equivariant_perm(act, (1, 2, 0), (1, 2, 3))

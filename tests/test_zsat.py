@@ -265,3 +265,32 @@ def test_verify_gates_checks_each_table_once(z2, monkeypatch):
                         lambda perm, act: checked.append(perm) or True)
     assert verify_gates(zi)
     assert len(zi.gates) == 5 and len(checked) == 2
+    # the warning gate is one table per Gamma, and each instance checks it
+    again = compile_zsat(data_rsat_instance(zal, 3, [(1, table)]), zal)
+    assert verify_gates(again)
+    assert len(checked) == 4
+    alpha = postcomputation_gate(zal)
+    assert [perm is alpha for perm in checked] == [False, True, False, True]
+
+
+def test_one_alphabet_per_gamma(z3):
+    zal = ZAlphabet(z3)
+    assert ZAlphabet(z3) is zal
+    assert ZAlphabet(z3).square_action is zal.square_action
+    rng = random.Random(84)
+    first, second = (
+        compile_zsat(data_rsat_instance(zal, width,
+                                        [(0, predicate_gate(zal, rng))]), zal)
+        for width in (2, 3))
+    alpha = postcomputation_gate(zal)
+    assert first.gates[-1][1] is alpha and second.gates[-1][1] is alpha
+    assert verify_gates(first) and verify_gates(second)
+    # the memo is the group's: an equal group built again gets its own
+    other = FiniteGroup.cyclic(3)
+    assert other._table == z3._table
+    mine = ZAlphabet(other)
+    assert mine is not zal and mine.gamma is other
+    assert mine.square_action is not zal.square_action
+    assert mine.square_action.free_orbits == zal.square_action.free_orbits
+    assert postcomputation_gate(mine) is not alpha
+    assert postcomputation_gate(mine) == alpha
