@@ -8,7 +8,6 @@ section of orbit representatives.
 
 from dataclasses import dataclass
 from math import factorial
-from operator import itemgetter
 from . import perms
 from .groups import GroupError, coset_min_reps, derived_subgroup
 
@@ -53,7 +52,7 @@ class GSetAction:
         self.section = tuple(orb[0] for orb in self.free_orbits)
         # equivariant_perm lists images in this layout, fixed points then
         # orbits; the gather puts them back in point order
-        self._to_point_order = _tuple_getter(perms.inverse(points))
+        self._to_point_order = perms.gather(perms.inverse(points))
         # coords[pt] = (i, g) with pt = g . section[i]
         self.coords = {pt: (i, g) for i, orb in enumerate(self.free_orbits)
                        for g, pt in enumerate(orb)}
@@ -129,18 +128,10 @@ def rubik_order(n, gamma):
             * (factorial(n) // 2))
 
 
-def _tuple_getter(indices):
-    """operator.itemgetter(*indices), but a tuple at every length: with
-    one index itemgetter returns the bare item, and it needs at least one."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    return lambda seq: tuple(seq[i] for i in indices)
-
-
 def column_getters(G):
     """Getter h gathers a sequence indexed by G at the products g h, in g
     order: column h of the multiplication table."""
-    return [_tuple_getter(G._table[h::G.order]) for h in G.elements()]
+    return [perms.gather(G._table[h::G.order]) for h in G.elements()]
 
 
 def equivariant_perm(act, orbit_perm, components, fixed_map=None):

@@ -27,10 +27,18 @@ def identity_perm(n):
     return tuple(range(n))
 
 
+def gather(indices):
+    """A function taking seq to the tuple of seq[i] for i in indices: an
+    operator.itemgetter, except at fewer than two indices, where itemgetter
+    returns a bare item or refuses."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda seq: tuple(seq[i] for i in indices)
+
+
 def mult(p, q):
     """Compose permutations: apply p first, then q."""
-    # itemgetter with one index returns a bare value, not a 1-tuple
-    return itemgetter(*p)(q) if len(p) > 1 else tuple(q[i] for i in p)
+    return gather(p)(q)
 
 
 def inverse(p):

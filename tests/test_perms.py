@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from homcount.perms import (PermutationGroup, classify_giant, cycle_perm,
-                            format_cycles, inverse, is_even, mult,
+                            format_cycles, gather, inverse, is_even, mult,
                             parse_cycles, perm_power)
 from homcount.groups import FiniteGroup
 from homcount.gsets import make_free_action, rubik_generators, rubik_order
@@ -56,6 +56,14 @@ def test_mult_convention():
     p = parse_cycles("(0 1)", 3)
     q = parse_cycles("(1 2)", 3)
     assert mult(p, q)[0] == 2
+    assert mult((0,), (0,)) == (0,) and mult((), ()) == ()
+
+
+def test_gather_returns_tuples():
+    # itemgetter alone would return "c" for one index and refuse none
+    assert gather((2, 0))("abc") == ("c", "a")
+    assert gather((2,))("abc") == ("c",)
+    assert gather(())("abc") == ()
 
 
 def test_inverse_power():

@@ -4,19 +4,20 @@
     python3 tools/bench.py 1                        # this checkout
     python3 tools/bench.py 0 --root ../parent       # another checkout
 
-For each perfbench workload it runs `perfbench/run.py --steady N` of the
-measured checkout (seeds seed..seed+N-1, one process per run) and keeps,
-for every end-to-end metric, the median, the quartiles and the per-seed
-values as run.py prints them (five significant digits).  The file also
-records the Python version, nproc, the run parameters and the sloc of each
-module of src/homcount by perfbench's rule: non-blank lines that are not
-comments.  It only collects; compare two files by reading them.
+It runs `perfbench/run.py --steady 5 --seed 1 --seconds 25` of the measured
+checkout once (every workload, seeds 1..5, one process per run) and keeps,
+for every end-to-end metric of each workload, the median, the quartiles and
+the per-seed values as run.py prints them (five significant digits).  The
+seeds and run length are fixed, so any two BENCH files compare row by row.
+The file also records the Python version, nproc and the sloc of each module
+of src/homcount, counted by the measured checkout's perfbench/run.py.  It
+only collects; compare two files by reading them.
 
-The file is written to the root of the checkout this script is in, or to
---out.
+The file is written to the root of the checkout this script is in.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -26,56 +27,58 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(HERE)
-WORKLOADS = ("invariants-cold", "gluing-search", "cocycle-dp", "reduction")
+STEADY = 5
+SEED = 1
+SECONDS = 25  # BENCHMARK.json run_seconds
+RUN_ARGS = ["--steady", str(STEADY), "--seed", str(SEED),
+            "--seconds", str(SECONDS)]
 
-# run.py --steady prints, per metric, "<name> median <m> q1 <a> q3 <b>
-# spread <s> <unit>" and then "    runs: <v1> <v2> ..."
+# run.py --steady prints "## <workload>: ..." before each workload, then per
+# metric "<name> median <m> q1 <a> q3 <b> spread <s> <unit>" and
+# "    runs: <v1> <v2> ..."
+WORKLOAD = re.compile(r"^## (\S+): ")
 METRIC = re.compile(r"^(\S+)\s+median (\S+)\s+q1 (\S+)\s+q3 (\S+)\s+"
                     r"spread \S+ (.+)$")
 
 
+def load_run_py(root):
+    """The measured checkout's perfbench/run.py as a module."""
+    bench_dir = os.path.join(root, "perfbench")
+    sys.path.insert(0, bench_dir)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(bench_dir, "run.py"))
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run
+
+
 def sloc(root):
-    src = os.path.join(root, "src", "homcount")
-    counts = {}
-    for name in sorted(os.listdir(src)):
-        if name.endswith(".py"):
-            with open(os.path.join(src, name)) as fh:
-                counts[name[:-3]] = sum(
-                    1 for ln in fh
-                    if ln.strip() and not ln.lstrip().startswith("#"))
+    run = load_run_py(root)
+    counts = {name[:-3]: run.sloc(name[:-3])
+              for name in sorted(os.listdir(os.path.join(root, "src",
+                                                         "homcount")))
+              if name.endswith(".py")}
     counts["total"] = sum(counts.values())
     return counts
 
 
 def parse_steady(text):
-    """{metric: {unit, median, q1, q3, runs}} from one run.py --steady."""
-    rows, last = {}, None
+    """{workload: {metric: {unit, median, q1, q3, runs}}} from run.py's
+    --steady output."""
+    workloads, rows, last = {}, None, None
     for line in text.splitlines():
+        w = WORKLOAD.match(line)
         m = METRIC.match(line)
-        if m:
+        if w:
+            rows = workloads[w.group(1)] = {}
+        elif m and rows is not None:
             name, med, q1, q3, unit = m.groups()
             last = rows[name] = {"unit": unit.strip(), "median": float(med),
                                  "q1": float(q1), "q3": float(q3)}
         elif line.startswith("    runs: ") and last is not None:
             last["runs"] = [float(v) for v in line.split()[1:]]
             last = None
-    return rows
-
-
-def steady(root, workload, args):
-    cmd = [sys.executable, os.path.join(root, "perfbench", "run.py"),
-           "--workload", workload, "--steady", str(args.steady),
-           "--seed", str(args.seed), "--seconds", str(args.seconds)]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
-    sys.stderr.write(proc.stderr)
-    if proc.returncode != 0:
-        raise SystemExit("%s: run.py exited with %d"
-                         % (workload, proc.returncode))
-    rows = parse_steady(proc.stdout)
-    if not rows or any("runs" not in row for row in rows.values()):
-        raise SystemExit("%s: unexpected run.py output:\n%s"
-                         % (workload, proc.stdout))
-    return rows
+    return workloads
 
 
 def main(argv=None):
@@ -83,30 +86,28 @@ def main(argv=None):
     p.add_argument("n", type=int, help="the file is BENCH_<n>.json")
     p.add_argument("--root", default=REPO,
                    help="the checkout to measure (default: this one)")
-    p.add_argument("--out", help="where to write (default: BENCH_<n>.json "
-                   "at the root of this checkout)")
-    p.add_argument("--steady", type=int, default=5,
-                   help="runs per workload, one seed each (>= 2)")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=int, default=25,
-                   help="measuring time of each run")
-    p.add_argument("--workload", choices=WORKLOADS, action="append",
-                   help="measure only these (default: all)")
     args = p.parse_args(argv)
     root = os.path.abspath(args.root)
-    out = args.out or os.path.join(REPO, "BENCH_%d.json" % args.n)
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "run.py")]
+        + RUN_ARGS, cwd=root, capture_output=True, text=True)
+    sys.stderr.write(proc.stderr)
+    if proc.returncode != 0:
+        raise SystemExit("run.py exited with %d" % proc.returncode)
+    workloads = parse_steady(proc.stdout)
+    if not workloads or any(not rows or any("runs" not in row
+                                            for row in rows.values())
+                            for rows in workloads.values()):
+        raise SystemExit("unexpected run.py output:\n%s" % proc.stdout)
     bench = {
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
-        "command": "perfbench/run.py --steady %d --seed %d --seconds %d"
-                   % (args.steady, args.seed, args.seconds),
-        "seeds": list(range(args.seed, args.seed + args.steady)),
+        "command": " ".join(["perfbench/run.py"] + RUN_ARGS),
+        "seeds": list(range(SEED, SEED + STEADY)),
         "sloc": sloc(root),
-        "workloads": {},
+        "workloads": workloads,
     }
-    for workload in args.workload or WORKLOADS:
-        print("measuring %s" % workload, file=sys.stderr)
-        bench["workloads"][workload] = steady(root, workload, args)
+    out = os.path.join(REPO, "BENCH_%d.json" % args.n)
     with open(out, "w") as fh:
         json.dump(bench, fh, indent=1, sort_keys=True)
         fh.write("\n")
