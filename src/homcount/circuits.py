@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from . import perms
+from .complexes import MAX_HEADER
 from .counting import WorkBoundExceeded, DEFAULT_LIMITS, Sweep
 from .textformat import content_lines, int_fields, keyword_int
 
@@ -81,7 +82,7 @@ class BooleanCircuit:
 
 def parse_boolean_text(text):
     lines = content_lines(text) or [""]
-    n = keyword_int(lines[0], "in", CircuitError)
+    n = keyword_int(lines[0], "in", CircuitError, MAX_HEADER)
     gates = []
     output = None
     for ln in lines[1:]:
@@ -309,7 +310,7 @@ def parse_reversible_text(text):
         if key == "alphabet":
             q = keyword_int(ln, key, CircuitError)
         elif key == "width":
-            width = keyword_int(ln, key, CircuitError)
+            width = keyword_int(ln, key, CircuitError, MAX_HEADER)
         elif key == "init":
             init = int_fields(fields, ln, CircuitError)
         elif key == "final":

@@ -301,8 +301,10 @@ def build_parser():
                     "complexes, circuits and Heegaard gluings.")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-enumeration", type=int, default=5_000_000)
-    p.add_argument("--max-states", type=int, default=2_000_000)
+    p.add_argument("--max-enumeration", type=int,
+                   default=counting.DEFAULT_LIMITS.max_enumeration)
+    p.add_argument("--max-states", type=int,
+                   default=counting.DEFAULT_LIMITS.max_states)
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("homology")

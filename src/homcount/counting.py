@@ -114,7 +114,7 @@ def count_homs(P, G, limits=DEFAULT_LIMITS, per_solution=None):
     """
     start, steps, free = _plan_search(P.ngens,
                                       [tuple(rel) for rel in P.relators])
-    n, table, inv = G.order, G._table, G._inv
+    n, rows, inv = G.order, G.rows, G._inv
     img = [None] * (P.ngens + 1)
     nodes = 0
 
@@ -130,7 +130,7 @@ def count_homs(P, G, limits=DEFAULT_LIMITS, per_solution=None):
         for v, word in ops:
             acc = 0
             for l in word:
-                acc = table[acc * n + (img[l] if l > 0 else inv[img[-l]])]
+                acc = rows[acc][img[l] if l > 0 else inv[img[-l]]]
             if v is not None:
                 img[v] = acc
                 spend(1)
@@ -323,7 +323,7 @@ def dp_cocycle_count(X, ordering=None, G=None, limits=DEFAULT_LIMITS,
 
     if stats is None:
         stats = DpStats()
-    n, table, inv = G.order, G._table, G._inv
+    n, rows, inv = G.order, G.rows, G._inv
     ident = list(range(n))
     # the column under None holds the identity label that pinned edges
     # read; every other column is a tracked boundary edge
@@ -340,7 +340,7 @@ def dp_cocycle_count(X, ordering=None, G=None, limits=DEFAULT_LIMITS,
 
     def mask(tri):
         a, b, c = (cols[e] for e in labels(tri))
-        return [table[x * n + y] == z for x, y, z in zip(a, b, c)]
+        return [rows[x][y] == z for x, y, z in zip(a, b, c)]
 
     for step, s in enumerate(ordering):
         dim = len(s) - 1
@@ -367,7 +367,7 @@ def dp_cocycle_count(X, ordering=None, G=None, limits=DEFAULT_LIMITS,
                         x, y, left, right = ec, eb, ident, inv
                     else:                   # b = a^-1 * c
                         x, y, left, right = ea, ec, inv, ident
-                    cols[s] = sweep.col([table[left[g] * n + right[h]]
+                    cols[s] = sweep.col([rows[left[g]][right[h]]
                                          for g, h in zip(cols[x], cols[y])])
                     for tri in tris[1:]:
                         sweep.keep(mask(tri))

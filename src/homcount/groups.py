@@ -21,6 +21,9 @@ class GroupError(ValueError):
 
 
 class FiniteGroup:
+    """A finite group as its multiplication table, rows[a][b] = a*b: a list
+    of order row tuples over the element ids 0..order-1."""
+
     def __init__(self, name, table, validate=False):
         """table is a flat list of order**2 ids, row a column b = a*b."""
         order = int(round(len(table) ** 0.5))
@@ -30,7 +33,8 @@ class FiniteGroup:
             raise GroupError("empty group description")
         self.name = name
         self.order = order
-        self._table = list(table)
+        self.rows = [tuple(table[i:i + order])
+                     for i in range(0, order * order, order)]
         self._inv = self._build_inverse()
         self._memo = {}
         if validate:
@@ -43,7 +47,7 @@ class FiniteGroup:
         its builder.  Not functools.cached_property: that writes through
         instance.__dict__, which on CPython 3.11 gives up the compact
         attribute layout and makes every later attribute load (mul's
-        self._table and self.order) markedly slower.
+        self.rows) markedly slower.
         """
         if build not in self._memo:
             self._memo[build] = build(self)
@@ -52,7 +56,7 @@ class FiniteGroup:
     # -- core arithmetic ------------------------------------------------------
 
     def mul(self, a, b):
-        return self._table[a * self.order + b]
+        return self.rows[a][b]
 
     def inv(self, a):
         return self._inv[a]
@@ -73,17 +77,15 @@ class FiniteGroup:
     # -- validation ------------------------------------------------------------
 
     def _build_inverse(self):
-        n = self.order
-        inv = [-1] * n
+        rows = self.rows
         # n entries that make up the set 0..n-1 are a bijection onto it
-        ids = set(range(n))
-        for a in range(n):
-            row = self._table[a * n:(a + 1) * n]
+        ids = set(range(self.order))
+        for a, row in enumerate(rows):
             if set(row) != ids:
                 raise GroupError("row %d of the table is not a bijection" % a)
-            inv[a] = row.index(0)
-        for a in range(n):
-            if self.mul(inv[a], a) != 0:
+        inv = [row.index(0) for row in rows]
+        for a, x in enumerate(inv):
+            if rows[x][a] != 0:
                 raise GroupError("inverse table inconsistent at %d" % a)
         return inv
 
@@ -98,13 +100,13 @@ class FiniteGroup:
         products (Clifford and Preston, The Algebraic Theory of Semigroups
         I, 1961, section 1.2).
         """
-        n = self.order
-        for a in range(n):
-            if self.mul(0, a) != a or self.mul(a, 0) != a:
+        n, rows = self.order, self.rows
+        for a, row in enumerate(rows):
+            if rows[0][a] != a or row[0] != a:
                 raise GroupError("id 0 is not a two-sided identity")
         ids = set(range(n))
-        for b in range(n):
-            if set(self._table[b::n]) != ids:
+        for b, column in enumerate(zip(*rows)):
+            if set(column) != ids:
                 raise GroupError("column %d of the table is not a bijection" % b)
         gen_ids, steps = self.generator_data()
         # a group's generators reach it all, whatever the table's closure
@@ -112,16 +114,13 @@ class FiniteGroup:
         if len(steps) != n - 1:
             raise GroupError("not associative: the generators reach %d of "
                              "%d elements" % (len(steps) + 1, n))
-        table = self._table
-        rows = [tuple(table[a * n:(a + 1) * n]) for a in range(n)]
         for s in gen_ids:
             # row x gathered at row s gives y -> x (s y)
             gather = itemgetter(*rows[s])
-            for x in range(n):
-                xs = rows[table[x * n + s]]
-                if xs != gather(rows[x]):
-                    y = next(y for y in range(n)
-                             if xs[y] != rows[x][rows[s][y]])
+            for x, row in enumerate(rows):
+                xs = rows[row[s]]
+                if xs != gather(row):
+                    y = next(y for y in range(n) if xs[y] != row[rows[s][y]])
                     raise GroupError(
                         "not associative at (%d,%d,%d)" % (x, s, y))
         return self
@@ -195,9 +194,9 @@ def close_under_product(G, seed_ids):
     t.  This costs O(|closure| * #generators) products, and at most
     log2 |G| seeds ever become generators.
     """
-    n, table = G.order, G._table
+    rows = G.rows
     members = [0]
-    reached = bytearray(n)
+    reached = bytearray(G.order)
     reached[0] = 1
     gens = []
     for s in seed_ids:
@@ -207,13 +206,13 @@ def close_under_product(G, seed_ids):
         prev = members[:]
         reps = [0]
         for r in reps:
-            row = r * n
+            row = rows[r]
             for t in gens:
-                c = table[row + t]
+                c = row[t]
                 if not reached[c]:
                     reps.append(c)
                     for h in prev:
-                        x = table[h * n + c]
+                        x = rows[h][c]
                         reached[x] = 1
                         members.append(x)
     return tuple(sorted(members))
@@ -240,27 +239,33 @@ def bfs_closure(one, gens, mul):
     return elements, steps, right
 
 
+def right_coset_reps(G, H):
+    """The least element of each right coset Hg of the subgroup with
+    members H, other than H itself, in increasing order."""
+    rows = G.rows
+    covered = bytearray(G.order)
+    for h in H:
+        covered[h] = 1
+    for g in range(G.order):
+        if not covered[g]:
+            for h in H:
+                covered[rows[h][g]] = 1
+            yield g
+
+
 def _generator_data(G):
     """FiniteGroup.generator_data's greedy search: each step adds the least
     element whose closure with the reached subgroup H is largest.  Since
     <H, h*g> = <H, g> for every h in H, only the least element g of each
     right coset Hg is closed, seeded with the generators found so far."""
-    n, table = G.order, G._table
     gen_ids, reached = [], (0,)
-    while len(reached) < n:
-        covered = bytearray(n)
-        for h in reached:
-            covered[h] = 1
+    while len(reached) < G.order:
         best = reached
-        for g in range(1, n):
-            if covered[g]:
-                continue
-            for h in reached:
-                covered[table[h * n + g]] = 1
+        for g in right_coset_reps(G, reached):
             closure = close_under_product(G, gen_ids + [g])
             if len(closure) > len(best):
                 best, gen = closure, g
-                if len(closure) == n:
+                if len(closure) == G.order:
                     break
         gen_ids.append(gen)
         reached = best
@@ -283,9 +288,9 @@ def element_orders(G):
 def conjugation_rows(G):
     """conj[x][a] = x a x^-1, one gather per x: row x of the table (x a)
     read through column x^-1 (y -> y x^-1)."""
-    n, table, inv = G.order, G._table, G._inv
-    return [tuple(map(table[inv[x]::n].__getitem__, table[x * n:(x + 1) * n]))
-            for x in range(n)]
+    columns = list(zip(*G.rows))
+    return [tuple(map(columns[x_inv].__getitem__, row))
+            for row, x_inv in zip(G.rows, G._inv)]
 
 
 def class_representatives(G):
@@ -331,7 +336,6 @@ def subgroup_lattice(G):
     if G.order > DEFAULT_ORDER_BOUND:
         raise GroupError("order %d exceeds subgroup-lattice bound %d"
                          % (G.order, DEFAULT_ORDER_BOUND))
-    n, table = G.order, G._table
     conj = G.cached(conjugation_rows)
     found = {(0,): (0,)}    # members -> the frontier subgroup of its class
     frontier = []       # (subgroup, generators), one per class, grows in loop
@@ -345,16 +349,7 @@ def subgroup_lattice(G):
     for g in G.cached(class_representatives):
         add_class(close_under_product(G, [g]), [g])
     for H, gens in frontier:
-        if len(H) == n:
-            continue
-        covered = bytearray(n)
-        for h in H:
-            covered[h] = 1
-        for g in range(n):
-            if covered[g]:
-                continue
-            for h in H:
-                covered[table[h * n + g]] = 1
+        for g in right_coset_reps(G, H):
             add_class(close_under_product(G, gens + [g]), gens + [g])
     subs = sorted(found, key=lambda m: (len(m), m))
     first = {}
@@ -432,11 +427,10 @@ def _hom_from_gen_images(G, H, gen_ids, steps, images):
     img[0] = 0
     for elem, parent, gi in steps:
         img[elem] = H.mul(img[parent], images[gi])
-    n, m = G.order, H.order
-    gt, ht = G._table, H._table
+    target = H.rows
     for g, x in zip(gen_ids, images):
-        for a in range(n):
-            if img[gt[a * n + g]] != ht[img[a] * m + x]:
+        for row, y in zip(G.rows, img):
+            if img[row[g]] != target[y][x]:
                 return None
     return img
 
@@ -489,8 +483,7 @@ def _automorphisms(G):
     that needs ids below 256, which automorphisms' order bound ensures.
     Lifting the bound past 256 means replacing these gathers.
     """
-    n, table = G.order, G._table
-    pad = bytes(256 - n)
+    pad = bytes(256 - G.order)
     inner = {bytes(row) + pad for row in G.cached(conjugation_rows)}
     found = set()
     for img in _isomorphisms(G, G):
@@ -501,8 +494,8 @@ def _automorphisms(G):
     # full check phi(a*b) == phi(a)*phi(b) over all n^2 products: the
     # table translated through phi against, for each row a, phi translated
     # through row phi(a)
-    flat = bytes(table)
-    rows = [flat[a * n:(a + 1) * n] + pad for a in range(n)]
+    flat = bytes(chain.from_iterable(G.rows))
+    rows = [bytes(row) + pad for row in G.rows]
     for phi in out:
         if flat.translate(phi + pad) != b"".join(
                 map(phi.translate, map(rows.__getitem__, phi))):
@@ -607,9 +600,8 @@ def write_group_file(path, G, perm_gens=None):
                 fh.write(perms.format_cycles(g) + "\n")
         else:
             fh.write("group %s %d\ntable\n" % (G.name, G.order))
-            n = G.order
-            for a in range(n):
-                fh.write(" ".join(str(G.mul(a, b)) for b in range(n)) + "\n")
+            for row in G.rows:
+                fh.write(" ".join(map(str, row)) + "\n")
 
 
 def load_stem_extension(path, base):

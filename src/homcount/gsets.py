@@ -86,12 +86,6 @@ class GSetAction:
         return fixed_map, orbit_perm, components
 
 
-def _fixed_parity(fixed_map):
-    pts = sorted(fixed_map)
-    idx = {x: i for i, x in enumerate(pts)}
-    return perms.perm_parity(tuple(idx[fixed_map[x]] for x in pts))
-
-
 def rubik_membership(p, act):
     """Is p in the Rubik group of the action?
 
@@ -103,9 +97,15 @@ def rubik_membership(p, act):
     commutator subgroup splits off Alt of the fixed set); this is vacuous
     for the single-zombie alphabets used downstream.
     """
-    fixed_map, orbit_perm, components = act.decompose(p)
-    return (_fixed_parity(fixed_map) == 0
-            and rubik_coordinates(act.group, orbit_perm, components))
+    return _decomposed_membership(act.group, *act.decompose(p))
+
+
+def _decomposed_membership(G, fixed_map, orbit_perm, components):
+    """rubik_membership on the parts act.decompose(p) returns."""
+    pts = sorted(fixed_map)
+    idx = {x: i for i, x in enumerate(pts)}
+    return (perms.perm_parity(tuple(idx[fixed_map[x]] for x in pts)) == 0
+            and rubik_coordinates(G, orbit_perm, components))
 
 
 def rubik_coordinates(G, orbit_perm, components):
@@ -131,7 +131,7 @@ def rubik_order(n, gamma):
 def column_getters(G):
     """Getter h gathers a sequence indexed by G at the products g h, in g
     order: column h of the multiplication table."""
-    return [perms.gather(G._table[h::G.order]) for h in G.elements()]
+    return [perms.gather(column) for column in zip(*G.rows)]
 
 
 def equivariant_perm(act, orbit_perm, components, fixed_map=None):
@@ -202,13 +202,13 @@ def rubik_surjectivity_check(gens, act):
     if n < 7:
         raise ActionError("surjectivity check needs at least 7 orbits")
     check_rubik_degree(act.npoints)
-    for p in gens:
-        if not rubik_membership(p, act):
-            raise ActionError("generator fails Rubik membership")
-    # (i): induced action on the orbit set
+    # each generator is in Rub; (i): induced action on the orbit set
     induced = []
     for p in gens:
-        _, orbit_perm, _ = act.decompose(p)
+        fixed_map, orbit_perm, components = act.decompose(p)
+        if not _decomposed_membership(act.group, fixed_map, orbit_perm,
+                                      components):
+            raise ActionError("generator fails Rubik membership")
         induced.append(orbit_perm)
     kind = perms.classify_giant(perms.PermutationGroup(n, induced))
     flag_alt = kind in ("alternating", "symmetric")

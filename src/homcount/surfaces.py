@@ -312,9 +312,7 @@ def run_word(letters, tup, mul, inv):
 def _column_ops(G):
     """The (mul, inv) interface over columns: lists of element ids, combined
     entry by entry, so one rule run acts on every row of the columns."""
-    n, inverse = G.order, G._inv
-    # a row lookup allocates no int, a flat a*n + b does
-    rows = [G._table[a * n:(a + 1) * n] for a in range(n)]
+    rows, inverse = G.rows, G._inv
 
     def mul(xs, ys):
         return [rows[x][y] for x, y in zip(xs, ys)]

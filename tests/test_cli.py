@@ -492,6 +492,11 @@ MALFORMED_HEADERS = [
     (["count-hom", "--presentation", "poincare.pres", "--group"], "s8.grp",
      "group S8 40320\nperm-gens\n(0 1)\n(0 1 2 3 4 5 6 7)\n",
      "GroupError: group order 40320 exceeds bound 2048"),
+    (["reduce", "--circuit"], "big.bool", "in 100000000\nout 0\n",
+     "CircuitError: in 100000000 exceeds bound 65536"),
+    (["compile-zsat", "--gamma", "z2.grp", "--circuit"], "big.rev",
+     "alphabet 4\nwidth 100000000\ninit 0 1\nfinal 2 3\n",
+     "CircuitError: width 100000000 exceeds bound 65536"),
 ]
 
 

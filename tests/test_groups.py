@@ -10,8 +10,8 @@ from homcount.groups import (FiniteGroup, GroupError, _hom_from_gen_images,
                              as_group, automorphisms, close_under_product,
                              derived_subgroup, find_isomorphism, load_group,
                              parse_group_text, quotient_by_normal,
-                             subgroup_lattice, subgroup_membership_masks,
-                             write_group_file)
+                             right_coset_reps, subgroup_lattice,
+                             subgroup_membership_masks, write_group_file)
 from homcount.textformat import content_lines
 from conftest import data_path
 
@@ -266,7 +266,7 @@ def test_perm_table_matches_product_oracle():
     for gens, degree in cases:
         table, gen_ids, steps, elems = oracle_perm_table(gens, degree)
         G = FiniteGroup.from_perm_gens("G", gens, degree=degree)
-        assert G._table == table
+        assert [x for row in G.rows for x in row] == table
         assert G.generator_data() == (gen_ids, steps)
         assert G._perm_elems == elems
         n = len(elems[0])
@@ -342,11 +342,65 @@ def test_intercalate_loop_is_not_a_group():
     assert FiniteGroup.from_table("Z400", cyclic).order == n
 
 
+def assert_rows(G, product):
+    """G.rows is a list of n row tuples of length n, and rows[a][b] is both
+    G.mul(a, b) and product(a, b)."""
+    n = G.order
+    assert type(G.rows) is list and len(G.rows) == n
+    for a, row in enumerate(G.rows):
+        assert type(row) is tuple and len(row) == n
+        assert list(row) == [G.mul(a, b) for b in range(n)]
+        assert list(row) == [product(a, b) for b in range(n)]
+
+
+def test_rows_on_every_construction_path(s4):
+    gens = [perms.parse_cycles("(0 1)"), perms.parse_cycles("(0 1 2)")]
+    table, _, _, elems = oracle_perm_table(gens)
+    index = {p: i for i, p in enumerate(elems)}
+
+    def from_table(a, b):
+        return table[a * 6 + b]
+
+    def from_perms(a, b):
+        return index[perms.mult(elems[a], elems[b])]
+
+    assert_rows(FiniteGroup.from_table("S3", table), from_table)
+    assert_rows(FiniteGroup.from_perm_gens("S3", gens), from_perms)
+    text = "group S3 6\ntable\n" + "\n".join(
+        " ".join(map(str, table[i:i + 6])) for i in range(0, 36, 6))
+    assert_rows(parse_group_text(text), from_table)
+    assert_rows(parse_group_text("group S3 6\nperm-gens\n(0 1)\n(0 1 2)\n"),
+                from_perms)
+    for n in range(1, 6):
+        assert_rows(FiniteGroup.cyclic(n), lambda a, b: (a + b) % n)
+    assert_rows(FiniteGroup.trivial(), lambda a, b: 0)
+    for H in subgroup_lattice(s4).subgroups:
+        assert_rows(as_group(s4, H),
+                    lambda i, j: H.index(s4.mul(H[i], H[j])))
+        if is_normal(s4, H):
+            Q, proj = quotient_by_normal(s4, H)
+            lift = [proj.index(q) for q in range(Q.order)]
+            assert_rows(Q, lambda a, b: proj[s4.mul(lift[a], lift[b])])
+
+
+def oracle_right_coset_reps(G, H):
+    """The least element of every right coset Hg but H, from all of them."""
+    cosets = {frozenset(G.mul(h, g) for h in H) for g in G.elements()}
+    return sorted(min(c) for c in cosets if 0 not in c)
+
+
+def test_right_coset_reps_matches_oracle(s4, sl23, a5):
+    for G in (s4, sl23, a5):
+        for H in subgroup_lattice(G).subgroups:
+            assert list(right_coset_reps(G, H)) \
+                == oracle_right_coset_reps(G, H), (G, H)
+
+
 def test_group_file_roundtrip(tmp_path, s3):
     path = tmp_path / "s3.grp"
     write_group_file(str(path), s3)
     loaded = load_group(str(path))
-    assert loaded.order == 6 and loaded._table == s3._table
+    assert loaded.order == 6 and loaded.rows == s3.rows
     with pytest.raises(GroupError):
         parse_group_text("group broken 6\ntable\n0 1 2")
 
@@ -385,7 +439,7 @@ def test_declared_order_checked_before_the_table(monkeypatch):
 
 
 def test_subgroup_invariants(s3):
-    assert as_group(s3, tuple(range(6)))._table == s3._table
+    assert as_group(s3, tuple(range(6))).rows == s3.rows
     derived = s3.cached(derived_subgroup)
     assert len(derived) == 3
     assert is_normal(s3, derived)
@@ -556,7 +610,8 @@ def test_generator_data_matches_oracle(s4, sl23, a5):
     tables = [FiniteGroup.cyclic(n) for n in range(1, 13)]
     tables += [direct_product(z2, z4), elementary_abelian(3)]
     # D4 and Q8 as tables, so the search runs rather than the closure data
-    tables += [FiniteGroup(G.name, G._table) for G in small_groups()[3:]]
+    tables += [FiniteGroup(G.name, [x for row in G.rows for x in row])
+               for G in small_groups()[3:]]
     for G in (s4, sl23, a5):
         tables += [as_group(G, H) for H in subgroup_lattice(G).subgroups]
     for G in (s4, sl23, *small_groups()[3:]):

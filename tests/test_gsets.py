@@ -74,7 +74,7 @@ def oracle_equivariant_perm(act, orbit_perm, components, fixed_map=None):
     perms.check_perm(orbit_perm)
     G = act.group
     # column h of the multiplication table lists g h for every g
-    columns = [G._table[h::G.order] for h in G.elements()]
+    columns = list(zip(*G.rows))
     p = list(range(act.npoints))
     for x, y in (fixed_map or {}).items():
         p[x] = y
