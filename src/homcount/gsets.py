@@ -212,14 +212,16 @@ def rubik_surjectivity_check(gens, act):
         induced.append(orbit_perm)
     kind = perms.classify_giant(perms.PermutationGroup(n, induced))
     flag_alt = kind in ("alternating", "symmetric")
-    # (ii) and the order, from one chain
+    # (ii) and the order, from one chain, which stops once it reaches the
+    # order of Rub, a group every generator is in
+    expected = rubik_order(n, act.group)
     H = perms.PermutationGroup(act.npoints, gens,
-                               base=(act.section[0], act.section[1]))
+                               base=(act.section[0], act.section[1]),
+                               order_bound=expected)
     lengths = H.orbit_lengths()
     n_free = n * act.group.order
     flag_2t = lengths[0] * lengths[1] == n_free * (n_free - act.group.order)
     generated = H.order()
-    expected = rubik_order(n, act.group)
     alt_n2 = factorial(n - 2) // 2
     hypothesis = act.group.order < alt_n2 or act.group.order % alt_n2 != 0
     return RubikReport(n, act.group.order, flag_alt, flag_2t,

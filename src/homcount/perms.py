@@ -14,6 +14,13 @@ it still enlarges that level's group and orbit.  Transversal entries are
 never replaced, so a sift that once ended in the identity always does, and
 no Schreier generator is revisited.  An explicit work stack replaces
 recursion per level.
+
+A caller that knows a bound on the group's order, such as the order of a
+group that every generator has been checked to lie in, may pass it as
+order_bound.  Every orbit built so far lies in its true basic orbit, so
+the product of their lengths is at most the order; once it equals the
+bound, every orbit is complete and the base stabilizer is trivial, and the
+build stops with the chain it would have finished with.
 """
 
 import re
@@ -196,9 +203,11 @@ class PermutationGroup:
     the object is read-only and safe to share between threads.  The chain's
     first levels sit on the distinct points of base, in order; a level
     whose point the group fixes has that point alone as its orbit.
+    order_bound, when given, must be at least the group's order: the build
+    stops once the orbit lengths multiply to it, which changes no answer.
     """
 
-    def __init__(self, degree, gens, base=()):
+    def __init__(self, degree, gens, base=(), order_bound=None):
         if degree > MAX_DEGREE:
             raise ValueError("degree %d exceeds bound %d" % (degree, MAX_DEGREE))
         self.degree = degree
@@ -214,6 +223,7 @@ class PermutationGroup:
                 raise ValueError("generator degree mismatch")
             check_perm(g)
         self.gens = [g for g in gens if g != self._ident]
+        self.order_bound = order_bound
         self._chain = None
 
     def _ensure_chain(self):
@@ -234,6 +244,9 @@ class PermutationGroup:
                                     ident))
             for m in range(k, j + 1):
                 stack.extend((m + 1, s) for s in chain[m].extend(h, ident))
+            if (self.order_bound is not None and self.order_bound
+                    == prod(len(level.orbit) for level in chain)):
+                break
         self._chain = chain
 
     def orbit_lengths(self):

@@ -10,7 +10,7 @@ from homcount.circuits import (BooleanCircuit, CircuitError, RsatIF,
                                pack_parameters, parse_boolean_text,
                                parse_reversible_text, reduce_pipeline,
                                regroup_embed, uncompute_wrap, verify_parsimony,
-                               encode_word, count_accepted,
+                               encode_word, count_accepted, sweep_order,
                                _bit_gates)
 from homcount.counting import CountingLimits, DEFAULT_LIMITS, WorkBoundExceeded
 from conftest import count_words
@@ -337,12 +337,14 @@ def test_stage_budget_messages():
 
 def test_stage3_state_budget_is_exact():
     # six pair symbols, each entering with only the two initialization
-    # symbols in psi's image out of four: 2^6 rows at the peak
+    # symbols in psi's image out of four; the sweep order runs out symbol
+    # 4 before symbols 0 and 5 enter, so at most five are live: 2^5 rows
+    # at the peak
     bc = BooleanCircuit(4, [("AND", (1, 2), (4,)), ("AND", (3, 2), (5,)),
                             ("AND", (2, 3), (6,)), ("NOT", (3,), (7,))], 1)
     _, _, r3, _ = reduce_pipeline(bc)
     assert r3.width == 6
-    least = 64      # 4096 = 4^6 when every input symbol entered
+    least = 32      # 4096 = 4^6 when every symbol entered in given order
     assert r3.count(CountingLimits(max_states=least)) == bc.count_sat() == 8
     with pytest.raises(WorkBoundExceeded) as exc:
         r3.count(CountingLimits(max_states=least - 1))
@@ -384,6 +386,12 @@ def test_sweep_matches_word_oracle():
                    for _ in range(width)]
         assert count_accepted(q, gates, inputs, accepts, CountingLimits(),
                               "TEST") == count_words(q, gates, inputs, accepts)
+        # the sweep runs every gate once, each wire's gates in given order
+        order = sweep_order(gates, dict(enumerate(inputs)))
+        assert sorted(order) == sorted(gates)
+        for w in range(width):
+            assert ([g for g in order if w in g[0]]
+                    == [g for g in gates if w in g[0]])
         touched = set()
         for wires, _ in gates:
             touched.update(wires)

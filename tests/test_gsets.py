@@ -346,6 +346,49 @@ def test_two_transitive_matches_pair_bfs(z2, z3, z4, s3):
     assert seen == {True, False}
 
 
+def test_rubik_order_bound_keeps_the_chain(z2, z3, z4, s3):
+    # the subsets of test_two_transitive_matches_pair_bfs: a chain that
+    # stops at |Rub| must answer as the full build does, and one whose
+    # generators close less than Rub never reaches the bound
+    v4 = FiniteGroup.from_table(
+        "V4", [0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 0, 1, 3, 2, 1, 0])
+    rng = random.Random(20261020)
+    actions = [make_free_action(gamma, n) for gamma in (z2, z3, z4, v4, s3)
+               for n in (7, 8, 9)] + [make_free_action(z3, 7, n_fixed=1)]
+    reached = set()
+    for act in actions:
+        n, q = len(act.free_orbits), act.group.order
+        gens = rubik_generators(act)
+        subsets = [gens] + [[g for g in gens if rng.random() < 0.75]
+                            or gens[:1] for _ in range(6)]
+        if n % 2:
+            shift = tuple(range(1, n)) + (0,)
+            subsets.append([equivariant_perm(act, shift, (0,) * n)]
+                           + gens[n - 2:])
+        bound = rubik_order(n, act.group)
+        for subset in subsets:
+            base = (act.section[0], act.section[1])
+            full = perms.PermutationGroup(act.npoints, subset, base=base)
+            bounded = perms.PermutationGroup(act.npoints, subset, base=base,
+                                             order_bound=bound)
+            assert bounded.orbit_lengths() == full.orbit_lengths()
+            assert bounded.order() == full.order()
+            reached.add(full.order() == bound)
+            word = tuple(range(act.npoints))
+            for _ in range(5):
+                word = perms.mult(word, rng.choice(subset))
+            swap = list(range(act.npoints))
+            swap[act.section[0]], swap[act.section[1]] = act.section[1], \
+                act.section[0]
+            probes = [word, perms.mult(word, rng.choice(gens)), tuple(swap),
+                      equivariant_perm(act, tuple(rng.sample(range(n), n)),
+                                       tuple(rng.randrange(q)
+                                             for _ in range(n)))]
+            for p in probes:
+                assert bounded.contains(p) == full.contains(p)
+    assert reached == {True, False}
+
+
 def test_goursat(s3, z4):
     diag = [(x, x) for x in s3.elements()]
     dec = goursat_decompose(diag, s3, s3)

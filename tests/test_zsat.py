@@ -6,6 +6,7 @@ import pytest
 
 from homcount import zsat
 from homcount.circuits import BooleanCircuit
+from homcount.counting import CountingLimits, WorkBoundExceeded
 from homcount.groups import FiniteGroup
 from homcount.gsets import rubik_membership
 from homcount.zsat import (ZAlphabet, ZsatError, compile_gate, compile_zsat,
@@ -252,6 +253,24 @@ def test_sweep_zombie_relation_widths(z2, z3):
                 assert zcount == count_words(
                     zal.size, zi.gates, [(zal.zombie,) + zal.init] * width,
                     [(zal.zombie,) + zal.final] * width)
+
+
+def test_zsat_state_budget_is_exact(z3):
+    # data gates at the right edge: the warning gate on (0, 1) runs first
+    # and leaves one row, then wires 2-5 enter with 7 live symbols each
+    # (the zombie and two init orbits of 3): 7^4 rows, where running the
+    # data gates before the warning sweep held 7^6
+    zal = ZAlphabet(z3)
+    rng = random.Random(80)
+    gates = [(4, predicate_gate(zal, rng)), (2, predicate_gate(zal, rng))]
+    inst = data_rsat_instance(zal, 6, gates)
+    zi = compile_zsat(inst, zal)
+    least = 2401
+    assert zi.count(CountingLimits(max_states=least)) \
+        == z3.order * inst.count() + 1 == 1
+    with pytest.raises(WorkBoundExceeded) as exc:
+        zi.count(CountingLimits(max_states=least - 1))
+    assert str(exc.value) == "ZSAT state budget %d exceeded" % (least - 1)
 
 
 def test_verify_gates_checks_each_table_once(z2, monkeypatch):
