@@ -160,15 +160,13 @@ def sweep_order(gates, live):
         grow[i] *= len(live[w])
     for i in last.values():
         closes[i] += 1
-    # one int per key, (grow, wires left open, index) in mixed radix; a
-    # gate has at most three wires
-    keys = [(g * 4 + len(wires) - c) * n + i
+    keys = [(g, len(wires) - c, i)      # growth, wires left open, index
             for i, ((wires, _), g, c) in enumerate(zip(gates, grow, closes))]
     ready = [key for key, wait in zip(keys, waits) if not wait]
     heapq.heapify(ready)
     order = []
     while ready:
-        i = heapq.heappop(ready) % n
+        i = heapq.heappop(ready)[2]
         order.append(gates[i])
         for j in succ[i]:
             waits[j] -= 1

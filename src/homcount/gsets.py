@@ -212,12 +212,14 @@ def rubik_surjectivity_check(gens, act):
         induced.append(orbit_perm)
     kind = perms.classify_giant(perms.PermutationGroup(n, induced))
     flag_alt = kind in ("alternating", "symmetric")
-    # (ii) and the order, from one chain, which stops once it reaches the
-    # order of Rub, a group every generator is in
+    # (ii) and the order, from one chain.  Membership admits exactly Rub
+    # on the free points times Alt of the fixed points, a group every
+    # generator is in, so its order bounds |H| and the chain stops there.
     expected = rubik_order(n, act.group)
-    H = perms.PermutationGroup(act.npoints, gens,
-                               base=(act.section[0], act.section[1]),
-                               order_bound=expected)
+    n_fixed = len(act.fixed_points)
+    H = perms.PermutationGroup(
+        act.npoints, gens, base=(act.section[0], act.section[1]),
+        order_bound=expected * max(1, factorial(n_fixed) // 2))
     lengths = H.orbit_lengths()
     n_free = n * act.group.order
     flag_2t = lengths[0] * lengths[1] == n_free * (n_free - act.group.order)

@@ -20,7 +20,9 @@ group that every generator has been checked to lie in, may pass it as
 order_bound.  Every orbit built so far lies in its true basic orbit, so
 the product of their lengths is at most the order; once it equals the
 bound, every orbit is complete and the base stabilizer is trivial, and the
-build stops with the chain it would have finished with.
+build stops with the chain it would have finished with.  A product above
+the bound shows the bound false and raises ValueError; a false bound that
+the product meets exactly goes unseen, so it must be a proven one.
 """
 
 import re
@@ -204,7 +206,8 @@ class PermutationGroup:
     first levels sit on the distinct points of base, in order; a level
     whose point the group fixes has that point alone as its orbit.
     order_bound, when given, must be at least the group's order: the build
-    stops once the orbit lengths multiply to it, which changes no answer.
+    stops once the orbit lengths multiply to it, which changes no answer,
+    and raises ValueError once they multiply to more.
     """
 
     def __init__(self, degree, gens, base=(), order_bound=None):
@@ -244,9 +247,14 @@ class PermutationGroup:
                                     ident))
             for m in range(k, j + 1):
                 stack.extend((m + 1, s) for s in chain[m].extend(h, ident))
-            if (self.order_bound is not None and self.order_bound
-                    == prod(len(level.orbit) for level in chain)):
-                break
+            if self.order_bound is not None:
+                reached = prod(len(level.orbit) for level in chain)
+                if reached > self.order_bound:
+                    raise ValueError("order_bound %d is below the group "
+                                     "order, at least %d"
+                                     % (self.order_bound, reached))
+                if reached == self.order_bound:
+                    break
         self._chain = chain
 
     def orbit_lengths(self):

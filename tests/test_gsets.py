@@ -389,6 +389,30 @@ def test_rubik_order_bound_keeps_the_chain(z2, z3, z4, s3):
     assert reached == {True, False}
 
 
+def test_rubik_order_bound_counts_the_fixed_points(z2):
+    # membership admits any even permutation of the fixed points, so with
+    # three of them a 3-cycle there triples the order past |Rub|; the
+    # chain must not stop once the free generators alone reach |Rub|
+    act = make_free_action(z2, 7, n_fixed=3)
+    gens = rubik_generators(act)
+    cycle = (1, 2, 0) + tuple(range(3, act.npoints))
+    assert rubik_membership(cycle, act)
+    rep = rubik_surjectivity_check(gens + [cycle], act)
+    assert rep.generated_order == 3 * rep.expected_order == 483840
+    assert not rep.order_match
+    assert rubik_surjectivity_check(gens, act).order_match
+    H = perms.PermutationGroup(act.npoints, gens + [cycle],
+                               base=(act.section[0], act.section[1]),
+                               order_bound=483840)
+    assert H.contains(cycle) and H.order() == 483840
+    # a bound below the order shows once the orbits outgrow it
+    low = perms.PermutationGroup(act.npoints, gens + [cycle],
+                                 base=(act.section[0], act.section[1]),
+                                 order_bound=2 * rep.expected_order)
+    with pytest.raises(ValueError, match="order_bound 322560 is below"):
+        low.order()
+
+
 def test_goursat(s3, z4):
     diag = [(x, x) for x in s3.elements()]
     dec = goursat_decompose(diag, s3, s3)
