@@ -534,7 +534,6 @@ def uncompute_wrap(r1):
 class EmbeddingData:
     psi: tuple          # A1 symbol (0..3, data + 2*anc) -> A2 symbol id
     f_images: tuple     # where the two finalizable symbols land in F2
-    pairs: list         # (data wire, zero wire) per symbol position
 
 
 def regroup_embed(r2, q2, init2, final2):
@@ -616,7 +615,7 @@ def regroup_embed(r2, q2, init2, final2):
     rho = tuple(rho)
     for s in range(m):
         inst.add_gate((s,), rho)
-    return inst, EmbeddingData(psi, f_images, pairs)
+    return inst, EmbeddingData(psi, f_images)
 
 
 # -- stage 4: alphabet packing --------------------------------------------------------------

@@ -9,7 +9,8 @@ section of orbit representatives.
 from dataclasses import dataclass
 from math import factorial
 from . import perms
-from .groups import GroupError, coset_min_reps, derived_subgroup
+from .groups import (GroupError, bfs_closure, coset_min_reps,
+                     derived_subgroup)
 
 
 # The largest action a Rubik check takes: the stabilizer chain's
@@ -50,18 +51,14 @@ class GSetAction:
         if sorted(points) != list(range(self.npoints)):
             raise ActionError("orbits and fixed points overlap or leave gaps")
         self.section = tuple(orb[0] for orb in self.free_orbits)
-        # equivariant_perm lists images in this layout, fixed points then
-        # orbits; the gather puts them back in point order
-        self._to_point_order = perms.gather(perms.inverse(points))
-        # coords[pt] = (i, g) with pt = g . section[i]
-        self.coords = {pt: (i, g) for i, orb in enumerate(self.free_orbits)
-                       for g, pt in enumerate(orb)}
-
-    def apply(self, g, x):
-        if x not in self.coords:
-            return x
-        i, h = self.coords[x]
-        return self.free_orbits[i][self.group.mul(g, h)]
+        self._at_section = perms.gather(self.section)
+        # position[pt] is pt's place in this layout, fixed points then
+        # orbits, so a free point pt = g . section[i] has
+        # divmod(position[pt] - len(fixed_points), |G|) = (i, g);
+        # equivariant_perm lists images in this layout, and the gather
+        # puts them back in point order
+        self.position = perms.inverse(points)
+        self._to_point_order = perms.gather(self.position)
 
     def decompose(self, p):
         """Split an equivariant permutation into fixed part, orbit permutation
@@ -70,15 +67,17 @@ class GSetAction:
         Raises unless p is equivariant: the rebuilt permutation is, and it
         agrees with p on the fixed points and the representatives, whose
         images determine an equivariant permutation."""
-        images = [self.coords.get(p[rep]) for rep in self.section]
-        if None in images:
+        position, n_fixed = self.position, len(self.fixed_points)
+        slots = [position[y] - n_fixed for y in self._at_section(p)]
+        if min(slots, default=0) < 0:
             raise ActionError("a representative is sent to a fixed point")
-        orbit_perm = tuple(j for j, _ in images)
-        components = tuple(h for _, h in images)
+        q = self.group.order
+        orbit_perm = tuple([s // q for s in slots])
+        components = tuple([s % q for s in slots])
         if len(set(orbit_perm)) != len(orbit_perm):
             raise ActionError("two representatives are sent into one orbit")
         fixed_map = {x: p[x] for x in self.fixed_points}
-        if any(y in self.coords for y in fixed_map.values()):
+        if any(position[y] >= n_fixed for y in fixed_map.values()):
             raise ActionError("equivariant image of a fixed point must be fixed")
         if tuple(p) != equivariant_perm(self, orbit_perm, components,
                                         fixed_map):
@@ -87,32 +86,25 @@ class GSetAction:
 
 
 def rubik_membership(p, act):
-    """Is p in the Rubik group of the action?
+    """Is p in the Rubik group of the action?  Requires p equivariant and
+    all non-fixed orbits free; rubik_coordinates gives the rule."""
+    return rubik_coordinates(act.group, *act.decompose(p))
 
-    Requires p equivariant and all non-fixed orbits free.  Membership needs
-    the induced permutation on free orbits to be even and the product of the
-    section-relative components to lie in [G, G]; [G, G] is normal with
+
+def rubik_coordinates(G, fixed_map, orbit_perm, components):
+    """The membership rule on the parts act.decompose(p) returns: the
+    induced permutation on free orbits is even and the product of the
+    section-relative components lies in [G, G]; [G, G] is normal with
     G/[G, G] abelian, so the order of the factors does not matter.  A
     permutation of two or more fixed points must be even as well (the
     commutator subgroup splits off Alt of the fixed set); this is vacuous
-    for the single-zombie alphabets used downstream.
+    for the single-zombie alphabets used downstream.  fixed_map permutes
+    its keys and is silent on fixed points it fixes.
     """
-    return _decomposed_membership(act.group, *act.decompose(p))
-
-
-def _decomposed_membership(G, fixed_map, orbit_perm, components):
-    """rubik_membership on the parts act.decompose(p) returns."""
     pts = sorted(fixed_map)
     idx = {x: i for i, x in enumerate(pts)}
-    return (perms.perm_parity(tuple(idx[fixed_map[x]] for x in pts)) == 0
-            and rubik_coordinates(G, orbit_perm, components))
-
-
-def rubik_coordinates(G, orbit_perm, components):
-    """The membership rule on the coordinates of an equivariant
-    permutation that fixes its fixed points: the orbit permutation is even
-    and the product of the components lies in [G, G]."""
-    if perms.perm_parity(orbit_perm) != 0:
+    if (perms.perm_parity(tuple(idx[fixed_map[x]] for x in pts))
+            or perms.perm_parity(orbit_perm)):
         return False
     acc = 0
     for h in components:
@@ -206,8 +198,8 @@ def rubik_surjectivity_check(gens, act):
     induced = []
     for p in gens:
         fixed_map, orbit_perm, components = act.decompose(p)
-        if not _decomposed_membership(act.group, fixed_map, orbit_perm,
-                                      components):
+        if not rubik_coordinates(act.group, fixed_map, orbit_perm,
+                                 components):
             raise ActionError("generator fails Rubik membership")
         induced.append(orbit_perm)
     kind = perms.classify_giant(perms.PermutationGroup(n, induced))
@@ -257,15 +249,12 @@ def goursat_decompose(pairs, G1, G2):
     """
     # a finite subgroup is the closure of the identity under right
     # multiplication by its generators: |H| * |pairs| products
-    gens = set(map(tuple, pairs))
-    H = {(0, 0)}
-    frontier = [(0, 0)]
-    for a1, b1 in frontier:
-        for a2, b2 in gens:
-            c = (G1.mul(a1, a2), G2.mul(b1, b2))
-            if c not in H:
-                H.add(c)
-                frontier.append(c)
+    def pair_mul(x, y):
+        return G1.mul(x[0], y[0]), G2.mul(x[1], y[1])
+
+    elements, _, _ = bfs_closure((0, 0), sorted(set(map(tuple, pairs))),
+                                 pair_mul)
+    H = set(elements)
     if {a for a, _ in H} != set(G1.elements()):
         raise GroupError("H does not surject onto the first factor")
     if {b for _, b in H} != set(G2.elements()):

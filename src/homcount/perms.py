@@ -57,20 +57,6 @@ def inverse(p):
     return tuple(inv)
 
 
-def perm_power(p, k):
-    n = len(p)
-    if k < 0:
-        return perm_power(inverse(p), -k)
-    out = identity_perm(n)
-    base = p
-    while k:
-        if k & 1:
-            out = mult(out, base)
-        base = mult(base, base)
-        k >>= 1
-    return out
-
-
 def check_perm(p):
     if sorted(p) != list(range(len(p))):
         raise ValueError("not a permutation: %r" % (p,))

@@ -12,8 +12,8 @@ import itertools
 from dataclasses import dataclass
 from . import perms
 from .groups import derived_subgroup
-from .gsets import (GSetAction, equivariant_perm, make_free_action,
-                    rubik_coordinates, rubik_membership)
+from .gsets import (GSetAction, equivariant_perm, rubik_coordinates,
+                    rubik_membership)
 from .counting import DEFAULT_LIMITS
 from .circuits import RsatIF, apply_gates, count_accepted, encode_word
 
@@ -90,28 +90,26 @@ def _build_alphabet(gamma):
     zal.z1 = zal.warning[0]
     zal.z2 = zal.warning[q]
     zal.scratch = orbits(10, 11)
-    zal.action = make_free_action(gamma, 11, n_fixed=1)
-    # the diagonal action on ordered pairs of symbols, with pair
-    # encoding (a, b) -> a*|A| + b; scanning the codes upward numbers
-    # the free orbits by least pair and makes that pair the section
-    rows = [[zal.action.apply(g, a) for a in range(A)]
-            for g in gamma.elements()]
-    seen = bytearray(A * A)
-    pair_orbits = []
-    for code in range(1, A * A):
-        if not seen[code]:
-            a, b = divmod(code, A)
-            orbit = [row[a] * A + row[b] for row in rows]
-            for pt in orbit:
-                seen[pt] = 1
-            pair_orbits.append(orbit)
+    # the diagonal action on ordered pairs of symbols, with pair encoding
+    # (a, b) -> a*|A| + b, lists its free orbits in the order a scan of
+    # the codes upward finds them, each led by its least pair: (0, r_j) for
+    # each orbit j, then for each orbit i, (r_i, 0) and (r_i, k . r_j) for
+    # each orbit j and each k; member g of an orbit is g times that pair,
+    # where g . (h . r_j) = (g h) . r_j is symbol r_j + g h
+    reps = [zal.section_rep(j) for j in range(11)]
+    columns = list(zip(*gamma.rows))        # column k lists g k for each g
+    pair_orbits = [[r + g for g in gamma.elements()] for r in reps]
+    for ri in reps:
+        firsts = [(ri + g) * A for g in gamma.elements()]
+        pair_orbits.append(firsts)
+        for rj in reps:
+            pair_orbits += [[x + rj + gk for x, gk in zip(firsts, column)]
+                            for column in columns]
     zal.square_action = GSetAction(gamma, [0], pair_orbits)
-    # the free orbits of scratch pairs, which extend_to_rubik keeps for
-    # its parity and anti-diagonal repairs
-    scratch = set(zal.scratch)
-    zal.scratch_pair_orbits = tuple(
-        i for i, orb in enumerate(zal.square_action.free_orbits)
-        if orb[0] // A in scratch and orb[0] % A in scratch)
+    # the free orbits of scratch pairs, the last |Gamma|, which
+    # extend_to_rubik keeps for its parity and anti-diagonal repairs
+    n = len(pair_orbits)
+    zal.scratch_pair_orbits = tuple(range(n - q, n))
     return zal
 
 
@@ -150,11 +148,14 @@ def extend_to_rubik(partial, zal):
     n = len(act.free_orbits)
     orbit_img = [None] * n
     comps = [None] * n
+    # the zombie pair 0 is the one fixed point, at position 0, so pair x
+    # is offset g of orbit i for (i, g) = divmod(position[x] - 1, |Gamma|)
+    position, q = act.position, G.order
     for src, dst in partial.items():
         if src == dst == 0:
             continue
-        i, g = act.coords[src]
-        j, h = act.coords[dst]
+        i, g = divmod(position[src] - 1, q)
+        j, h = divmod(position[dst] - 1, q)
         want = G.mul(G.inv(g), h)
         if orbit_img[i] is None:
             orbit_img[i] = j
@@ -193,7 +194,7 @@ def extend_to_rubik(partial, zal):
         s1 = scratch_pair_orbits[0]
         comps[s1] = G.mul(comps[s1], fix)
 
-    if not rubik_coordinates(G, orbit_img, comps):
+    if not rubik_coordinates(G, {}, orbit_img, comps):
         raise ZsatError("extension failed the Rubik membership check")
     return equivariant_perm(act, tuple(orbit_img), tuple(comps))
 

@@ -27,12 +27,19 @@ def test_action_axioms(z3):
 
 
 def table_orbits(act):
-    """Oracle for the orbit data: build the action table from apply, check
-    the action axioms on it, and classify its orbits by least point into
-    fixed points and free orbits, the least points forming the section."""
+    """Oracle for the orbit data: build the action table from G's table and
+    the layout, g . orbits[i][h] = orbits[i][g h] with the fixed points
+    fixed, check the action axioms on it, and classify its orbits by least
+    point into fixed points and free orbits, the least points forming the
+    section, with coordinates (i, g) for the point g . section[i]."""
     G = act.group
-    table = [[act.apply(g, x) for x in range(act.npoints)]
-             for g in G.elements()]
+    table = []
+    for g in G.elements():
+        row = list(range(act.npoints))
+        for orb in act.free_orbits:
+            for h, gh in enumerate(G.rows[g]):
+                row[orb[h]] = orb[gh]
+        table.append(row)
     assert table[0] == list(range(act.npoints))
     for g in G.elements():
         for h in G.elements():
@@ -64,7 +71,11 @@ def test_orbits_match_table_scan(z2, z3, s3, a4):
         assert act.fixed_points == fixed
         assert [set(orb) for orb in act.free_orbits] == free
         assert act.section == section
-        assert act.coords == coords
+        # the position index gives every point's coordinates
+        n_fixed, q = len(fixed), act.group.order
+        assert [act.position[x] for x in fixed] == list(range(n_fixed))
+        assert {x: divmod(act.position[x] - n_fixed, q)
+                for x in range(act.npoints) if x not in fixed} == coords
 
 
 def oracle_equivariant_perm(act, orbit_perm, components, fixed_map=None):

@@ -33,13 +33,64 @@ def predicate_gate(zal, rng, density=0.5):
     return tuple(perm)
 
 
+def symbol_rows(zal):
+    """Oracle for the action on symbols, from Gamma's table and the layout:
+    g fixes the zombie and sends h . r_k, symbol r_k + h for the section
+    representative r_k of orbit k, to (g h) . r_k."""
+    gamma = zal.gamma
+    rows = []
+    for g in gamma.elements():
+        row = [zal.zombie] * zal.size
+        for k in range(11):
+            r = zal.section_rep(k)
+            for h, gh in enumerate(gamma.rows[g]):
+                row[r + h] = r + gh
+        rows.append(row)
+    return rows
+
+
+def fixed_symbols(zal):
+    rows = symbol_rows(zal)
+    return [x for x in range(zal.size) if all(row[x] == x for row in rows)]
+
+
+def scan_pair_orbits(zal):
+    """Oracle for the squared action's free orbits: scan the pair codes
+    a*|A| + b upward and list the orbit of each code not yet seen, member
+    g being g times that pair."""
+    rows = symbol_rows(zal)
+    A = zal.size
+    seen = bytearray(A * A)
+    orbits = []
+    for code in range(1, A * A):
+        if not seen[code]:
+            a, b = divmod(code, A)
+            orbit = tuple(row[a] * A + row[b] for row in rows)
+            for pt in orbit:
+                seen[pt] = 1
+            orbits.append(orbit)
+    return orbits
+
+
+def test_pair_orbits_match_code_scan(z2, z3, s3, a4, a5):
+    for gamma in (z2, z3, s3, a4, a5):
+        zal = ZAlphabet(gamma)
+        act = zal.square_action
+        assert act.fixed_points == [0]
+        assert act.free_orbits == scan_pair_orbits(zal)
+        # the scratch pair orbits are the last |Gamma|
+        q, n = gamma.order, len(act.free_orbits)
+        assert n == 22 + 121 * q
+        assert zal.scratch_pair_orbits == tuple(range(n - q, n))
+
+
 def test_alphabet_invariants(z2, z3):
     zal = ZAlphabet(z2)
     assert zal.size == 23
     assert len(zal.init) == 4 and len(zal.final) == 4
     assert len(zal.warning) == len(set(zal.init) | set(zal.final)) + 2 * 2
     assert zal.size >= 2 * len(set(zal.init) | set(zal.final)) + 3 * 2 + 1
-    assert zal.action.fixed_points == [0]
+    assert fixed_symbols(zal) == [zal.zombie] == [0]
     with pytest.raises(ZsatError):
         ZAlphabet(FiniteGroup.trivial())
 
@@ -56,9 +107,17 @@ def test_alphabet_action_layout(z2, z3, s3):
             for orb in range(11):
                 for h in gamma.elements():
                     row[1 + orb * q + h] = 1 + orb * q + gamma.mul(g, h)
-            want.append(tuple(row))
-        assert [tuple(zal.action.apply(g, x) for x in range(zal.size))
-                for g in gamma.elements()] == want
+            want.append(row)
+        assert symbol_rows(zal) == want
+        # the squared action agrees on the pairs (0, x), offset h of the
+        # orbit of (0, section_rep(orbit)), and offset_of reads h off x
+        act = zal.square_action
+        for x in range(1, zal.size):
+            i, h = divmod(act.position[x] - 1, q)
+            assert act.free_orbits[i][0] == zal.section_rep((x - 1) // q)
+            assert zal.offset_of(x) == h
+            for g in gamma.elements():
+                assert act.free_orbits[i][gamma.mul(g, h)] == want[g][x]
 
 
 def test_alphabet_meets_the_paper_conditions(z2, z3, s3, a4):
@@ -73,7 +132,7 @@ def test_alphabet_meets_the_paper_conditions(z2, z3, s3, a4):
         assert not set(zal.warning) & (union | {0})
         assert {zal.z1, zal.z2} <= set(zal.warning)
         assert zal.offset_of(zal.z1) == zal.offset_of(zal.z2) == 0
-        assert zal.action.fixed_points == [0]
+        assert fixed_symbols(zal) == [zal.zombie] == [0]
         # the scratch pairs fill at least two free orbits of the squared
         # action, for the parity and anti-diagonal repairs
         A = zal.size
