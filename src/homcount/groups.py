@@ -192,7 +192,8 @@ def close_under_product(G, seed_ids):
     closure grows as a union of right cosets prev*r of the previous closure,
     with representatives r found breadth-first over r*t for every generator
     t.  This costs O(|closure| * #generators) products, and at most
-    log2 |G| seeds ever become generators.
+    log2 |G| seeds ever become generators.  Once the closure is all of G
+    no further seed is read, so a lazy seed iterator costs nothing more.
     """
     rows = G.rows
     members = [0]
@@ -215,6 +216,8 @@ def close_under_product(G, seed_ids):
                         x = rows[h][c]
                         reached[x] = 1
                         members.append(x)
+        if len(members) == G.order:
+            break
     return tuple(sorted(members))
 
 
@@ -481,7 +484,8 @@ def _automorphisms(G):
 
     Maps are bytes, so that composing and checking are C-level translates;
     that needs ids below 256, which automorphisms' order bound ensures.
-    Lifting the bound past 256 means replacing these gathers.
+    _automorphism_group builds Aut(G)'s table by the same translates, so
+    lifting the bound past 256 means replacing the gathers of both.
     """
     pad = bytes(256 - G.order)
     inner = {bytes(row) + pad for row in G.cached(conjugation_rows)}
@@ -501,6 +505,28 @@ def _automorphisms(G):
                 map(phi.translate, map(rows.__getitem__, phi))):
             raise GroupError("automorphism search produced a non-hom")
     return [tuple(phi) for phi in out]
+
+
+def automorphism_group(G):
+    """(A, maps): Aut(G) as a FiniteGroup whose id k is the map maps[k],
+    id 0 the identity map and the others in the order of automorphisms(G);
+    a * b applies a, then b.  Built once per group."""
+    return G.cached(_automorphism_group)
+
+
+def _automorphism_group(G):
+    """maps[a] translated through maps[b] is b after a, looked up by its
+    bytes; like _automorphisms, this needs ids below 256."""
+    one = tuple(G.elements())
+    maps = [one] + [phi for phi in automorphisms(G) if phi != one]
+    if len(maps) > MAX_GROUP_ORDER:
+        raise GroupError("Aut(%s) has order %d, past the group order bound %d"
+                         % (G.name, len(maps), MAX_GROUP_ORDER))
+    images = [bytes(phi) for phi in maps]
+    index = {phi: k for k, phi in enumerate(images)}
+    tables = [phi + bytes(256 - G.order) for phi in images]
+    table = [index[phi.translate(t)] for phi in images for t in tables]
+    return FiniteGroup("Aut(%s)" % G.name, table), maps
 
 
 # -- stem extensions -------------------------------------------------------------

@@ -7,6 +7,7 @@ section of orbit representatives.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from math import factorial
 from . import perms
 from .groups import (GroupError, bfs_closure, coset_min_reps,
@@ -45,20 +46,23 @@ class GSetAction:
         self.free_orbits = [tuple(orb) for orb in orbits]
         if any(len(orb) != group.order for orb in self.free_orbits):
             raise ActionError("a free orbit needs one point per group element")
-        points = self.fixed_points + [pt for orb in self.free_orbits
-                                      for pt in orb]
-        self.npoints = len(points)
-        if sorted(points) != list(range(self.npoints)):
-            raise ActionError("orbits and fixed points overlap or leave gaps")
+        self.npoints = n = (len(self.fixed_points)
+                            + len(self.free_orbits) * group.order)
         self.section = tuple(orb[0] for orb in self.free_orbits)
         self._at_section = perms.gather(self.section)
         # position[pt] is pt's place in this layout, fixed points then
         # orbits, so a free point pt = g . section[i] has
         # divmod(position[pt] - len(fixed_points), |G|) = (i, g);
         # equivariant_perm lists images in this layout, and the gather
-        # puts them back in point order
-        self.position = perms.inverse(points)
-        self._to_point_order = perms.gather(self.position)
+        # puts them back in point order.  n points in 0..n-1, none placed
+        # twice, are all of 0..n-1.
+        self.position = position = [None] * n
+        for i, pt in enumerate(chain(self.fixed_points, *self.free_orbits)):
+            if not 0 <= pt < n or position[pt] is not None:
+                raise ActionError(
+                    "orbits and fixed points overlap or leave gaps")
+            position[pt] = i
+        self._to_point_order = perms.gather(position)
 
     def decompose(self, p):
         """Split an equivariant permutation into fixed part, orbit permutation

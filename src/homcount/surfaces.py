@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
-from . import perms
-from .groups import (GroupError, automorphisms, conjugation_rows,
+from .groups import (GroupError, automorphism_group, automorphisms,
+                     close_under_product, conjugation_rows, coset_min_reps,
                      subgroup_membership_masks)
 from .counting import WorkBoundExceeded, DEFAULT_LIMITS, quotient_count
 from .textformat import content_lines, keyword_int
@@ -416,19 +416,16 @@ class OrbitReport:
 
 
 class AutTables:
-    """Aut(G) as indices into automorphisms(G), with what the orbit walk
-    needs: inverses, the inner automorphisms, and for each element x the
-    automorphisms sending x to its least image (at most 8 of 120 for A5
-    when x is not the identity)."""
+    """What the orbit walk needs of Aut(G), with automorphisms as ids of the
+    group automorphism_group(G) gives: the maps, the inner automorphisms,
+    and for each element x the automorphisms sending x to its least image
+    (at most 8 of 120 for A5 when x is not the identity)."""
 
     def __init__(self, G):
-        self.auts = auts = automorphisms(G)
-        self.index = {phi: k for k, phi in enumerate(auts)}
-        self.identity = self.index[tuple(G.elements())]
-        self.inverse = [self.index[perms.inverse(phi)] for phi in auts]
-        self.inner = sorted({self.index[row]
-                             for row in G.cached(conjugation_rows)})
-        self.candidates = []    # x -> (indices, automorphisms)
+        self.auts = auts = automorphism_group(G)[1]
+        inner = set(G.cached(conjugation_rows))
+        self.inner = [k for k, phi in enumerate(auts) if phi in inner]
+        self.candidates = []    # x -> (ids, automorphisms)
         for x in G.elements():
             least = min(phi[x] for phi in auts)
             ks = [k for k, phi in enumerate(auts) if phi[x] == least]
@@ -438,12 +435,8 @@ class AutTables:
         """auts[k] applied to each entry of tup."""
         return tuple(map(self.auts[k].__getitem__, tup))
 
-    def compose(self, i, j):
-        """The index of auts[i] after auts[j]."""
-        return self.index[self.image(i, self.auts[j])]
-
     def canonical(self, tup):
-        """(r, k): the least image r of tup under Aut(G) and the least index
+        """(r, k): the least image r of tup under Aut(G) and the least id
         k with auts[k](tup) == r.  The least image fixes the leading
         identity entries and sends the first other entry x to its least
         image, so only x's candidates compete; a tuple of identities is its
@@ -452,40 +445,11 @@ class AutTables:
             if x:
                 break
         else:
-            return tup, self.identity
+            return tup, 0
         ks, phis = self.candidates[x]
         images = list(map(itemgetter(*tup), phis))  # 2g >= 2 entries: tuples
         least = min(images)
         return least, ks[images.index(least)]
-
-    def subgroup(self, elements):
-        """The subgroup the indices generate, closed again only when an
-        element falls outside it; stops early once it is all of Aut(G)."""
-        group, gens = {self.identity}, []
-        for k in elements:
-            if len(group) == len(self.auts):
-                break
-            if k in group:
-                continue
-            gens.append(k)
-            frontier = list(group)
-            while frontier:
-                a = frontier.pop()
-                for b in gens:
-                    c = self.compose(a, b)
-                    if c not in group:
-                        group.add(c)
-                        frontier.append(c)
-        return group
-
-    def inner_cosets(self, group):
-        """One element of each coset of Inn(G) that the subgroup meets."""
-        reps, covered = [], set()
-        for k in sorted(group):
-            if k not in covered:
-                reps.append(k)
-                covered.update(self.compose(k, i) for i in self.inner)
-        return reps
 
 
 # Why the class walk is exact.
@@ -560,10 +524,13 @@ def orbit_report(seeds, G, g, ext=None, limits=DEFAULT_LIMITS):
     _check_genus(g, MAX_GENUS)
     gens = standard_generators(g)
     aut = G.cached(AutTables)
+    # A.mul(a, b) applies a, then b: the map b o a of the comment above
+    A = automorphism_group(G)[0]
     surjective = generation_test(G)
     mul, inv = _column_ops(G)
     if ext is not None:
         cover_mul, cover_inv = _column_ops(ext.cover)
+        inner_rep = coset_min_reps(A, aut.inner)
         lift = [ext.lifts[x][0] for x in G.elements()].__getitem__
 
     known = {}          # class -> [(row, psi_r)] over the orbits so far
@@ -578,7 +545,7 @@ def orbit_report(seeds, G, g, ext=None, limits=DEFAULT_LIMITS):
         if not surface_relation_holds(G, seed):
             raise SurfaceError("seed violates the surface relation")
         rep, chi = aut.canonical(seed)
-        if any(aut.compose(aut.inverse[chi], psi) in stabilizers[i]
+        if any(A.mul(psi, A.inv(chi)) in stabilizers[i]
                for i, psi in known.get(rep, ())):
             continue
         room = limits.max_states - visited
@@ -605,10 +572,9 @@ def orbit_report(seeds, G, g, ext=None, limits=DEFAULT_LIMITS):
                         records.append((nxt, chi))
                     elif records[j][1] != chi:
                         twists.add((records[j][1], chi))
-        stab = [k for k in range(len(aut.auts))
-                if aut.image(k, seed) == seed]
-        S = aut.subgroup(chain(stab, (aut.compose(aut.inverse[psi], chi)
-                                      for psi, chi in twists)))
+        stab = [k for k in A.elements() if aut.image(k, seed) == seed]
+        S = close_under_product(A, chain(stab, (A.mul(chi, A.inv(psi))
+                                                for psi, chi in twists)))
         size = len(records) * len(S) // len(stab)
         if size > room:
             raise WorkBoundExceeded("orbit memory bound hit")
@@ -619,10 +585,11 @@ def orbit_report(seeds, G, g, ext=None, limits=DEFAULT_LIMITS):
         if ext is not None and surj:
             # schur_invariant(u, G, ext) for one u per Inn-class of the
             # surjective tuples of the orbit, as one relator over columns of
-            # first lifts to the cover
-            cosets = aut.inner_cosets(S)
+            # first lifts to the cover; w is the least member of S in each
+            # coset of Inn(G) that S meets
+            cosets = {inner_rep[w]: w for w in reversed(S)}
             us = [aut.image(w, t) for t, _ in records if surjective(t)
-                  for w in cosets]
+                  for w in cosets.values()]
             values = relator([list(map(lift, col)) for col in zip(*us)],
                              cover_mul, cover_inv, [0] * len(us))
             for u, acc in zip(us, values):
@@ -633,7 +600,7 @@ def orbit_report(seeds, G, g, ext=None, limits=DEFAULT_LIMITS):
         for r, j in classes.items():
             known.setdefault(r, []).append((len(rows), records[j][1]))
         stabilizers.append(S)
-        rows.append(OrbitRow(size, sch, surj, len(S) == len(aut.auts), seed))
+        rows.append(OrbitRow(size, sch, surj, len(S) == A.order, seed))
     return OrbitReport(g, rows, visited)
 
 

@@ -95,15 +95,17 @@ def _build_alphabet(gamma):
     # the codes upward finds them, each led by its least pair: (0, r_j) for
     # each orbit j, then for each orbit i, (r_i, 0) and (r_i, k . r_j) for
     # each orbit j and each k; member g of an orbit is g times that pair,
-    # where g . (h . r_j) = (g h) . r_j is symbol r_j + g h
+    # where g . (h . r_j) = (g h) . r_j is symbol r_j + g h.  Each orbit is
+    # a tuple, which GSetAction keeps without a copy.
     reps = [zal.section_rep(j) for j in range(11)]
     columns = list(zip(*gamma.rows))        # column k lists g k for each g
-    pair_orbits = [[r + g for g in gamma.elements()] for r in reps]
+    pair_orbits = [tuple(range(r, r + q)) for r in reps]
     for ri in reps:
-        firsts = [(ri + g) * A for g in gamma.elements()]
+        firsts = tuple(range(ri * A, (ri + q) * A, A))
         pair_orbits.append(firsts)
         for rj in reps:
-            pair_orbits += [[x + rj + gk for x, gk in zip(firsts, column)]
+            pair_orbits += [tuple([x + rj + gk
+                                   for x, gk in zip(firsts, column)])
                             for column in columns]
     zal.square_action = GSetAction(gamma, [0], pair_orbits)
     # the free orbits of scratch pairs, the last |Gamma|, which
@@ -154,6 +156,8 @@ def extend_to_rubik(partial, zal):
     for src, dst in partial.items():
         if src == dst == 0:
             continue
+        if src == 0 or dst == 0:
+            raise ZsatError("partial gate moves the zombie pair")
         i, g = divmod(position[src] - 1, q)
         j, h = divmod(position[dst] - 1, q)
         want = G.mul(G.inv(g), h)

@@ -7,7 +7,8 @@ import pytest
 
 from homcount import groups, perms
 from homcount.groups import (FiniteGroup, GroupError, _hom_from_gen_images,
-                             as_group, automorphisms, close_under_product,
+                             as_group, automorphism_group, automorphisms,
+                             close_under_product,
                              derived_subgroup, find_isomorphism, load_group,
                              parse_group_text, quotient_by_normal,
                              right_coset_reps, subgroup_lattice,
@@ -576,6 +577,38 @@ def test_automorphism_counts(z4, s3, a5):
         for _ in range(50):
             a, b = rng.randrange(60), rng.randrange(60)
             assert phi[a5.mul(a, b)] == a5.mul(phi[a], phi[b])
+
+
+def test_automorphism_group(s3, a4, s4, sl23, a5, sl25_ext):
+    for G in (s3, a4, s4, sl23, a5, sl25_ext.cover):
+        A, maps = automorphism_group(G)
+        assert automorphism_group(G)[0] is A
+        assert A.order == len(maps) == len(automorphisms(G))
+        one = tuple(G.elements())
+        assert maps == [one] + [phi for phi in automorphisms(G) if phi != one]
+        # a * b applies a, then b, composed here entry by entry
+        for a, phi in enumerate(maps):
+            for b, psi in enumerate(maps):
+                assert maps[A.mul(a, b)] == tuple(psi[x] for x in phi)
+        A.check()
+    A = automorphism_group(a5)[0]
+    s5 = FiniteGroup.from_perm_gens("S5", [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
+    assert find_isomorphism(A, s5) is not None
+    assert len(A.cached(derived_subgroup)) == 60
+
+
+def test_automorphism_group_order_bound():
+    # Aut(Z2^4) = GL(4, 2) has 20160 elements, too many for a table
+    z2_4 = FiniteGroup("Z2^4", [a ^ b for a in range(16) for b in range(16)])
+    with pytest.raises(GroupError, match="past the group order bound"):
+        automorphism_group(z2_4)
+
+
+def test_closure_stops_reading_seeds_once_full(s3):
+    gens = s3.generator_data()[0]
+    seeds = iter(gens + [1, 2, 3])
+    assert close_under_product(s3, seeds) == tuple(s3.elements())
+    assert list(seeds) == [1, 2, 3]
 
 
 def test_commutators_and_abelianization(z4, s3, a5):

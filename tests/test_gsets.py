@@ -4,8 +4,9 @@ from math import factorial
 import pytest
 
 from homcount import perms
-from homcount.groups import (FiniteGroup, GroupError, close_under_product,
-                             derived_subgroup, quotient_by_normal)
+from homcount.groups import (FiniteGroup, GroupError, automorphism_group,
+                             close_under_product, derived_subgroup,
+                             quotient_by_normal)
 from homcount.gsets import (ActionError, GSetAction, equivariant_perm,
                             goursat_decompose, make_free_action,
                             rubik_generators, rubik_membership, rubik_order,
@@ -18,12 +19,18 @@ def test_action_axioms(z3):
     act = make_free_action(z3, 2, n_fixed=1)
     assert act.fixed_points == [0]
     assert len(act.free_orbits) == 2
-    # overlapping orbits, or an orbit of the wrong size, do not partition
-    # the points into fixed points and free orbits
-    with pytest.raises(ActionError):
-        GSetAction(z3, [0], [(1, 2, 3), (3, 4, 5)])
-    with pytest.raises(ActionError):
-        GSetAction(z3, [0], [(1, 2, 3), (4, 5)])
+    # none of these partitions the points 0..n-1 into fixed points and
+    # free orbits
+    for fixed, orbits in [
+            ([0], [(1, 2, 3), (3, 4, 5)]),  # overlapping orbits
+            ([0], [(1, 2, 3), (4, 5)]),     # an orbit of the wrong size
+            ([0, 2], [(1, 2, 3)]),          # a point twice
+            ([0], [(1, 2, 4)]),             # a gap at 3
+            ([-1], [(1, 2, 3)]),            # a negative point, 0 missing
+            ([0], [(1, 2, 3), (4, 5, 7)]),  # past the last point, 6 missing
+            ([4], [(0, 1, 2)])]:            # past the last point, 3 missing
+        with pytest.raises(ActionError):
+            GSetAction(z3, fixed, orbits)
 
 
 def table_orbits(act):
@@ -304,6 +311,17 @@ def test_surjectivity_report(z2, z3, s3):
     gens = [g for g in rubik_generators(act)][:5]   # orbit 3-cycles only
     rep = rubik_surjectivity_check(gens, act)
     assert not rep.two_transitive
+
+
+def test_surjectivity_report_over_aut(s3):
+    # Gamma = Aut(S3), isomorphic to S3, gives S3's report
+    aut = automorphism_group(s3)[0]
+    reports = []
+    for gamma in (s3, aut):
+        act = make_free_action(gamma, 7)
+        reports.append(rubik_surjectivity_check(rubik_generators(act), act))
+    assert reports[0] == reports[1]
+    assert reports[1].order_match and reports[1].gamma_order == 6
 
 
 def two_transitive_oracle(gens, act):

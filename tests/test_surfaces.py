@@ -4,8 +4,9 @@ from itertools import product
 import pytest
 
 from homcount import perms, surfaces
-from homcount.groups import (FiniteGroup, GroupError, automorphisms,
-                             close_under_product, subgroup_membership_masks)
+from homcount.groups import (FiniteGroup, GroupError, automorphism_group,
+                             automorphisms, close_under_product,
+                             subgroup_membership_masks)
 from homcount.surfaces import (AutTables, HeegaardGluing, MCGGenerator,
                                OrbitReport, OrbitRow, RepSampler, SurfaceError,
                                _check_genus, _column_ops, commutator_solutions,
@@ -309,11 +310,14 @@ def test_canonical_form_is_least_aut_image(a5):
         r, k = aut.canonical(t)
         assert r == min(tuple(phi[x] for x in t) for phi in aut.auts)
         assert aut.image(k, t) == r
-    for k in range(len(aut.auts)):
-        assert aut.compose(k, aut.inverse[k]) == aut.identity
-    assert len(aut.inner) == 60 and len(aut.auts) == 120
+    A, maps = automorphism_group(a5)
+    assert maps is aut.auts and maps[0] == tuple(a5.elements())
+    for k in A.elements():
+        assert A.mul(k, A.inv(k)) == 0
+    assert len(aut.inner) == 60 and A.order == 120
+    index = {phi: k for k, phi in enumerate(maps)}
     assert aut.inner == sorted(
-        {aut.index[tuple(a5.mul(a5.mul(a, x), a5.inv(a)) for x in a5.elements())]
+        {index[tuple(a5.mul(a5.mul(a, x), a5.inv(a)) for x in a5.elements())]
          for a in a5.elements()})
 
 

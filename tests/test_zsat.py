@@ -280,6 +280,13 @@ def test_extension_needs_scratch(z2):
         extend_to_rubik(partial, zal)
 
 
+@pytest.mark.parametrize("partial", [{0: 5}, {5: 0}])
+def test_extension_refuses_moving_the_zombie_pair(z2, partial):
+    # the zombie pair 0 is the squared action's one fixed point
+    with pytest.raises(ZsatError, match="moves the zombie pair"):
+        extend_to_rubik(partial, ZAlphabet(z2))
+
+
 def test_table_bridge(z2):
     zal = ZAlphabet(z2)
     and2 = BooleanCircuit(2, [("AND", (0, 1), (2,))], 2)

@@ -22,8 +22,9 @@ heegaard-count of the homology sphere and of a genus-2 gluing with
 surjections over both, invert-lattice of the Poincare sphere and of the
 7-vertex torus complex over D4 and Q8 given as tables, goursat on A5 x A5,
 rubik-check over Z3, S3 and A5 at 7 and 9 orbits and over Z2 at 8, text
-and --json, orbit over S3 at genus 2 and 3 and over A5 at genus 2 with
-the SL(2,5) extension, and heegaard-count of the lens space
+and --json, orbit over S3 at genus 2 and 3, over A5 at genus 2 with
+the SL(2,5) extension and over SL(2,5) at genus 2, text and --json, and
+heegaard-count of the lens space
 over S3 and A5, of the homology sphere over S3, SL(2,5) and A5 (there
 also at --max-enumeration 3599 and 3600) and of a genus-3 gluing over S3,
 dp-count of the projective plane and the sphere over S3 and A5, which
@@ -204,6 +205,11 @@ def main(checkout):
              "--orbit-seeds", "4"])
         run(["orbit", "--group", "a5.grp", "--extension", "sl25-ext.ext",
              "--genus", "2", "--orbit-seeds", "3"])
+        # Aut(SL(2,5)) of order 120 on 120 element ids
+        argv = ["--max-states", "3000000", "orbit", "--group", "sl25.grp",
+                "--genus", "2", "--orbit-seeds", "2"]
+        run(argv)
+        run(["--json"] + argv)
         # Heegaard counts, and the budget |G|^g = 3600 of A5 at genus 2
         with open("genus3.glu", "w") as fh:
             fh.write("genus 3\nword tb1 tb1 tb2 tb2 tb2 chain2 tb3 swap2\n")
