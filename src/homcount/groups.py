@@ -118,7 +118,8 @@ class FiniteGroup:
             # row x gathered at row s gives y -> x (s y)
             gather = itemgetter(*rows[s])
             for x, row in enumerate(rows):
-                xs = rows[row[s]]
+                # tuple() copies only a row that is a view, as Aut(G)'s are
+                xs = tuple(rows[row[s]])
                 if xs != gather(row):
                     y = next(y for y in range(n) if xs[y] != row[rows[s][y]])
                     raise GroupError(
@@ -484,8 +485,8 @@ def _automorphisms(G):
 
     Maps are bytes, so that composing and checking are C-level translates;
     that needs ids below 256, which automorphisms' order bound ensures.
-    _automorphism_group builds Aut(G)'s table by the same translates, so
-    lifting the bound past 256 means replacing the gathers of both.
+    AutomorphismGroup multiplies by the same translates, so lifting the
+    bound past 256 means replacing the gathers of both.
     """
     pad = bytes(256 - G.order)
     inner = {bytes(row) + pad for row in G.cached(conjugation_rows)}
@@ -508,25 +509,41 @@ def _automorphisms(G):
 
 
 def automorphism_group(G):
-    """(A, maps): Aut(G) as a FiniteGroup whose id k is the map maps[k],
-    id 0 the identity map and the others in the order of automorphisms(G);
-    a * b applies a, then b.  Built once per group."""
-    return G.cached(_automorphism_group)
+    """Aut(G) as an AutomorphismGroup, built once per group."""
+    return G.cached(AutomorphismGroup)
 
 
-def _automorphism_group(G):
-    """maps[a] translated through maps[b] is b after a, looked up by its
-    bytes; like _automorphisms, this needs ids below 256."""
-    one = tuple(G.elements())
-    maps = [one] + [phi for phi in automorphisms(G) if phi != one]
-    if len(maps) > MAX_GROUP_ORDER:
-        raise GroupError("Aut(%s) has order %d, past the group order bound %d"
-                         % (G.name, len(maps), MAX_GROUP_ORDER))
-    images = [bytes(phi) for phi in maps]
-    index = {phi: k for k, phi in enumerate(images)}
-    tables = [phi + bytes(256 - G.order) for phi in images]
-    table = [index[phi.translate(t)] for phi in images for t in tables]
-    return FiniteGroup("Aut(%s)" % G.name, table), maps
+class _ProductRow:
+    """Row a of an AutomorphismGroup; it iterates like a tuple."""
+    __slots__ = ("table", "tables", "index")
+
+    def __init__(self, table, tables, index):
+        self.table, self.tables, self.index = table, tables, index
+
+    def __getitem__(self, b):
+        # b after a: a's padded bytes translated through b's, which keep
+        # the padding 0, since every automorphism fixes the identity 0
+        return self.index[self.table.translate(self.tables[b])]
+
+
+class AutomorphismGroup(FiniteGroup):
+    """Aut(G) as a FiniteGroup whose id k is the map maps[k], id 0 the
+    identity map and the others in the order of automorphisms(G); a * b
+    applies a, then b."""
+
+    def __init__(self, G):
+        # a stable sort on "is not the identity" moves the identity first
+        self.maps = sorted(automorphisms(G), key=tuple(G.elements()).__ne__)
+        # |Aut(G)| reaches 20160 (GL(4, 2) for Z2^4), too many for an
+        # |Aut|^2 table, so each row reads its products off the maps when
+        # asked, by translates as in _automorphisms: ids below 256
+        pad = bytes(256 - G.order)
+        tables = [bytes(phi) + pad for phi in self.maps]
+        index = {t: k for k, t in enumerate(tables)}
+        self.name, self.order = "Aut(%s)" % G.name, len(tables)
+        self._memo = {}
+        self.rows = [_ProductRow(t, tables, index) for t in tables]
+        self._inv = [index[bytes(perms.inverse(f)) + pad] for f in self.maps]
 
 
 # -- stem extensions -------------------------------------------------------------

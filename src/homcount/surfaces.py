@@ -416,13 +416,12 @@ class OrbitReport:
 
 
 class AutTables:
-    """What the orbit walk needs of Aut(G), with automorphisms as ids of the
-    group automorphism_group(G) gives: the maps, the inner automorphisms,
-    and for each element x the automorphisms sending x to its least image
-    (at most 8 of 120 for A5 when x is not the identity)."""
+    """What the orbit walk needs of Aut(G) beyond automorphism_group(G): the
+    ids of the inner automorphisms, and for each element x those sending x
+    to its least image (at most 8 of 120 for A5 when x is not 0)."""
 
     def __init__(self, G):
-        self.auts = auts = automorphism_group(G)[1]
+        self.auts = auts = automorphism_group(G).maps
         inner = set(G.cached(conjugation_rows))
         self.inner = [k for k, phi in enumerate(auts) if phi in inner]
         self.candidates = []    # x -> (ids, automorphisms)
@@ -525,7 +524,7 @@ def orbit_report(seeds, G, g, ext=None, limits=DEFAULT_LIMITS):
     gens = standard_generators(g)
     aut = G.cached(AutTables)
     # A.mul(a, b) applies a, then b: the map b o a of the comment above
-    A = automorphism_group(G)[0]
+    A = automorphism_group(G)
     surjective = generation_test(G)
     mul, inv = _column_ops(G)
     if ext is not None:
@@ -534,7 +533,7 @@ def orbit_report(seeds, G, g, ext=None, limits=DEFAULT_LIMITS):
         lift = [ext.lifts[x][0] for x in G.elements()].__getitem__
 
     known = {}          # class -> [(row, psi_r)] over the orbits so far
-    stabilizers = []    # S of each row's orbit
+    stabilizers = []    # S of each row's orbit, as a set
     visited = 0
     rows = []
     for seed in seeds:
@@ -599,7 +598,7 @@ def orbit_report(seeds, G, g, ext=None, limits=DEFAULT_LIMITS):
                 raise SurfaceError("orbit mixes Schur classes")
         for r, j in classes.items():
             known.setdefault(r, []).append((len(rows), records[j][1]))
-        stabilizers.append(S)
+        stabilizers.append(frozenset(S))
         rows.append(OrbitRow(size, sch, surj, len(S) == A.order, seed))
     return OrbitReport(g, rows, visited)
 

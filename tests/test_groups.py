@@ -581,8 +581,9 @@ def test_automorphism_counts(z4, s3, a5):
 
 def test_automorphism_group(s3, a4, s4, sl23, a5, sl25_ext):
     for G in (s3, a4, s4, sl23, a5, sl25_ext.cover):
-        A, maps = automorphism_group(G)
-        assert automorphism_group(G)[0] is A
+        A = automorphism_group(G)
+        maps = A.maps
+        assert automorphism_group(G) is A
         assert A.order == len(maps) == len(automorphisms(G))
         one = tuple(G.elements())
         assert maps == [one] + [phi for phi in automorphisms(G) if phi != one]
@@ -590,18 +591,29 @@ def test_automorphism_group(s3, a4, s4, sl23, a5, sl25_ext):
         for a, phi in enumerate(maps):
             for b, psi in enumerate(maps):
                 assert maps[A.mul(a, b)] == tuple(psi[x] for x in phi)
+            assert tuple(maps[A.inv(a)][y] for y in phi) == one
         A.check()
-    A = automorphism_group(a5)[0]
+    A = automorphism_group(a5)
     s5 = FiniteGroup.from_perm_gens("S5", [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
     assert find_isomorphism(A, s5) is not None
     assert len(A.cached(derived_subgroup)) == 60
 
 
-def test_automorphism_group_order_bound():
-    # Aut(Z2^4) = GL(4, 2) has 20160 elements, too many for a table
+def test_automorphism_group_past_a_table():
+    # Aut(Z2^4) = GL(4, 2) has 20160 elements, 4 * 10^8 products in a table
     z2_4 = FiniteGroup("Z2^4", [a ^ b for a in range(16) for b in range(16)])
-    with pytest.raises(GroupError, match="past the group order bound"):
-        automorphism_group(z2_4)
+    A = automorphism_group(z2_4)
+    maps = A.maps
+    assert A.order == len(maps) == 20160
+    one = tuple(z2_4.elements())
+    rng = random.Random(8)
+    for _ in range(200):
+        a, b = rng.randrange(A.order), rng.randrange(A.order)
+        assert maps[A.mul(a, b)] == tuple(maps[b][x] for x in maps[a])
+        assert tuple(maps[A.inv(a)][y] for y in maps[a]) == one
+    seeds = iter(A.elements())
+    assert close_under_product(A, seeds) == tuple(A.elements())
+    assert next(seeds) < A.order - 1
 
 
 def test_closure_stops_reading_seeds_once_full(s3):

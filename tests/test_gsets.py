@@ -315,7 +315,7 @@ def test_surjectivity_report(z2, z3, s3):
 
 def test_surjectivity_report_over_aut(s3):
     # Gamma = Aut(S3), isomorphic to S3, gives S3's report
-    aut = automorphism_group(s3)[0]
+    aut = automorphism_group(s3)
     reports = []
     for gamma in (s3, aut):
         act = make_free_action(gamma, 7)

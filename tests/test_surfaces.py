@@ -310,15 +310,33 @@ def test_canonical_form_is_least_aut_image(a5):
         r, k = aut.canonical(t)
         assert r == min(tuple(phi[x] for x in t) for phi in aut.auts)
         assert aut.image(k, t) == r
-    A, maps = automorphism_group(a5)
+    A = automorphism_group(a5)
+    maps = A.maps
     assert maps is aut.auts and maps[0] == tuple(a5.elements())
     for k in A.elements():
+        # inverses against composition entry by entry, and against products
+        assert tuple(maps[A.inv(k)][y] for y in maps[k]) == maps[0]
         assert A.mul(k, A.inv(k)) == 0
     assert len(aut.inner) == 60 and A.order == 120
     index = {phi: k for k, phi in enumerate(maps)}
     assert aut.inner == sorted(
         {index[tuple(a5.mul(a5.mul(a, x), a5.inv(a)) for x in a5.elements())]
          for a in a5.elements()})
+
+
+def test_orbit_report_with_aut_past_a_table():
+    # Aut(Z2^4) = GL(4, 2) of order 20160: the orbit walk closes S without
+    # an |Aut|^2 table, and its reports are those the tuple walk gives
+    z2_4 = FiniteGroup("Z2^4", [a ^ b for a in range(16) for b in range(16)])
+    for seeds, g, visited, rows in [
+            ([(1, 2), (3, 0), (0, 0)], 1, 10,
+             [(6, False, False), (3, False, False), (1, False, True)]),
+            ([(1, 2, 4, 8), (1, 2, 0, 0), (0, 5, 0, 0), (0, 0, 0, 0)], 2, 856,
+             [(720, True, False), (120, False, False), (15, False, False),
+              (1, False, True)])]:
+        rep = assert_matches_tuple_walk(seeds, z2_4, g)
+        assert rep.visited == visited
+        assert [(r.size, r.surjective, r.aut_closed) for r in rep.rows] == rows
 
 
 def test_orbit_classes_match_tuple_walk_non_surjective(a5, sl25_ext):

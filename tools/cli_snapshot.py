@@ -23,7 +23,8 @@ surjections over both, invert-lattice of the Poincare sphere and of the
 7-vertex torus complex over D4 and Q8 given as tables, goursat on A5 x A5,
 rubik-check over Z3, S3 and A5 at 7 and 9 orbits and over Z2 at 8, text
 and --json, orbit over S3 at genus 2 and 3, over A5 at genus 2 with
-the SL(2,5) extension and over SL(2,5) at genus 2, text and --json, and
+the SL(2,5) extension, over SL(2,5) at genus 2 and over Z2^4 (whose
+Aut(G) has order 20160) at genus 1, text and --json, and
 heegaard-count of the lens space
 over S3 and A5, of the homology sphere over S3, SL(2,5) and A5 (there
 also at --max-enumeration 3599 and 3600) and of a genus-3 gluing over S3,
@@ -208,6 +209,12 @@ def main(checkout):
         # Aut(SL(2,5)) of order 120 on 120 element ids
         argv = ["--max-states", "3000000", "orbit", "--group", "sl25.grp",
                 "--genus", "2", "--orbit-seeds", "2"]
+        run(argv)
+        run(["--json"] + argv)
+        # Aut(Z2^4) = GL(4, 2), of order 20160
+        write_table("z2_4.grp", "Z2^4", range(16), lambda a, b: a ^ b)
+        argv = ["orbit", "--group", "z2_4.grp", "--genus", "1",
+                "--orbit-seeds", "2"]
         run(argv)
         run(["--json"] + argv)
         # Heegaard counts, and the budget |G|^g = 3600 of A5 at genus 2
