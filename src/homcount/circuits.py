@@ -116,6 +116,14 @@ def encode_word(word, q):
     return acc
 
 
+def check_word(word, q, width, error):
+    """Raise error unless word is width symbols of range(q)."""
+    if len(word) != width:
+        raise error("word width mismatch")
+    if any(not (0 <= x < q) for x in word):
+        raise error("symbol out of alphabet")
+
+
 def apply_gates(q, gates, word):
     """The image of a word over range(q) under gates applied in order, as a
     list.  A gate is (wires, perm), with perm a permutation of the base-q
@@ -290,10 +298,7 @@ class RsatIF:
         self.gates.append((wires, perm))
 
     def eval(self, word):
-        if len(word) != self.width:
-            raise CircuitError("word width mismatch")
-        if any(not (0 <= x < self.q) for x in word):
-            raise CircuitError("symbol out of alphabet")
+        check_word(word, self.q, self.width, CircuitError)
         return tuple(apply_gates(self.q, self.gates, word))
 
     def inverse(self):

@@ -4,18 +4,19 @@ squared action, and exact counting.
 
 The alphabet has one fixed point z, free orbits elsewhere, invariant
 initialization and finalization sets of two orbits each, a warning alphabet
-with two distinguished orbits, and a scratch orbit whose pairs repair parity
-and anti-diagonal defects when extending partial gates.
+with two distinguished orbits, and a scratch orbit whose pairs repair the
+parity of a lifted gate.  A gate is lifted as an orbit map on the squared
+action, every component trivial, and extend_to_rubik completes it.
 """
 
 import itertools
 from dataclasses import dataclass
 from . import perms
-from .groups import derived_subgroup
 from .gsets import (GSetAction, equivariant_perm, rubik_coordinates,
                     rubik_membership)
 from .counting import DEFAULT_LIMITS
-from .circuits import RsatIF, apply_gates, count_accepted, encode_word
+from .circuits import (RsatIF, apply_gates, check_word, count_accepted,
+                       encode_word)
 
 
 class ZsatError(ValueError):
@@ -41,7 +42,9 @@ class ZAlphabet:
     2|Gamma| and I != F; the warning alphabet misses I u F and the zombie
     and has |I u F| + 2|Gamma| symbols; |A| = 11|Gamma| + 1 =
     2|I u F| + 3|Gamma| + 1; and the scratch pairs form |Gamma| >= 2 free
-    orbits of the squared action, the two that extend_to_rubik needs.
+    orbits of the squared action, two of which extend_to_rubik swaps to
+    even a lifted gate's parity.  pair_orbit numbers all of its free
+    orbits, and gates reach extend_to_rubik as maps between those numbers.
 
     There is one alphabet per Gamma: ZAlphabet(gamma) is built on first
     use and kept in gamma.cached, and every later call returns that object
@@ -54,18 +57,18 @@ class ZAlphabet:
 
     # -- orbit bookkeeping ------------------------------------------------------
 
-    def offset_of(self, a):
-        """The g with a = g . section_rep(orbit of a)."""
-        if a == 0:
-            raise ZsatError("zombie has no orbit offset")
-        return (a - 1) % self.gamma.order
-
     def section_rep(self, orbit):
         return 1 + orbit * self.gamma.order
 
-    def aligned(self, a, b):
-        """Data symbols are aligned when their section offsets agree."""
-        return self.offset_of(a) == self.offset_of(b)
+    def pair_orbit(self, i, j, k=0):
+        """The number of the squared action's orbit through (r_i, k . r_j),
+        None standing for the zombie: first (z, r_j) for each orbit j, then
+        for each orbit i, (r_i, z) and (r_i, k . r_j) for each j and k, the
+        order in which an upward scan of the pair codes meets them."""
+        if i is None:
+            return j
+        first = 11 + i * (11 * self.gamma.order + 1)
+        return first if j is None else first + 1 + j * self.gamma.order + k
 
     def data_quotient(self):
         """The quotient alphabet (I u F)/Gamma with its init/final parts,
@@ -90,28 +93,27 @@ def _build_alphabet(gamma):
     zal.z1 = zal.warning[0]
     zal.z2 = zal.warning[q]
     zal.scratch = orbits(10, 11)
-    # the diagonal action on ordered pairs of symbols, with pair encoding
-    # (a, b) -> a*|A| + b, lists its free orbits in the order a scan of
-    # the codes upward finds them, each led by its least pair: (0, r_j) for
-    # each orbit j, then for each orbit i, (r_i, 0) and (r_i, k . r_j) for
-    # each orbit j and each k; member g of an orbit is g times that pair,
-    # where g . (h . r_j) = (g h) . r_j is symbol r_j + g h.  Each orbit is
-    # a tuple, which GSetAction keeps without a copy.
+    # the free orbits of the diagonal action on ordered pairs of symbols,
+    # pair (a, b) encoded as a*|A| + b: orbit pair_orbit(i, j, k) lists
+    # g . (r_i, k . r_j) for each g, where g . (h . r_j) = (g h) . r_j is
+    # symbol r_j + g h.  Each orbit is a tuple, which GSetAction keeps
+    # without a copy.  The scratch pairs' orbits come last; extend_to_rubik
+    # keeps them for its parity repair.
+    zal.scratch_pair_orbits = tuple(zal.pair_orbit(10, 10, k)
+                                    for k in range(q))
+    pair_orbits = [None] * (zal.scratch_pair_orbits[-1] + 1)
     reps = [zal.section_rep(j) for j in range(11)]
     columns = list(zip(*gamma.rows))        # column k lists g k for each g
-    pair_orbits = [tuple(range(r, r + q)) for r in reps]
-    for ri in reps:
+    for j, rj in enumerate(reps):
+        pair_orbits[zal.pair_orbit(None, j)] = tuple(range(rj, rj + q))
+    for i, ri in enumerate(reps):
         firsts = tuple(range(ri * A, (ri + q) * A, A))
-        pair_orbits.append(firsts)
-        for rj in reps:
-            pair_orbits += [tuple([x + rj + gk
-                                   for x, gk in zip(firsts, column)])
-                            for column in columns]
+        pair_orbits[zal.pair_orbit(i, None)] = firsts
+        for j, rj in enumerate(reps):
+            for k, column in enumerate(columns):
+                pair_orbits[zal.pair_orbit(i, j, k)] = tuple(
+                    [x + rj + gk for x, gk in zip(firsts, column)])
     zal.square_action = GSetAction(gamma, [0], pair_orbits)
-    # the free orbits of scratch pairs, the last |Gamma|, which
-    # extend_to_rubik keeps for its parity and anti-diagonal repairs
-    n = len(pair_orbits)
-    zal.scratch_pair_orbits = tuple(range(n - q, n))
     return zal
 
 
@@ -122,6 +124,7 @@ class ZsatInstance:
     gates: list          # ((pos, pos + 1), permutation of A^2)
 
     def eval(self, word):
+        check_word(word, self.alphabet.size, self.width, ZsatError)
         return tuple(apply_gates(self.alphabet.size, self.gates, word))
 
     def count(self, limits=DEFAULT_LIMITS):
@@ -135,72 +138,36 @@ class ZsatInstance:
 # -- gate extension into the Rubik group -------------------------------------------
 
 
-def extend_to_rubik(partial, zal):
-    """Extend an equivariant partial injection on symbol pairs to a full
-    permutation in the Rubik group of the squared action.
-
-    partial maps pair codes to pair codes; it must cover at least one pair
-    of each orbit it moves, and pairs of one orbit must agree.  Unmatched
-    orbits are filled order-preservingly with trivial twists; parity is
-    repaired by swapping two scratch-pair orbits, and a product of the
-    components outside [Gamma, Gamma] by twisting a scratch-pair orbit.
+def extend_to_rubik(orbit_map, zal):
+    """Extend a partial injection on the squared action's free orbits,
+    numbered by ZAlphabet.pair_orbit and each sending its representative
+    pair onto the image's, to a permutation in the Rubik group.  Unmatched
+    orbits are filled in order, two scratch pair orbits are swapped if the
+    parity is odd, and every component is trivial, so in [Gamma, Gamma].
     """
     act = zal.square_action
-    G = zal.gamma
     n = len(act.free_orbits)
-    orbit_img = [None] * n
-    comps = [None] * n
-    # the zombie pair 0 is the one fixed point, at position 0, so pair x
-    # is offset g of orbit i for (i, g) = divmod(position[x] - 1, |Gamma|)
-    position, q = act.position, G.order
-    for src, dst in partial.items():
-        if src == dst == 0:
-            continue
-        if src == 0 or dst == 0:
-            raise ZsatError("partial gate moves the zombie pair")
-        i, g = divmod(position[src] - 1, q)
-        j, h = divmod(position[dst] - 1, q)
-        want = G.mul(G.inv(g), h)
-        if orbit_img[i] is None:
-            orbit_img[i] = j
-            comps[i] = want
-        elif orbit_img[i] != j or comps[i] != want:
-            raise ZsatError("partial gate is not equivariantly consistent")
-    scratch_pair_orbits = zal.scratch_pair_orbits
-    if len(scratch_pair_orbits) < 2:
-        raise ZsatError("fewer than 2 scratch pair orbits available")
-
-    used = {j for j in orbit_img if j is not None}
-    for i in scratch_pair_orbits:
-        if orbit_img[i] is not None or i in used:
-            raise ZsatError("partial gate touches the scratch orbits")
-        orbit_img[i] = i
-        comps[i] = 0
-        used.add(i)
-    free_src = [i for i in range(n) if orbit_img[i] is None]
+    scratch = zal.scratch_pair_orbits
+    named = set(orbit_map) | set(orbit_map.values())
+    if min(named, default=0) < 0 or max(named, default=0) >= n:
+        raise ZsatError("orbit map names an orbit outside 0..%d" % (n - 1))
+    if named & set(scratch):
+        raise ZsatError("orbit map touches the scratch orbits")
+    images = {**orbit_map, **{s: s for s in scratch}}
+    used = set(images.values())
+    free_src = [i for i in range(n) if i not in images]
     free_dst = [j for j in range(n) if j not in used]
     if len(free_src) != len(free_dst):
-        raise ZsatError("partial gate is not injective on orbits")
-    for i, j in zip(free_src, free_dst):
-        orbit_img[i] = j
-        comps[i] = 0
-
-    if perms.perm_parity(tuple(orbit_img)) == 1:
-        s1, s2 = scratch_pair_orbits[0], scratch_pair_orbits[1]
-        orbit_img[s1], orbit_img[s2] = orbit_img[s2], orbit_img[s1]
-
-    derived = G.cached(derived_subgroup)
-    defect = 0
-    for h in comps:
-        defect = G.mul(defect, h)
-    if defect not in derived:
-        fix = next(g for g in G.elements() if G.mul(defect, g) in derived)
-        s1 = scratch_pair_orbits[0]
-        comps[s1] = G.mul(comps[s1], fix)
-
-    if not rubik_coordinates(G, {}, orbit_img, comps):
+        raise ZsatError("orbit map is not injective")
+    images.update(zip(free_src, free_dst))
+    orbit_perm = [images[i] for i in range(n)]
+    if perms.perm_parity(orbit_perm) == 1:
+        s1, s2 = scratch[:2]
+        orbit_perm[s1], orbit_perm[s2] = orbit_perm[s2], orbit_perm[s1]
+    components = (0,) * n
+    if not rubik_coordinates(zal.gamma, {}, orbit_perm, components):
         raise ZsatError("extension failed the Rubik membership check")
-    return equivariant_perm(act, tuple(orbit_img), tuple(comps))
+    return equivariant_perm(act, tuple(orbit_perm), components)
 
 
 # -- compilation ----------------------------------------------------------------------
@@ -208,21 +175,16 @@ def extend_to_rubik(partial, zal):
 
 def compile_gate(gamma_gate, zal):
     """Lift a binary data-alphabet gate into the Rubik group of the squared
-    action: zombies are frozen, data pairs act componentwise through the
-    section, everything else is extended.  Each orbit is given through one
-    pair, (0, rep), (rep, 0) or (rep_x, g . rep_y)."""
-    A = zal.size
+    action: data pairs act componentwise through the section, so the orbit
+    of (r_x, k . r_y) goes to that of (r_bx, k . r_by), and zombies are
+    frozen: the data orbits are permuted among themselves, so the in-order
+    fill of extend_to_rubik fixes every other orbit."""
     data, _, _ = zal.data_quotient()
-    reps = [zal.section_rep(x) for x in data]
-    partial = {0: 0}
-    for a in reps:
-        partial[0 * A + a] = 0 * A + a
-        partial[a * A + 0] = a * A + 0
-    for xy, bxy in enumerate(gamma_gate):
-        (x, y), (bx, by) = divmod(xy, len(data)), divmod(bxy, len(data))
-        for g in zal.gamma.elements():
-            partial[reps[x] * A + reps[y] + g] = reps[bx] * A + reps[by] + g
-    return extend_to_rubik(partial, zal)
+    pairs = [(x, y) for x in data for y in data]    # in gate table order
+    orbit = zal.pair_orbit
+    return extend_to_rubik({orbit(*pairs[xy], k): orbit(*pairs[bxy], k)
+                            for xy, bxy in enumerate(gamma_gate)
+                            for k in zal.gamma.elements()}, zal)
 
 
 def postcomputation_gate(zal):
@@ -234,24 +196,23 @@ def postcomputation_gate(zal):
 
 
 def _warning_gate(gamma):
-    # each orbit is given through its pair whose first data symbol is a
-    # section representative
+    # z1 and z2 lead warning orbits 4 and 5, and beta, the order-preserving
+    # equivariant bijection from I u F onto the rest of the warning
+    # alphabet, sends data orbit x onto orbit 6 + x; a data pair
+    # (r_x, k . r_y) is aligned when k is the identity
     zal = ZAlphabet(gamma)
-    A = zal.size
-    q = zal.gamma.order
-    iu_f = zal.init + zal.final
-    # beta: order-preserving equivariant bijection from I u F onto the
-    # warning alphabet minus the two distinguished orbits
-    beta = zal.warning[2 * q:]
-    partial = {0: 0}
-    for i in range(0, len(iu_f), q):
-        a = iu_f[i]
+    data, _, _ = zal.data_quotient()
+    orbit = zal.pair_orbit
+    orbit_map = {}
+    for x in data:
         # alpha(z, a) = (z1, a); alpha(a, z) = (z2, a)
-        partial[0 * A + a] = zal.z1 * A + a
-        partial[a * A + 0] = zal.z2 * A + a
-        for b in iu_f:
-            partial[a * A + b] = (a if zal.aligned(a, b) else beta[i]) * A + b
-    return extend_to_rubik(partial, zal)
+        orbit_map[orbit(None, x)] = orbit(4, x)
+        orbit_map[orbit(x, None)] = orbit(5, x)
+        for y in data:
+            orbit_map[orbit(x, y)] = orbit(x, y)
+            for k in range(1, gamma.order):
+                orbit_map[orbit(x, y, k)] = orbit(6 + x, y, k)
+    return extend_to_rubik(orbit_map, zal)
 
 
 def compile_zsat(circuit, zal):

@@ -49,6 +49,13 @@ def symbol_rows(zal):
     return rows
 
 
+def aligned(zal, a, b):
+    """Data symbols are aligned when they sit at the same offset from their
+    orbits' section representatives."""
+    q = zal.gamma.order
+    return (a - 1) % q == (b - 1) % q
+
+
 def fixed_symbols(zal):
     rows = symbol_rows(zal)
     return [x for x in range(zal.size) if all(row[x] == x for row in rows)]
@@ -78,6 +85,16 @@ def test_pair_orbits_match_code_scan(z2, z3, s3, a4, a5):
         act = zal.square_action
         assert act.fixed_points == [0]
         assert act.free_orbits == scan_pair_orbits(zal)
+        # pair_orbit names the orbit each of its pairs leads
+        A, rows = zal.size, symbol_rows(zal)
+        reps = [zal.section_rep(i) for i in range(11)]
+        for i, ri in enumerate(reps):
+            assert act.free_orbits[zal.pair_orbit(None, i)][0] == ri
+            assert act.free_orbits[zal.pair_orbit(i, None)][0] == ri * A
+            for j, rj in enumerate(reps):
+                for k in gamma.elements():
+                    assert act.free_orbits[zal.pair_orbit(i, j, k)][0] \
+                        == ri * A + rows[k][rj]
         # the scratch pair orbits are the last |Gamma|
         q, n = gamma.order, len(act.free_orbits)
         assert n == 22 + 121 * q
@@ -109,15 +126,15 @@ def test_alphabet_action_layout(z2, z3, s3):
                     row[1 + orb * q + h] = 1 + orb * q + gamma.mul(g, h)
             want.append(row)
         assert symbol_rows(zal) == want
-        # the squared action agrees on the pairs (0, x), offset h of the
-        # orbit of (0, section_rep(orbit)), and offset_of reads h off x
+        # the squared action agrees on the pairs (0, x): x = h . r_j is
+        # offset h of the orbit of (0, r_j)
         act = zal.square_action
         for x in range(1, zal.size):
-            i, h = divmod(act.position[x] - 1, q)
-            assert act.free_orbits[i][0] == zal.section_rep((x - 1) // q)
-            assert zal.offset_of(x) == h
+            j, h = divmod(x - 1, q)
+            orbit = act.free_orbits[zal.pair_orbit(None, j)]
+            assert orbit[0] == zal.section_rep(j) and orbit[h] == x
             for g in gamma.elements():
-                assert act.free_orbits[i][gamma.mul(g, h)] == want[g][x]
+                assert orbit[gamma.mul(g, h)] == want[g][x]
 
 
 def test_alphabet_meets_the_paper_conditions(z2, z3, s3, a4):
@@ -131,10 +148,10 @@ def test_alphabet_meets_the_paper_conditions(z2, z3, s3, a4):
         assert len(zal.warning) == len(union) + 2 * q
         assert not set(zal.warning) & (union | {0})
         assert {zal.z1, zal.z2} <= set(zal.warning)
-        assert zal.offset_of(zal.z1) == zal.offset_of(zal.z2) == 0
+        assert (zal.z1, zal.z2) == (zal.section_rep(4), zal.section_rep(5))
         assert fixed_symbols(zal) == [zal.zombie] == [0]
         # the scratch pairs fill at least two free orbits of the squared
-        # action, for the parity and anti-diagonal repairs
+        # action, for the parity repair
         A = zal.size
         scratch = set(zal.scratch)
         scratch_orbits = [orb for orb in zal.square_action.free_orbits
@@ -145,8 +162,9 @@ def test_alphabet_meets_the_paper_conditions(z2, z3, s3, a4):
 
 
 # sha256 of repr(compile_zsat(...).gates) over two seeded predicate gates at
-# each width 2-5, and of repr(postcomputation_gate(zal)), per Gamma; taken
-# from the compiler that gave every pair of each orbit to extend_to_rubik
+# each width 2-5, and of repr(postcomputation_gate(zal)), per Gamma; Z2, Z3
+# and S3 taken from the compiler that gave every pair of each orbit to
+# extend_to_rubik, A4 from the one that gave one pair per orbit
 ZSAT_DIGESTS = {
     "Z2": ("34c964fb8081524013c156fd54f4471ef27e6d6236419ee5365f2aeafea92000",
            "4c84926c3320b434c4e9cdc9ead72d5afe8cca2a6d9e93cb7be0aab4a1854868"),
@@ -154,11 +172,13 @@ ZSAT_DIGESTS = {
            "94c248897d9dcd56553b40f226ad36075d7af40a0db74dfa441e352932e5aa63"),
     "S3": ("4b780d892a989b3a7b57c202c8f793727a59e779684a3428158f3f92a355efb8",
            "72828bfc693841fc0a407d297956c638a4d9b9022cb072bd35fb469cbb96c3f2"),
+    "A4": ("0b135da7c8b83edf861a31c6d89caf651476c2d9e92411e9a2d1e744dadf7263",
+           "9c3c474c51585bb6173fa9104389bf3043e520636ba6f86a0493b6879c5a406d"),
 }
 
 
-def test_zsat_gates_pinned(z2, z3, s3):
-    for gamma in (z2, z3, s3):
+def test_zsat_gates_pinned(z2, z3, s3, a4):
+    for gamma in (z2, z3, s3, a4):
         zal = ZAlphabet(gamma)
         rng = random.Random(83)
         h = hashlib.sha256()
@@ -179,6 +199,17 @@ def test_identity_compilation(z2):
     assert zi.eval((0, 0)) == (0, 0)
     assert zi.count() == 1           # only the all-zombie input survives
     assert verify_gates(zi)
+
+
+@pytest.mark.parametrize("word", [(-1, 2), (0, 23), (1,)],
+                         ids=["negative", "past-alphabet", "short"])
+def test_eval_refuses_words_off_the_alphabet(z2, word):
+    # a negative symbol would wrap, 23 is past the 23-symbol alphabet, and
+    # (1,) is one symbol short
+    zal = ZAlphabet(z2)
+    zi = compile_zsat(data_rsat_instance(zal, 2, []), zal)
+    with pytest.raises(ZsatError):
+        zi.eval(word)
 
 
 def test_zombie_relation_structured(z2, z3):
@@ -219,7 +250,7 @@ def test_misaligned_inputs_never_finalize(z2):
     for a in zal.init:
         for b in zal.init:
             out = zi.eval((a, b))
-            if zal.aligned(a, b):
+            if aligned(zal, a, b):
                 continue
             assert not all(x in fin for x in out)
 
@@ -241,7 +272,7 @@ def test_main_gates_preserve_zombies_and_alignment(z2):
             img = gate[a * A + b]
             x, y = img // A, img % A
             assert x in data and y in data
-            assert zal.aligned(a, b) == zal.aligned(x, y)
+            assert aligned(zal, a, b) == aligned(zal, x, y)
 
 
 def test_all_compiled_gates_pass_membership(z3):
@@ -269,22 +300,40 @@ def test_extension_repairs_parity(z2):
     assert rubik_membership(gate, act)
 
 
-def test_extension_needs_scratch(z2):
-    zal = ZAlphabet(z2)
+def test_extension_follows_the_orbit_map(z3):
+    # a transposition of two orbits is odd, so two scratch pair orbits
+    # swap; every other orbit is fixed, each with a trivial component
+    zal = ZAlphabet(z3)
     act = zal.square_action
-    # a partial map claiming the scratch orbits is rejected
-    A = zal.size
-    s = zal.scratch[0]
-    partial = {0: 0, s * A + s: s * A + s}
-    with pytest.raises(ZsatError):
-        extend_to_rubik(partial, zal)
+    gate = extend_to_rubik({0: 5, 5: 0}, zal)
+    assert rubik_membership(gate, act)
+    s1, s2 = zal.scratch_pair_orbits[:2]
+    images = {0: 5, 5: 0, s1: s2, s2: s1}
+    for i, orbit in enumerate(act.free_orbits):
+        assert [gate[x] for x in orbit] \
+            == list(act.free_orbits[images.get(i, i)])
 
 
-@pytest.mark.parametrize("partial", [{0: 5}, {5: 0}])
-def test_extension_refuses_moving_the_zombie_pair(z2, partial):
-    # the zombie pair 0 is the squared action's one fixed point
-    with pytest.raises(ZsatError, match="moves the zombie pair"):
-        extend_to_rubik(partial, ZAlphabet(z2))
+@pytest.mark.parametrize("case", [
+    "scratch-key", "scratch-image", "two-onto-one", "key-below-0",
+    "image-below-0", "key-at-n", "image-at-n"])
+def test_extension_refuses_bad_orbit_maps(z2, case):
+    # the scratch pair orbits are kept for the parity repair, and the
+    # zombie pair, the squared action's one fixed point, has no orbit
+    # number, so the nearest bad input is a number outside 0..n-1
+    zal = ZAlphabet(z2)
+    n = len(zal.square_action.free_orbits)
+    s = zal.scratch_pair_orbits[0]
+    orbit_map, message = {
+        "scratch-key": ({s: 0}, "touches the scratch orbits"),
+        "scratch-image": ({0: s}, "touches the scratch orbits"),
+        "two-onto-one": ({0: 1, 1: 1}, "not injective"),
+        "key-below-0": ({-1: 0}, "outside"),
+        "image-below-0": ({0: -1}, "outside"),
+        "key-at-n": ({n: 0}, "outside"),
+        "image-at-n": ({0: n}, "outside")}[case]
+    with pytest.raises(ZsatError, match=message):
+        extend_to_rubik(orbit_map, zal)
 
 
 def test_table_bridge(z2):

@@ -13,8 +13,9 @@ malformed-circuit and malformed-header case of tests/test_cli.py, and a
 sweep of --max-enumeration budgets over the presentation counters, which
 shows the budgets under which each search raises, the zombie-stage commands
 (verify-parsimony, compile-zsat) over Z2, Z3 and S3 under --max-states and
---max-enumeration budgets and over A4 once, compile-zsat over A5 in text
-and --json, verify-parsimony of a 4-input
+--max-enumeration budgets and over A4 once, compile-zsat over A5 and the
+table bridge (verify-parsimony of and2.bool) over A5, whose Gamma is
+perfect, in text and --json, verify-parsimony of a 4-input
 circuit with six stage-3 symbols unbudgeted and under --max-states 2^0 ..
 2^12, count-hom, count-quot and invert-lattice of the free group of rank
 2, the torus and the Poincare sphere over S4 and SL(2,3) with the
@@ -143,10 +144,13 @@ def main(checkout):
             fh.write("group A4 12\nperm-gens\n(0 1 2)\n(1 2 3)\n")
         for command, circuit in zombie:
             run([command, "--circuit", circuit, "--gamma", "a4.grp"])
-        # A5, whose squared zombie action has 7282 free orbits
-        argv = ["compile-zsat", "--circuit", "data.rev", "--gamma", "a5.grp"]
-        run(argv)
-        run(["--json"] + argv)
+        # A5, whose squared zombie action has 7282 free orbits and whose
+        # derived subgroup is all of A5
+        for command, circuit in (("compile-zsat", "data.rev"),
+                                 ("verify-parsimony", "and2.bool")):
+            argv = [command, "--circuit", circuit, "--gamma", "a5.grp"]
+            run(argv)
+            run(["--json"] + argv)
         # the lattice and Aut(G) paths over S4 and SL(2,3), which have
         # outer automorphisms and several subgroup classes of one order
         with open("s4.grp", "w") as fh:
