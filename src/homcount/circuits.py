@@ -117,10 +117,11 @@ def encode_word(word, q):
 
 
 def check_word(word, q, width, error):
-    """Raise error unless word is width symbols of range(q)."""
+    """Raise error unless word is width symbols of range(q): integers, as
+    the gate lookups index tables with them."""
     if len(word) != width:
         raise error("word width mismatch")
-    if any(not (0 <= x < q) for x in word):
+    if any(not (isinstance(x, int) and 0 <= x < q) for x in word):
         raise error("symbol out of alphabet")
 
 

@@ -110,9 +110,9 @@ def rubik_coordinates(G, fixed_map, orbit_perm, components):
     if (perms.perm_parity(tuple(idx[fixed_map[x]] for x in pts))
             or perms.perm_parity(orbit_perm)):
         return False
-    acc = 0
-    for h in components:
-        acc = G.mul(acc, h)
+    rows, acc = G.rows, 0
+    for h in filter(None, components):      # identity components fold away
+        acc = rows[acc][h]
     return acc in G.cached(derived_subgroup)
 
 

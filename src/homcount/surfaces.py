@@ -12,7 +12,7 @@ inv.
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
+from operator import add, itemgetter, neg
 
 from .groups import (GroupError, automorphism_group, automorphisms,
                      close_under_product, conjugation_rows, coset_min_reps,
@@ -342,10 +342,10 @@ def _abelian_vector_ops(g):
     """Formal Z^(2g) realization of the (mul, inv) interface: elements are
     integer vectors, multiplication adds them."""
     def mul(x, y):
-        return tuple(a + b for a, b in zip(x, y))
+        return tuple(map(add, x, y))
 
     def inv(x):
-        return tuple(-a for a in x)
+        return tuple(map(neg, x))
 
     return mul, inv
 
@@ -382,6 +382,7 @@ def gluing_h1(h):
     """
     from .complexes import smith_normal_form
     g = h.genus
+    _check_genus(g, MAX_GENUS)
     mat = _h1_matrix(inverse_word(resolve_word(h.word, g)), g)
     rows = []
     for i in range(g):
@@ -670,9 +671,23 @@ def load_gluing(path):
 # |Stab(r1, .., rk)| points.
 
 
+def _aut_class_memo(G):
+    """genus -> aut_classes(G, genus), filled by aut_classes."""
+    return {}
+
+
 def aut_classes(G, g):
     """(r, size) for each Aut(G)-class of G^g: r is the class's least tuple
-    and size its number of tuples.  The comment above proves it."""
+    and size its number of tuples.  The comment above proves it.
+
+    Memoised per genus in G.cached as a tuple of (r, size) tuples, so the
+    counts over one group build each genus's classes once.  MAX_GENUS
+    bounds the memo at MAX_GENUS + 1 genera; heegaard_count's enumeration
+    budget, checked before it asks, bounds the size of each."""
+    _check_genus(g, MAX_GENUS)
+    memo = G.cached(_aut_class_memo)
+    if g in memo:
+        return memo[g]
     # (r, the stabilizer of r minus its last entry, size): a stabilizer is
     # cut down only when a further level needs it
     classes = [((), automorphisms(G), 1)]
@@ -688,7 +703,8 @@ def aut_classes(G, g):
                     seen |= orbit
                     nxt.append((rep + (x,), stab, size * len(orbit)))
         classes = nxt
-    return [(rep, size) for rep, _, size in classes]
+    memo[g] = tuple((rep, size) for rep, _, size in classes)
+    return memo[g]
 
 
 def heegaard_count(h, G, limits=DEFAULT_LIMITS):

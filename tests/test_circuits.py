@@ -360,8 +360,9 @@ def test_eval_errors():
     circ = RsatIF(2, 2, None, None)
     with pytest.raises(CircuitError, match="word width mismatch"):
         circ.eval((0, 1, 0))
-    with pytest.raises(CircuitError, match="symbol out of alphabet"):
-        circ.eval((0, 7))
+    for word in ((0, 7), (0.5, 0), (1.0, 0), ("1", 0)):
+        with pytest.raises(CircuitError, match="symbol out of alphabet"):
+            circ.eval(word)
 
 
 def _random_gate(rng, q, width):

@@ -590,18 +590,74 @@ def brute_force_classes(G, g):
     return orbits
 
 
+def check_aut_classes(G, g):
+    classes = aut_classes(G, g)
+    orbits = brute_force_classes(G, g)
+    assert len(classes) == len(orbits)
+    orbit_of = {t: k for k, orbit in enumerate(orbits) for t in orbit}
+    assert sorted(orbit_of[r] for r, _ in classes) == list(range(len(orbits)))
+    for r, size in classes:
+        assert r == min(orbits[orbit_of[r]])
+        assert size == len(orbits[orbit_of[r]])
+    assert sum(size for _, size in classes) == G.order ** g
+
+
 def test_aut_classes_partition_tuples(s3, a4, s4):
     for G, g in [(G, g) for G in (s3, a4, s4) for g in (0, 1, 2)] + [(s3, 3)]:
-        classes = aut_classes(G, g)
-        orbits = brute_force_classes(G, g)
-        assert len(classes) == len(orbits)
-        orbit_of = {t: k for k, orbit in enumerate(orbits) for t in orbit}
-        assert sorted(orbit_of[r] for r, _ in classes) == list(
-            range(len(orbits)))
-        for r, size in classes:
-            assert r == min(orbits[orbit_of[r]])
-            assert size == len(orbits[orbit_of[r]])
-        assert sum(size for _, size in classes) == G.order ** g
+        check_aut_classes(G, g)
+
+
+def fresh_copy(G):
+    """G rebuilt from its table, with nothing memoised."""
+    return FiniteGroup(G.name, [x for row in G.rows for x in row])
+
+
+def aut_class_memo(G):
+    return G.cached(surfaces._aut_class_memo)
+
+
+def test_aut_classes_memo_out_of_order(s3):
+    # each genus is built on a miss and read back on a hit, in any order
+    G = fresh_copy(s3)
+    for g in (3, 1, 2, 0, 2):
+        check_aut_classes(G, g)
+    assert sorted(aut_class_memo(G)) == [0, 1, 2, 3]
+    assert aut_classes(G, 2) is aut_classes(G, 2)
+
+
+def test_aut_classes_memo_skips_refused_counts(s3):
+    G = fresh_copy(s3)
+    with pytest.raises(WorkBoundExceeded, match="6\\^2 over budget"):
+        heegaard_count(HeegaardGluing(2, ["tb1"]), G,
+                       CountingLimits(max_enumeration=35))
+    with pytest.raises(SurfaceError, match="genus 129 exceeds bound 128"):
+        aut_classes(G, 129)
+    assert aut_class_memo(G) == {}
+    heegaard_count(HeegaardGluing(1, ["tb1"]), G)
+    assert list(aut_class_memo(G)) == [1]
+
+
+def test_aut_classes_memo_is_read_only(s3):
+    G = fresh_copy(s3)
+    before = aut_classes(G, 2)
+    expect = list(before)
+    with pytest.raises(TypeError):
+        before[0] = ((5, 5), 1)
+    with pytest.raises(TypeError):
+        before[1][0][0] = 5
+    assert list(aut_classes(G, 2)) == expect
+
+
+def test_heegaard_counts_warm_equal_fresh(s3, s4, sl23, a5):
+    rng = random.Random(34)
+    for G, genera in ((s3, (1, 2, 3)), (s4, (1, 2)), (sl23, (1, 2)),
+                      (a5, (1, 2))):
+        for g in genera:
+            for _ in range(4):
+                h = HeegaardGluing(g, random_word(rng, g))
+                warm = heegaard_count(h, G)
+                assert heegaard_count(h, G) == warm
+                assert heegaard_count(h, fresh_copy(G)) == warm
 
 
 def test_mcg_apply_matches_oracle(s3, a4):
@@ -730,8 +786,19 @@ def test_genus_and_seed_length_checked(s4):
     # orbit walks and samplers take a genus up to the gluing bound
     assert orbit_report([(0,) * 256], s4, 128).visited == 1
     assert len(RepSampler(128, G).draw(random.Random(0))) == 256
+    # so do Heegaard counts and the homology of a gluing; a count's budget
+    # is checked first, so only the trivial group or a budget of 2^129
+    # reaches the genus bound
+    trivial = FiniteGroup.cyclic(1)
+    assert heegaard_count(HeegaardGluing(128, []), trivial).homs == 1
     for call in (lambda: orbit_report([(0,) * 258], s4, 129),
-                 lambda: RepSampler(129, G)):
+                 lambda: RepSampler(129, G),
+                 lambda: aut_classes(s4, 129),
+                 lambda: gluing_h1(HeegaardGluing(129, [])),
+                 lambda: heegaard_count(HeegaardGluing(129, []), trivial),
+                 lambda: heegaard_count(HeegaardGluing(129, ["tb1"]), G,
+                                        CountingLimits(
+                                            max_enumeration=2 ** 129))):
         with pytest.raises(SurfaceError, match="^genus 129 exceeds bound 128$"):
             call()
 

@@ -201,11 +201,13 @@ def test_identity_compilation(z2):
     assert verify_gates(zi)
 
 
-@pytest.mark.parametrize("word", [(-1, 2), (0, 23), (1,)],
-                         ids=["negative", "past-alphabet", "short"])
+@pytest.mark.parametrize("word", [(-1, 2), (0, 23), (1,), (0.5, 0),
+                                  (1.0, 0)],
+                         ids=["negative", "past-alphabet", "short",
+                              "fraction", "float"])
 def test_eval_refuses_words_off_the_alphabet(z2, word):
-    # a negative symbol would wrap, 23 is past the 23-symbol alphabet, and
-    # (1,) is one symbol short
+    # a negative symbol would wrap, 23 is past the 23-symbol alphabet,
+    # (1,) is one symbol short, and a float cannot index a gate table
     zal = ZAlphabet(z2)
     zi = compile_zsat(data_rsat_instance(zal, 2, []), zal)
     with pytest.raises(ZsatError):
