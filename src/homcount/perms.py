@@ -5,26 +5,33 @@ p * q means "apply p, then q", i.e. (p*q)[x] = q[p[x]].
 
 PermutationGroup builds a deterministic stabilizer chain (Seress,
 *Permutation Group Algorithms*, 2003, ch. 4).  Each level keeps its orbit
-with transversal t[pt] and its inverse, so a sift step is one product.  A
-generator new to a level grows the orbit from the old points under itself
-and from the new points under every generator, and only those Schreier
-generators are sifted into the stabilizer.  A residue joins every level
-from where its sift began to where it stopped: fixing a level's base point,
-it still enlarges that level's group and orbit.  Transversal entries are
-never replaced, so a sift that once ended in the identity always does, and
-no Schreier generator is revisited.  An explicit work stack replaces
-recursion per level.
+with transversal t[pt], so a sift step is one product with an inverse
+t[pt]^-1, which the level forms the first time a sift reads it.  The
+original generators are sifted first, in order.  A residue joins every
+level from where its sift began to where it stopped: fixing a level's base
+point, it still enlarges that level's group and orbit.  A generator new to
+a level grows the orbit from the old points under itself and from the new
+points under every generator, and queues each Schreier pair (pt, s) whose
+image s(pt) was already in the orbit.  Only once the original generators
+are in are the queued pairs popped, last queued first; the product
+t[pt]*s*t[s(pt)]^-1 is formed then, skipped when t[pt]*s is t[s(pt)], and
+sifted into the stabilizer.  Transversal entries are never replaced, so a
+generator formed late is the one that would have been formed at once, a
+sift that once ended in the identity always does, and no pair is queued
+twice.  An explicit stack of pairs replaces recursion per level.
 
 A caller that knows a bound on the group's order, such as the order of a
 group that every generator has been checked to lie in, may pass it as
 order_bound.  Every orbit built so far lies in its true basic orbit, so
 the product of their lengths is at most the order; once it equals the
 bound, every orbit is complete and the base stabilizer is trivial, and the
-build stops with the chain it would have finished with.  A product above
-the bound shows the bound false and raises ValueError; a false bound that
-the product meets exactly goes unseen, so it must be a proven one.
+build stops with the chain it would have finished with, the pairs still
+queued never formed.  A product above the bound shows the bound false and
+raises ValueError; a false bound that the product meets exactly goes
+unseen, so it must be a proven one.
 """
 
+import itertools
 import re
 from math import factorial, prod
 from operator import itemgetter
@@ -143,6 +150,19 @@ def format_cycles(p):
     return "".join(parts) if parts else "()"
 
 
+class _Inverses(dict):
+    """A level's inverse transversal, each entry formed on first read."""
+
+    __slots__ = ("trans",)
+
+    def __init__(self, trans):
+        self.trans = trans
+
+    def __missing__(self, pt):
+        inv = self[pt] = inverse(self.trans[pt])
+        return inv
+
+
 class _Level:
     """One chain level: base point, generators, orbit, transversal, inverses."""
 
@@ -150,25 +170,24 @@ class _Level:
 
     def __init__(self, point, ident):
         self.point, self.gens, self.orbit = point, [], [point]
-        self.trans, self.inv = {point: ident}, {point: ident}
+        self.trans = {point: ident}
+        self.inv = _Inverses(self.trans)
 
-    def extend(self, g, ident):
-        """Add generator g; yield the non-identity Schreier generators
-        t[pt]*s*t[s(pt)]^-1 of old points with g and new points with all s."""
-        trans, inv, orbit, gens = self.trans, self.inv, self.orbit, self.gens
+    def extend(self, g):
+        """Add generator g; yield the pairs (pt, s) whose Schreier generators
+        t[pt]*s*t[s(pt)]^-1 are new, old points with g and new points with
+        all s, leaving out those that set a transversal entry."""
+        trans, orbit, gens = self.trans, self.orbit, self.gens
         gens.append(g)
         n_old = len(orbit)
         for i, pt in enumerate(orbit):  # orbit grows while we walk it
-            t = trans[pt]
             for s in gens if i >= n_old else (g,):
                 img = s[pt]
-                u = mult(t, s)
-                if img not in trans:
-                    trans[img] = u
-                    inv[img] = inverse(u)
+                if img in trans:
+                    yield pt, s
+                else:
+                    trans[img] = mult(trans[pt], s)
                     orbit.append(img)
-                elif (u := mult(u, inv[img])) != ident:
-                    yield u
 
 
 def _sift(chain, p, start=0):
@@ -178,7 +197,7 @@ def _sift(chain, p, start=0):
         level = chain[k]
         img = p[level.point]
         if img != level.point:
-            if img not in level.inv:
+            if img not in level.trans:
                 return p, k
             p = mult(p, level.inv[img])
     return p, len(chain)
@@ -187,13 +206,15 @@ def _sift(chain, p, start=0):
 class PermutationGroup:
     """Permutation group with exact order via a stabilizer chain.
 
-    The chain is built once, deterministically, on first query; afterwards
-    the object is read-only and safe to share between threads.  The chain's
-    first levels sit on the distinct points of base, in order; a level
-    whose point the group fixes has that point alone as its orbit.
-    order_bound, when given, must be at least the group's order: the build
-    stops once the orbit lengths multiply to it, which changes no answer,
-    and raises ValueError once they multiply to more.
+    The chain is built once, deterministically, on first query.  Queries
+    after that only fill inverse transversal entries on first read, and a
+    concurrent fill of one entry writes the same tuple, so the object is
+    safe to share between threads.  The chain's first levels sit on the
+    distinct points of base, in order; a level whose point the group fixes
+    has that point alone as its orbit.  order_bound, when given, must be
+    at least the group's order: the build stops once the orbit lengths
+    multiply to it, which changes no answer, and raises ValueError once
+    they multiply to more.
     """
 
     def __init__(self, degree, gens, base=(), order_bound=None):
@@ -216,15 +237,26 @@ class PermutationGroup:
         self._chain = None
 
     def _ensure_chain(self):
-        # a stack entry (k, h) fixes the first k base points; h's residue
-        # stopped at level j joins levels k..j (j may be a new level)
+        # a work item (k, h) fixes the first k base points; h's residue
+        # stopped at level j joins levels k..j (j may be a new level).  The
+        # original generators come first, then the queued Schreier pairs
+        # (m, pt, s) of level m, last queued first, each formed when popped
         if self._chain is not None:
             return
         ident = self._ident
         chain = [_Level(pt, ident) for pt in self.base]
-        stack = [(0, g) for g in reversed(self.gens)]
-        while stack:
-            k, h = stack.pop()
+        pending = []
+
+        def schreier_items():
+            while pending:
+                m, pt, s = pending.pop()
+                level, img = chain[m], s[pt]
+                u = mult(level.trans[pt], s)
+                if u != level.trans[img]:
+                    yield m + 1, mult(u, level.inv[img])
+
+        for k, h in itertools.chain(((0, g) for g in self.gens),
+                                    schreier_items()):
             h, j = _sift(chain, h, k)
             if h == ident:
                 continue
@@ -232,7 +264,7 @@ class PermutationGroup:
                 chain.append(_Level(next(i for i, x in enumerate(h) if i != x),
                                     ident))
             for m in range(k, j + 1):
-                stack.extend((m + 1, s) for s in chain[m].extend(h, ident))
+                pending.extend((m, pt, s) for pt, s in chain[m].extend(h))
             if self.order_bound is not None:
                 reached = prod(len(level.orbit) for level in chain)
                 if reached > self.order_bound:

@@ -12,7 +12,7 @@ from homcount.gsets import (ActionError, GSetAction, equivariant_perm,
                             rubik_generators, rubik_membership, rubik_order,
                             rubik_surjectivity_check)
 from homcount.zsat import ZAlphabet
-from conftest import mulclose
+from conftest import mulclose, oracle_chain_order
 
 
 def test_action_axioms(z3):
@@ -440,6 +440,68 @@ def test_rubik_order_bound_counts_the_fixed_points(z2):
                                  order_bound=2 * rep.expected_order)
     with pytest.raises(ValueError, match="order_bound 322560 is below"):
         low.order()
+
+
+def test_surjectivity_report_a5_at_nine_orbits(a5):
+    # 540 points, where the bounded chains stop long before their queues
+    # empty: each flag against an oracle that builds no bounded chain
+    act = make_free_action(a5, 9)
+    gens = rubik_generators(act)
+    rep = rubik_surjectivity_check(gens, act)
+    induced = [act.decompose(p)[1] for p in gens]
+    assert rep.alt_projection
+    assert oracle_chain_order(induced) == factorial(9) // 2
+    assert rep.two_transitive and two_transitive_oracle(gens, act)
+    # A5 is perfect, so |Rub| = 60^9 * 9!/2
+    assert rep.order_match
+    assert rep.generated_order == 60 ** 9 * factorial(9) // 2
+
+
+def test_alt_bound_keeps_the_giant_test(z2, z3, z4, s3):
+    # subsets drawn as in test_rubik_order_bound_keeps_the_chain: the giant
+    # test under the Alt(n) bound answers as the chain built without one
+    v4 = FiniteGroup.from_table(
+        "V4", [0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 0, 1, 3, 2, 1, 0])
+    rng = random.Random(20261020)
+    actions = [make_free_action(gamma, n) for gamma in (z2, z3, z4, v4, s3)
+               for n in (7, 8, 9)] + [make_free_action(z3, 7, n_fixed=1)]
+    seen = set()
+    for act in actions:
+        n = len(act.free_orbits)
+        gens = rubik_generators(act)
+        subsets = [gens] + [[g for g in gens if rng.random() < 0.75]
+                            or gens[:1] for _ in range(6)]
+        if n % 2:
+            shift = tuple(range(1, n)) + (0,)
+            subsets.append([equivariant_perm(act, shift, (0,) * n)]
+                           + gens[n - 2:])
+        for subset in subsets:
+            induced = [act.decompose(p)[1] for p in subset]
+            kind = perms.classify_giant(perms.PermutationGroup(n, induced))
+            want = kind in ("alternating", "symmetric")
+            assert rubik_surjectivity_check(subset, act).alt_projection \
+                == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_bounded_chain_membership_a5(a5):
+    # the chain stopped at |Rub| is all of Rub, so it admits exactly the
+    # equivariant permutations the membership rule does
+    act = make_free_action(a5, 7)
+    H = perms.PermutationGroup(act.npoints, rubik_generators(act),
+                               base=(act.section[0], act.section[1]),
+                               order_bound=rubik_order(7, a5))
+    assert H.order() == rubik_order(7, a5)
+    rng = random.Random(35)
+    seen = set()
+    for _ in range(40):
+        p = equivariant_perm(act, tuple(rng.sample(range(7), 7)),
+                             tuple(rng.randrange(60) for _ in range(7)))
+        verdict = rubik_membership(p, act)
+        assert H.contains(p) == verdict
+        seen.add(verdict)
+    assert seen == {True, False}
 
 
 def test_goursat(s3, z4):

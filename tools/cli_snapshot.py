@@ -22,18 +22,19 @@ circuit with six stage-3 symbols unbudgeted and under --max-states 2^0 ..
 heegaard-count of the homology sphere and of a genus-2 gluing with
 surjections over both, invert-lattice of the Poincare sphere and of the
 7-vertex torus complex over D4 and Q8 given as tables, goursat on A5 x A5,
-rubik-check over Z3, S3 and A5 at 7 and 9 orbits and over Z2 at 8, text
-and --json, orbit over S3 at genus 2 and 3, over A5 at genus 2 with
-the SL(2,5) extension, over SL(2,5) at genus 2 and over Z2^4 (whose
-Aut(G) has order 20160) at genus 1, text and --json, and
-heegaard-count of the lens space
-over S3 and A5, of the homology sphere over S3, SL(2,5) and A5 (there
-also at --max-enumeration 3599 and 3600) and of a genus-3 gluing over S3,
-dp-count of the projective plane and the sphere over S3 and A5, which
-shows the state peak and widths of the ordering dp-count picks, and orbit
-past its genus bound and with more seed entries than --max-states.
-The commands and the cases come from the tree this script is in, as do
-README example inputs that the checkout's data directory lacks.
+rubik-check over Z3, S3 and A5 at 7 and 9 orbits, over Z2 at 8 and over A5
+at 12, the 720 points of gsets.MAX_RUBIK_DEGREE, text and --json, and
+past that bound over A5 at 13, orbit over S3 at genus 2 and 3, over A5 at
+genus 2 with the SL(2,5) extension, over SL(2,5) at genus 2 and over Z2^4
+(whose Aut(G) has order 20160) at genus 1, text and --json, and
+heegaard-count of the lens space over S3 and A5, of the homology sphere
+over S3, SL(2,5) and A5 (there also at --max-enumeration 3599 and 3600) and
+of a genus-3 gluing over S3, dp-count of the projective plane and the
+sphere over S3 and A5, which shows the state peak and widths of the
+ordering dp-count picks, and orbit past its genus bound and with more seed
+entries than --max-states. The commands and the cases come from the tree
+this script is in, as do README example inputs that the checkout's data
+directory lacks.
 """
 
 import contextlib
@@ -200,10 +201,12 @@ def main(checkout):
              "--subgroup", "a5xa5.txt"])
         # the commands that read the derived subgroup and Aut(G)
         for gamma, orbits in [(g, k) for g in ("z3.grp", "s3.grp", "a5.grp")
-                              for k in ("7", "9")] + [("z2.grp", "8")]:
+                              for k in ("7", "9")] + [("z2.grp", "8"),
+                                                      ("a5.grp", "12")]:
             argv = ["rubik-check", "--gamma", gamma, "--orbits", orbits]
             run(argv)
             run(["--json"] + argv)
+        run(["rubik-check", "--gamma", "a5.grp", "--orbits", "13"])
         run(["orbit", "--group", "s3.grp", "--genus", "2",
              "--orbit-seeds", "5"])
         run(["orbit", "--group", "s3.grp", "--genus", "3",
