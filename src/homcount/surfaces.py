@@ -13,6 +13,7 @@ inv.
 from dataclasses import dataclass
 from itertools import chain
 from operator import add, itemgetter, neg
+from types import MappingProxyType
 
 from .groups import (GroupError, automorphism_group, automorphisms,
                      close_under_product, conjugation_rows, coset_min_reps,
@@ -21,11 +22,11 @@ from .counting import WorkBoundExceeded, DEFAULT_LIMITS, quotient_count
 from .textformat import content_lines, keyword_int
 
 # the largest genus a gluing file may declare: the homology of the glued
-# manifold is a Smith normal form of a 2g x 2g matrix, cubic in g (about
-# 0.4 s at this bound and 4 s at twice it on a 2 vCPU machine); also the
-# largest an orbit walk or a sampler takes, as each of the 5g - 3 steps
-# rewrites 2g entries (the trivial seed's walk over S3 takes 7 s at genus
-# 1000)
+# manifold is a Smith normal form of a g x g matrix, cubic in g (about
+# 0.5 s for a random 400-letter word at this bound on a 2 vCPU machine);
+# also the largest an orbit walk or a sampler takes, as each of the 5g - 3
+# steps rewrites 2g entries (the trivial seed's walk over S3 takes 7 s at
+# genus 1000), and the largest whose generator set is memoised
 MAX_GENUS = 128
 
 
@@ -156,7 +157,7 @@ def schur_invariant(tup, G, ext, rng=None):
 # -- mapping class generators ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class MCGGenerator:
     name: str
     rule: object        # rule(tup, mul, inv) -> tup
@@ -266,18 +267,29 @@ def _handle_swap(i, g):
     return MCGGenerator("swap%d" % (i + 1), rule, unrule)
 
 
+# genus -> (standard_generators(g), generators_by_name(g)), each built once
+# and shared read-only; MAX_GENUS bounds it at MAX_GENUS + 1 genera
+_GENERATORS = {}
+
+
+def _generator_set(g):
+    if g not in _GENERATORS:
+        _check_genus(g, MAX_GENUS)
+        gens = [_handle_twist(i, g, kind) for i in range(g) for kind in "ab"]
+        gens += [make(i, g) for i in range(g - 1) for make in (
+            _chain_twist, _separating_twist, _handle_swap)]
+        _GENERATORS[g] = tuple(gens), MappingProxyType(
+            {gen.name: gen for gen in gens})
+    return _GENERATORS[g]
+
+
 def standard_generators(g):
-    """The package's mapping-class generator set for genus g."""
-    gens = [_handle_twist(i, g, kind) for i in range(g) for kind in "ab"]
-    for i in range(g - 1):
-        gens.append(_chain_twist(i, g))
-        gens.append(_separating_twist(i, g))
-        gens.append(_handle_swap(i, g))
-    return gens
+    """The package's mapping-class generator set for genus g, a tuple."""
+    return _generator_set(g)[0]
 
 
 def generators_by_name(g):
-    return {gen.name: gen for gen in standard_generators(g)}
+    return _generator_set(g)[1]
 
 
 # -- words -----------------------------------------------------------------------------
@@ -338,23 +350,15 @@ def mcg_apply(word, G, tup):
     return out
 
 
-def _abelian_vector_ops(g):
-    """Formal Z^(2g) realization of the (mul, inv) interface: elements are
-    integer vectors, multiplication adds them."""
-    def mul(x, y):
-        return tuple(map(add, x, y))
-
-    def inv(x):
-        return tuple(map(neg, x))
-
-    return mul, inv
+def _abelian_run(letters, tup):
+    """Run resolved letters over integer vectors, one per slot: the abelian
+    (mul, inv) interface, vector addition and negation."""
+    return run_word(letters, tup, lambda x, y: tuple(map(add, x, y)),
+                    lambda x: tuple(map(neg, x)))
 
 
-def _h1_matrix(letters, g):
-    mul, inv = _abelian_vector_ops(g)
-    tup = tuple(tuple(1 if i == k else 0 for i in range(2 * g))
-                for k in range(2 * g))
-    return [list(v) for v in run_word(letters, tup, mul, inv)]
+def _unit_vectors(n):
+    return tuple((0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(n))
 
 
 def word_h1_matrix(word, g):
@@ -363,7 +367,8 @@ def word_h1_matrix(word, g):
     The word is applied to the tuple of formal basis vectors with abelian
     vector operations, so row k of the result is the image of basis vector k.
     """
-    return _h1_matrix(resolve_word(word, g), g)
+    letters = resolve_word(word, g)
+    return [list(v) for v in _abelian_run(letters, _unit_vectors(2 * g))]
 
 
 def is_torelli_word(word, g):
@@ -376,25 +381,20 @@ def is_torelli_word(word, g):
 def gluing_h1(h):
     """H_1 of the glued manifold as (betti rank, torsion divisors).
 
-    The manifold's first homology is Z^(2g) modulo the a-curve classes and
-    the images of the a-curves under the gluing word; the quotient comes
-    from the Smith form of the stacked relation matrix.
+    The manifold's first homology is Z^(2g) modulo the a-curve classes e_2i
+    and the a-curve images v_i under the pulled-back word.  The unit rows
+    e_2i clear the a-coordinates of the v_i, so the relation matrix has
+    Smith form 1^g (+) SNF(B), B the g x g matrix of their b-coordinates.
+    The rules are linear, so the word runs on the b-coordinates alone.
     """
     from .complexes import smith_normal_form
     g = h.genus
     _check_genus(g, MAX_GENUS)
-    mat = _h1_matrix(inverse_word(resolve_word(h.word, g)), g)
-    rows = []
-    for i in range(g):
-        row = [0] * (2 * g)
-        row[2 * i] = 1
-        rows.append(row)
-    for i in range(g):
-        rows.append(list(mat[2 * i]))
-    diag = smith_normal_form(rows)
-    rank = 2 * g - sum(1 for d in diag if d != 0)
-    torsion = [d for d in diag if d not in (0, 1)]
-    return rank, torsion
+    start = tuple(x for e in _unit_vectors(g) for x in ((0,) * g, e))
+    diag = smith_normal_form(_abelian_run(
+        inverse_word(resolve_word(h.word, g)), start)[0::2])
+    return (g - sum(1 for d in diag if d != 0),
+            [d for d in diag if d not in (0, 1)])
 
 
 # -- orbit exploration -----------------------------------------------------------------
@@ -430,6 +430,7 @@ class AutTables:
             least = min(phi[x] for phi in auts)
             ks = [k for k, phi in enumerate(auts) if phi[x] == least]
             self.candidates.append((ks, [auts[k] for k in ks]))
+        self._pairs = {}        # (x, y) -> x's candidates least on y
 
     def image(self, k, tup):
         """auts[k] applied to each entry of tup."""
@@ -439,14 +440,26 @@ class AutTables:
         """(r, k): the least image r of tup under Aut(G) and the least id
         k with auts[k](tup) == r.  The least image fixes the leading
         identity entries and sends the first other entry x to its least
-        image, so only x's candidates compete; a tuple of identities is its
-        own class."""
-        for x in tup:
+        image, so only x's candidates compete, and of those only the ones
+        sending the entry y after x (0 when x is last) to its least image
+        under them, kept per (x, y) in a table filled on first use.  One
+        survivor gives r from one image; on a tie the survivors' full images
+        are compared.  A tuple of identities is its own class."""
+        for p, x in enumerate(tup):
             if x:
                 break
         else:
             return tup, 0
-        ks, phis = self.candidates[x]
+        y = tup[p + 1] if p + 1 < len(tup) else 0
+        pair = self._pairs.get((x, y))
+        if pair is None:
+            ks, phis = self.candidates[x]
+            least = min(phi[y] for phi in phis)
+            pair = self._pairs[x, y] = tuple(zip(
+                *((k, phi) for k, phi in zip(ks, phis) if phi[y] == least)))
+        ks, phis = pair
+        if len(ks) == 1:
+            return itemgetter(*tup)(phis[0]), ks[0]
         images = list(map(itemgetter(*tup), phis))  # 2g >= 2 entries: tuples
         least = min(images)
         return least, ks[images.index(least)]
@@ -723,6 +736,7 @@ def heegaard_count(h, G, limits=DEFAULT_LIMITS):
             > limits.max_enumeration:
         raise WorkBoundExceeded("heegaard enumeration %d^%d over budget"
                                 % (G.order, g))
+    _check_genus(g, MAX_GENUS)
     pull_back = inverse_word(resolve_word(h.word, g))
     classes = aut_classes(G, g)
     mul, inv = _column_ops(G)

@@ -1,9 +1,11 @@
 import random
 from itertools import product
+from operator import add, neg
 
 import pytest
 
 from homcount import perms, surfaces
+from homcount.complexes import smith_normal_form
 from homcount.groups import (FiniteGroup, GroupError, automorphism_group,
                              automorphisms, close_under_product,
                              subgroup_membership_masks)
@@ -11,7 +13,8 @@ from homcount.surfaces import (AutTables, HeegaardGluing, MCGGenerator,
                                OrbitReport, OrbitRow, RepSampler, SurfaceError,
                                _check_genus, _column_ops, commutator_solutions,
                                aut_classes, count_reps, generation_test,
-                               gluing_h1, heegaard_count, is_torelli_word,
+                               generators_by_name, gluing_h1,
+                               heegaard_count, is_torelli_word,
                                load_gluing, mcg_apply, orbit_report,
                                inverse_word, parse_gluing_text, relator,
                                resolve_word, run_word, schur_invariant,
@@ -189,6 +192,22 @@ def test_generators_preserve_relation(s3, a5):
                 assert unapply(gen, G, t2) == t, gen.name
 
 
+def test_generator_sets_are_built_once_and_read_only():
+    assert standard_generators(0) == () and dict(generators_by_name(0)) == {}
+    for g in (1, 3):
+        gens = standard_generators(g)
+        assert standard_generators(g) is gens and type(gens) is tuple
+        assert len(gens) == 5 * g - 3
+        table = generators_by_name(g)
+        assert generators_by_name(g) is table
+        assert list(table.values()) == list(gens)
+        with pytest.raises(TypeError):
+            table["ta1"] = gens[-1]
+        with pytest.raises(AttributeError):
+            gens[0].rule = gens[-1].rule
+    assert set(surfaces._GENERATORS) <= set(range(surfaces.MAX_GENUS + 1))
+
+
 def test_generators_bijective_on_rep_set(s3):
     tups = set(enumerate_reps(1, s3))
     for gen in standard_generators(1):
@@ -302,14 +321,43 @@ def test_orbit_classes_match_tuple_walk_s3_s4(s3, s4):
     assert len(rep.rows) > 2
 
 
-def test_canonical_form_is_least_aut_image(a5):
+def least_aut_image(auts, t):
+    """(r, k) over every automorphism: the least image r of t and the least
+    id k of an automorphism sending t to r."""
+    return min((tuple(phi[x] for x in t), k) for k, phi in enumerate(auts))
+
+
+def canonical_cases(G, rng, n):
+    """Seeded surface tuples at genus 1 and 2, random tuples, tuples whose
+    one non-identity entry is the last, and tuples whose entry after the
+    first non-identity x is x itself or the identity (both tie after two
+    entries)."""
+    cases = orbit_seeds(G, 1, n, rng) + orbit_seeds(G, 2, n, rng)
+    for _ in range(n):
+        x, y, z = (rng.randrange(1, G.order) for _ in range(3))
+        cases += [tuple(rng.randrange(G.order) for _ in range(4)),
+                  (0, x), (0, 0, 0, x), (x, x), (x, x, y, z), (0, x, x, y),
+                  (x, 0), (x, 0, y, z), (0, 0, x, 0)]
+    return cases + [(0, 0), (0, 0, 0, 0)]
+
+
+def test_canonical_form_is_least_aut_image(s3, a5, sl25_ext):
+    sl25 = sl25_ext.cover
+    # Aut(Z2^4) = GL(4, 2), of order 20160, has no table
+    z2_4 = FiniteGroup("Z2^4", [a ^ b for a in range(16) for b in range(16)])
+    rng = random.Random(16)
+    for G, n in ((s3, 40), (a5, 100), (sl25, 60), (z2_4, 4)):
+        aut = AutTables(G)      # a cold pair table
+        cases = canonical_cases(G, rng, n)
+        forms = [aut.canonical(t) for t in cases]
+        for t, form in zip(cases, forms):
+            assert form == least_aut_image(aut.auts, t)
+        assert 0 < len(aut._pairs) <= G.order * (G.order + 1)
+        # the warm table gives the same forms
+        assert [aut.canonical(t) for t in cases] == forms
+    assert len(aut.auts) == 20160
     aut = a5.cached(AutTables)
     assert a5.cached(AutTables) is aut
-    rng = random.Random(16)
-    for t in orbit_seeds(a5, 2, 200, rng) + [(0, 0, 0, 0), (0, 0, 0, 5)]:
-        r, k = aut.canonical(t)
-        assert r == min(tuple(phi[x] for x in t) for phi in aut.auts)
-        assert aut.image(k, t) == r
     A = automorphism_group(a5)
     maps = A.maps
     assert maps is aut.auts and maps[0] == tuple(a5.elements())
@@ -487,6 +535,36 @@ def test_heegaard_conjugate_gluings_agree(s3):
     conj = heegaard_count(
         HeegaardGluing(1, ["ta1", "tb1", "tb1", "ta1'"]), s3)
     assert base.homs == conj.homs
+
+
+def oracle_gluing_h1(h):
+    """The route gluing_h1 replaced: the pulled-back word's whole action on
+    Z^(2g), its a-curve rows stacked under the a-curve unit rows, and the
+    2g x 2g Smith form of that."""
+    g = h.genus
+    letters = inverse_word(resolve_word(h.word, g))
+    basis = tuple(tuple(int(i == k) for i in range(2 * g))
+                  for k in range(2 * g))
+    mat = run_word(letters, basis, lambda x, y: tuple(map(add, x, y)),
+                   lambda x: tuple(map(neg, x)))
+    rows = [[int(j == 2 * i) for j in range(2 * g)] for i in range(g)]
+    diag = smith_normal_form(rows + [list(mat[2 * i]) for i in range(g)])
+    rank = 2 * g - sum(1 for d in diag if d != 0)
+    return rank, [d for d in diag if d not in (0, 1)]
+
+
+def test_gluing_h1_matches_the_full_smith_form():
+    rng = random.Random(17)
+    seen = set()
+    for g in range(7):
+        for _ in range(300):
+            h = HeegaardGluing(g, random_word(rng, g, 12) if g else [])
+            rank, torsion = gluing_h1(h)
+            assert (rank, torsion) == oracle_gluing_h1(h)
+            seen.add((rank > 0, bool(torsion)))
+    # free ranks and torsion both occur, apart and together
+    assert seen == {(False, False), (True, False), (False, True),
+                    (True, True)}
 
 
 def test_gluing_h1_values():
@@ -705,6 +783,8 @@ def broken_twist_a(i, g):
 
 def test_broken_rule_is_caught(s3, monkeypatch):
     handle_twist = surfaces._handle_twist
+    # generator sets are built once per genus: rebuild them from the patch
+    monkeypatch.setattr(surfaces, "_GENERATORS", {})
     monkeypatch.setattr(
         surfaces, "_handle_twist", lambda i, g, kind: broken_twist_a(i, g)
         if kind == "a" else handle_twist(i, g, kind))
@@ -766,7 +846,7 @@ def test_mcg_apply_rejects_malformed_tuples(s3):
         mcg_apply(["tb1'"], s3, (0, -1))
 
 
-def test_genus_and_seed_length_checked(s4):
+def test_genus_and_seed_length_checked(s4, monkeypatch):
     G = FiniteGroup.cyclic(2)
     assert list(enumerate_reps(0, G)) == [()] and count_reps(0, G) == 1
     for call in (enumerate_reps, count_reps,
@@ -791,6 +871,9 @@ def test_genus_and_seed_length_checked(s4):
     # reaches the genus bound
     trivial = FiniteGroup.cyclic(1)
     assert heegaard_count(HeegaardGluing(128, []), trivial).homs == 1
+    assert word_h1_matrix(["ta128"], 128)[255][254] == 1
+    assert is_torelli_word(["sep127"], 128)
+    assert mcg_apply(["tb128'"], s4, (0,) * 256) == (0,) * 256
     for call in (lambda: orbit_report([(0,) * 258], s4, 129),
                  lambda: RepSampler(129, G),
                  lambda: aut_classes(s4, 129),
@@ -798,8 +881,26 @@ def test_genus_and_seed_length_checked(s4):
                  lambda: heegaard_count(HeegaardGluing(129, []), trivial),
                  lambda: heegaard_count(HeegaardGluing(129, ["tb1"]), G,
                                         CountingLimits(
-                                            max_enumeration=2 ** 129))):
+                                            max_enumeration=2 ** 129)),
+                 lambda: word_h1_matrix([], 129),
+                 lambda: word_h1_matrix(["ta1"], 129),
+                 lambda: is_torelli_word(["tb1"], 129),
+                 lambda: HeegaardGluing(129, []).is_torelli(),
+                 lambda: mcg_apply(["ta1"], s4, (0,) * 258),
+                 lambda: standard_generators(129)):
         with pytest.raises(SurfaceError, match="^genus 129 exceeds bound 128$"):
+            call()
+
+    # the genus is refused before any generator is built
+    def refuse(*args):
+        raise AssertionError("a generator set was built")
+    for name in ("standard_generators", "_handle_twist"):
+        monkeypatch.setattr(surfaces, name, refuse)
+    for call in (
+            lambda: heegaard_count(HeegaardGluing(10 ** 6, ["ta1"]), trivial),
+            lambda: word_h1_matrix(["ta1"], 10 ** 6)):
+        with pytest.raises(SurfaceError,
+                           match="^genus 1000000 exceeds bound 128$"):
             call()
 
 
