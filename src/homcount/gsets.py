@@ -7,8 +7,9 @@ section of orbit representatives.
 """
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from math import factorial
+from operator import itemgetter
 from . import perms
 from .groups import (GroupError, bfs_closure, coset_min_reps,
                      derived_subgroup)
@@ -54,41 +55,81 @@ class GSetAction:
         self._at_section = perms.gather(self.section)
         # position[pt] is pt's place in this layout, fixed points then
         # orbits, so a free point pt = g . section[i] has
-        # divmod(position[pt] - len(fixed_points), |G|) = (i, g);
-        # equivariant_perm lists images in this layout, and the gather
-        # puts them back in point order.  n points in 0..n-1, none placed
-        # twice, are all of 0..n-1.
+        # divmod(position[pt] - len(fixed_points), |G|) = (i, g).  n points
+        # in 0..n-1, none placed twice, are all of 0..n-1.  identity holds
+        # the layout's own int objects, so the tables equivariant_perm
+        # writes from it share them instead of each making n new ones.
         self.position = position = [None] * n
+        identity = [None] * n
         for i, pt in enumerate(chain(self.fixed_points, *self.free_orbits)):
             if not 0 <= pt < n or position[pt] is not None:
                 raise ActionError(
                     "orbits and fixed points overlap or leave gaps")
             position[pt] = i
-        self._to_point_order = perms.gather(position)
+            identity[pt] = pt
+        self.identity = tuple(identity)
+        self._tables = None
+
+    def _point_tables(self):
+        """Built on first use: each point's orbit and component (-1 and 0
+        at a fixed point), and for each generator s of the group, the
+        table of s on the points, s . orbits[i][h] = orbits[i][s h], with
+        the gather that reads a table at its entries."""
+        if self._tables is None:
+            G, orbits = self.group, self.free_orbits
+            n_fixed, q = len(self.fixed_points), G.order
+            to_points = perms.gather(self.position)
+            orbit_of = to_points(list(chain(
+                repeat(-1, n_fixed), *map(repeat, range(len(orbits)),
+                                          repeat(q)))))
+            component_of = to_points(list(chain(
+                repeat(0, n_fixed), *repeat(range(q), len(orbits)))))
+            generators = []
+            for s in G.generator_data()[0]:
+                at_row = perms.gather(tuple(G.rows[s]))
+                table = to_points(
+                    list(chain(self.fixed_points, *map(at_row, orbits))))
+                generators.append((table, perms.gather(table)))
+            self._tables = orbit_of, component_of, generators
+        return self._tables
 
     def decompose(self, p):
-        """Split an equivariant permutation into fixed part, orbit permutation
-        and section-relative group components.
+        """Split an equivariant permutation, given as its table of images,
+        into fixed part, orbit permutation and section-relative group
+        components.
 
-        Raises unless p is equivariant: the rebuilt permutation is, and it
-        agrees with p on the fixed points and the representatives, whose
-        images determine an equivariant permutation."""
-        position, n_fixed = self.position, len(self.fixed_points)
-        slots = [position[y] - n_fixed for y in self._at_section(p)]
-        if min(slots, default=0) < 0:
+        The coordinates are read off the images of the representatives.
+        p is equivariant when it commutes with each generator s of the
+        group: p read at the table of s equals that table read at p, two
+        gathers over the points.  Then p is the permutation its parts
+        describe once the representatives go to distinct orbits and the
+        fixed points to distinct fixed points.  Raises ActionError unless
+        all of that holds and p is a table on 0..npoints-1."""
+        n = self.npoints
+        if len(p) != n:
+            raise ActionError("table has %d entries for %d points"
+                              % (len(p), n))
+        if n and not (min(p) >= 0 and max(p) < n):
+            raise ActionError("table entry outside 0..%d" % (n - 1))
+        orbit_of, component_of, generators = self._point_tables()
+        at_images = perms.gather(self._at_section(p))
+        orbit_perm = at_images(orbit_of)
+        targets = set(orbit_perm)
+        if -1 in targets:
             raise ActionError("a representative is sent to a fixed point")
-        q = self.group.order
-        orbit_perm = tuple([s // q for s in slots])
-        components = tuple([s % q for s in slots])
-        if len(set(orbit_perm)) != len(orbit_perm):
+        if len(targets) != len(orbit_perm):
             raise ActionError("two representatives are sent into one orbit")
         fixed_map = {x: p[x] for x in self.fixed_points}
-        if any(position[y] >= n_fixed for y in fixed_map.values()):
+        if any(orbit_of[y] >= 0 for y in fixed_map.values()):
             raise ActionError("equivariant image of a fixed point must be fixed")
-        if tuple(p) != equivariant_perm(self, orbit_perm, components,
-                                        fixed_map):
-            raise ActionError("permutation does not commute with the action")
-        return fixed_map, orbit_perm, components
+        if len(set(fixed_map.values())) != len(fixed_map):
+            raise ActionError("two fixed points are sent to one")
+        at_p = perms.gather(p)
+        for table, at_table in generators:
+            if at_table(p) != at_p(table):
+                raise ActionError(
+                    "permutation does not commute with the action")
+        return fixed_map, orbit_perm, at_images(component_of)
 
 
 def rubik_membership(p, act):
@@ -105,12 +146,10 @@ def rubik_coordinates(G, fixed_map, orbit_perm, components):
     permutation of two or more fixed points must be even as well (the
     commutator subgroup splits off Alt of the fixed set); this is vacuous
     for the single-zombie alphabets used downstream.  fixed_map permutes
-    its keys and is silent on fixed points it fixes.
+    its keys and is silent on fixed points it fixes; orbit_perm is an image
+    sequence or, like fixed_map, a dict on the orbits it moves.
     """
-    pts = sorted(fixed_map)
-    idx = {x: i for i, x in enumerate(pts)}
-    if (perms.perm_parity(tuple(idx[fixed_map[x]] for x in pts))
-            or perms.perm_parity(orbit_perm)):
+    if perms.perm_parity(fixed_map) or perms.perm_parity(orbit_perm):
         return False
     rows, acc = G.rows, 0
     for h in filter(None, components):      # identity components fold away
@@ -126,24 +165,36 @@ def rubik_order(n, gamma):
             * (factorial(n) // 2))
 
 
-def column_getters(G):
-    """Getter h gathers a sequence indexed by G at the products g h, in g
-    order: column h of the multiplication table."""
-    return [perms.gather(column) for column in zip(*G.rows)]
-
-
 def equivariant_perm(act, orbit_perm, components, fixed_map=None):
     """The equivariant permutation sending g . section[i] to (g h_i) .
     section[orbit_perm[i]] and permuting the fixed points by fixed_map,
-    the identity where it is silent."""
-    perms.check_perm(orbit_perm)
-    columns = act.group.cached(column_getters)
-    fixed_map = fixed_map or {}
-    images = [fixed_map.get(x, x) for x in act.fixed_points]
-    orbits = act.free_orbits
-    for j, h in zip(orbit_perm, components):
-        images.extend(columns[h](orbits[j]))
-    return act._to_point_order(images)
+    the identity where it is silent.  orbit_perm and components are
+    sequences over the free orbits, or dicts silent on the orbits that
+    orbit_perm fixes and on the trivial components h_i.  The table is the
+    identity with the points of the other orbits rewritten."""
+    n = len(act.free_orbits)
+    if not isinstance(orbit_perm, dict):
+        if len(orbit_perm) != n or len(components) != n:
+            raise ValueError("orbit data for %d and %d orbits, not %d"
+                             % (len(orbit_perm), len(components), n))
+        orbit_perm = {i: j for i, j in enumerate(orbit_perm) if i != j}
+        components = {i: h for i, h in enumerate(components) if h}
+    moved = sorted(orbit_perm)
+    if moved != sorted(orbit_perm.values()) or moved and not (
+            moved[0] >= 0 and moved[-1] < n):
+        raise ValueError("not a permutation of the orbits: %r"
+                         % (orbit_perm,))
+    p = list(act.identity)
+    for x, y in (fixed_map or {}).items():
+        p[x] = y
+    orbits, rows = act.free_orbits, act.group.rows
+    for i in orbit_perm.keys() | components.keys():
+        target, h = orbits[orbit_perm.get(i, i)], components.get(i, 0)
+        if h:           # g . section[i] goes to the point g h of the target
+            target = map(target.__getitem__, map(itemgetter(h), rows))
+        for x, y in zip(orbits[i], target):
+            p[x] = y
+    return tuple(p)
 
 
 def rubik_generators(act):
@@ -155,17 +206,11 @@ def rubik_generators(act):
     n = len(act.free_orbits)
     if n < 3:
         raise ActionError("need at least 3 free orbits for the standard set")
-    ident = tuple(range(n))
-    gens = []
-    for i in range(n - 2):
-        cyc = list(range(n))
-        cyc[i], cyc[i + 1], cyc[i + 2] = cyc[i + 1], cyc[i + 2], cyc[i]
-        gens.append(equivariant_perm(act, tuple(cyc), (0,) * n))
+    gens = [equivariant_perm(act, {i: i + 1, i + 1: i + 2, i + 2: i}, {})
+            for i in range(n - 2)]
     gen_ids, _ = act.group.generator_data()
     for g in gen_ids:
-        comp = [0] * n
-        comp[0], comp[1] = g, act.group.inv(g)
-        gens.append(equivariant_perm(act, ident, tuple(comp)))
+        gens.append(equivariant_perm(act, {}, {0: g, 1: act.group.inv(g)}))
     return gens
 
 

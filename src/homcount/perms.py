@@ -33,8 +33,9 @@ unseen, so it must be a proven one.
 
 import itertools
 import re
+from itertools import compress, count
 from math import factorial, prod
-from operator import itemgetter
+from operator import itemgetter, ne
 
 MAX_DEGREE = 1 << 16
 
@@ -70,19 +71,26 @@ def check_perm(p):
 
 
 def perm_parity(p):
-    """0 for even, 1 for odd."""
-    seen = [False] * len(p)
+    """0 for even, 1 for odd: the parity of the number of moved points
+    less the number of cycles they form.  p is an image sequence, or a
+    dict that permutes its keys and is silent on the points it fixes.
+    Only the moved points are walked; a sequence's are found by one
+    C-level scan."""
+    if isinstance(p, dict):
+        moved = p
+    else:
+        moved = compress(count(), map(ne, p, count()))
+    seen = set()
     parity = 0
-    for i in range(len(p)):
-        if seen[i]:
+    for i in moved:
+        if i in seen:
             continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
+        seen.add(i)
+        j = p[i]
+        while j not in seen:        # the rest of i's cycle, one flip each
+            seen.add(j)
+            parity ^= 1
             j = p[j]
-            length += 1
-        parity ^= (length - 1) & 1
     return parity
 
 

@@ -144,30 +144,38 @@ def extend_to_rubik(orbit_map, zal):
     pair onto the image's, to a permutation in the Rubik group.  Unmatched
     orbits are filled in order, two scratch pair orbits are swapped if the
     parity is odd, and every component is trivial, so in [Gamma, Gamma].
+
+    Below the least orbit that is a key or an image but not both, and
+    above the greatest, keys and images agree, so the in-order fill is the
+    identity there; it runs only between the two, and not at all for a
+    map that permutes its keys.  The parity, the membership self-check
+    and the table's rewritten points are those of the moved orbits alone.
     """
     act = zal.square_action
     n = len(act.free_orbits)
     scratch = zal.scratch_pair_orbits
-    named = set(orbit_map) | set(orbit_map.values())
+    images = set(orbit_map.values())
+    named = images.union(orbit_map)
     if min(named, default=0) < 0 or max(named, default=0) >= n:
         raise ZsatError("orbit map names an orbit outside 0..%d" % (n - 1))
-    if named & set(scratch):
+    if not named.isdisjoint(scratch):
         raise ZsatError("orbit map touches the scratch orbits")
-    images = {**orbit_map, **{s: s for s in scratch}}
-    used = set(images.values())
-    free_src = [i for i in range(n) if i not in images]
-    free_dst = [j for j in range(n) if j not in used]
-    if len(free_src) != len(free_dst):
+    if len(images) != len(orbit_map):
         raise ZsatError("orbit map is not injective")
-    images.update(zip(free_src, free_dst))
-    orbit_perm = [images[i] for i in range(n)]
-    if perms.perm_parity(orbit_perm) == 1:
+    moved = {i: j for i, j in orbit_map.items() if i != j}
+    # the scratch orbits come last, past every named one, so the span
+    # between the unmatched orbits misses them
+    unmatched = images.symmetric_difference(orbit_map)
+    if unmatched:
+        span = range(min(unmatched), max(unmatched) + 1)
+        moved.update(zip([i for i in span if i not in orbit_map],
+                         [j for j in span if j not in images]))
+    if perms.perm_parity(moved) == 1:
         s1, s2 = scratch[:2]
-        orbit_perm[s1], orbit_perm[s2] = orbit_perm[s2], orbit_perm[s1]
-    components = (0,) * n
-    if not rubik_coordinates(zal.gamma, {}, orbit_perm, components):
+        moved[s1], moved[s2] = s2, s1
+    if not rubik_coordinates(zal.gamma, {}, moved, ()):
         raise ZsatError("extension failed the Rubik membership check")
-    return equivariant_perm(act, tuple(orbit_perm), components)
+    return equivariant_perm(act, moved, {})
 
 
 # -- compilation ----------------------------------------------------------------------
@@ -177,13 +185,14 @@ def compile_gate(gamma_gate, zal):
     """Lift a binary data-alphabet gate into the Rubik group of the squared
     action: data pairs act componentwise through the section, so the orbit
     of (r_x, k . r_y) goes to that of (r_bx, k . r_by), and zombies are
-    frozen: the data orbits are permuted among themselves, so the in-order
-    fill of extend_to_rubik fixes every other orbit."""
+    frozen.  Only the pairs the gate moves are passed; their orbits are
+    permuted among themselves, so extend_to_rubik fills nothing and fixes
+    every other orbit."""
     data, _, _ = zal.data_quotient()
     pairs = [(x, y) for x in data for y in data]    # in gate table order
     orbit = zal.pair_orbit
     return extend_to_rubik({orbit(*pairs[xy], k): orbit(*pairs[bxy], k)
-                            for xy, bxy in enumerate(gamma_gate)
+                            for xy, bxy in enumerate(gamma_gate) if xy != bxy
                             for k in zal.gamma.elements()}, zal)
 
 
@@ -242,7 +251,9 @@ def compile_zsat(circuit, zal):
 def verify_gates(inst):
     """Every gate must commute with the action and pass Rubik membership.
     compile_zsat shares one table object among the gates it lifts from
-    one table, so each distinct object is checked once."""
+    one table, so each distinct object is checked once, on every call: a
+    check is a few gathers over the points per generator of Gamma
+    (GSetAction.decompose) and a parity walk over the moved orbits."""
     act = inst.alphabet.square_action
     tables = {id(perm): perm for _, perm in inst.gates}
     return all(rubik_membership(perm, act) for perm in tables.values())

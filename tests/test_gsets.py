@@ -83,12 +83,13 @@ def test_orbits_match_table_scan(z2, z3, s3, a4):
         assert [act.position[x] for x in fixed] == list(range(n_fixed))
         assert {x: divmod(act.position[x] - n_fixed, q)
                 for x in range(act.npoints) if x not in fixed} == coords
+        assert act.identity == tuple(range(act.npoints))
 
 
 def oracle_equivariant_perm(act, orbit_perm, components, fixed_map=None):
-    """The per-orbit loop that equivariant_perm's gathers replaced: each
-    point g . section[i] is sent to (g h_i) . section[orbit_perm[i]] in
-    turn, and each fixed point by fixed_map."""
+    """The loop over every orbit, where equivariant_perm rewrites only the
+    moved ones: each point g . section[i] is sent to (g h_i) .
+    section[orbit_perm[i]] in turn, and each fixed point by fixed_map."""
     perms.check_perm(orbit_perm)
     G = act.group
     # column h of the multiplication table lists g h for every g
@@ -123,10 +124,27 @@ def test_equivariant_perm_matches_oracle(z2, z3, s3):
             comps = tuple(rng.randrange(act.group.order) for _ in range(n))
             images = list(act.fixed_points)
             rng.shuffle(images)
+            # the sparse form: dicts silent on fixed orbits and trivial
+            # components, here with some of those spelled out
+            sparse_op = {i: j for i, j in enumerate(op)
+                         if i != j or rng.random() < 0.2}
+            sparse_comps = {i: h for i, h in enumerate(comps)
+                            if h or rng.random() < 0.2}
             for fixed_map in (None, dict(zip(act.fixed_points, images))):
                 p = equivariant_perm(act, tuple(op), comps, fixed_map)
                 assert p == oracle_equivariant_perm(act, tuple(op), comps,
                                                     fixed_map)
+                assert p == equivariant_perm(act, sparse_op, sparse_comps,
+                                             fixed_map)
+    act = make_free_action(z3, 3)
+    for bad in ({0: 1}, {0: 1, 1: 1}, {0: 3, 3: 0}, {-1: 0, 0: -1},
+                (1, 1, 2), (0, 1, 3)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            equivariant_perm(act, bad, {} if isinstance(bad, dict)
+                             else (0,) * 3)
+    for op, comps in (((1, 0), (0, 0)), ((0, 1, 2), (0, 0))):
+        with pytest.raises(ValueError, match="orbit data for"):
+            equivariant_perm(act, op, comps)
 
 
 def test_decompose_rejects_non_equivariant(z2, s3):
@@ -154,6 +172,136 @@ def test_decompose_rejects_non_equivariant(z2, s3):
                    (square, to_fixed)):
         with pytest.raises(ActionError):
             act.decompose(tuple(q))
+
+
+def oracle_decompose(act, p):
+    """The rebuild-and-compare route: read the coordinates off the
+    representatives' images through the layout index, rebuild the
+    equivariant permutation they describe and compare it with p.  The
+    rebuilt table is a permutation only when the fixed part is one, so
+    that is checked too."""
+    position, n_fixed = act.position, len(act.fixed_points)
+    slots = [position[y] - n_fixed for y in (p[x] for x in act.section)]
+    if min(slots, default=0) < 0:
+        raise ActionError("a representative is sent to a fixed point")
+    q = act.group.order
+    orbit_perm = tuple(s // q for s in slots)
+    components = tuple(s % q for s in slots)
+    if len(set(orbit_perm)) != len(orbit_perm):
+        raise ActionError("two representatives are sent into one orbit")
+    fixed_map = {x: p[x] for x in act.fixed_points}
+    if any(position[y] >= n_fixed for y in fixed_map.values()):
+        raise ActionError("equivariant image of a fixed point must be fixed")
+    if sorted(fixed_map.values()) != sorted(fixed_map):
+        raise ActionError("the fixed part is not a bijection")
+    if tuple(p) != oracle_equivariant_perm(act, orbit_perm, components,
+                                           fixed_map):
+        raise ActionError("permutation does not commute with the action")
+    return fixed_map, orbit_perm, components
+
+
+def verdict(decompose, act, p):
+    try:
+        return decompose(act, p)
+    except ActionError:
+        return "refused"
+
+
+def test_decompose_matches_rebuild_oracle(z2, z3, s3, a4):
+    aut = automorphism_group(s3)
+    assert not isinstance(aut.rows[1], tuple)
+    actions = [make_free_action(gamma, n, n_fixed)
+               for gamma in (z2, z3, s3, a4, aut)
+               for n, n_fixed in ((1, 0), (3, 1), (4, 3))]
+    actions += [ZAlphabet(gamma).square_action for gamma in (z2, z3)]
+    rng = random.Random(41)
+    for act in actions:
+        n, npts = len(act.free_orbits), act.npoints
+        seen = set()
+        for _ in range(8):
+            op = list(range(n))
+            rng.shuffle(op)
+            comps = tuple(rng.randrange(act.group.order) for _ in range(n))
+            images = list(act.fixed_points)
+            rng.shuffle(images)
+            p = equivariant_perm(act, tuple(op), comps,
+                                 dict(zip(act.fixed_points, images)))
+            # the table, and single perturbations: one entry rewritten, or
+            # two swapped
+            tables = [p]
+            for _ in range(6):
+                bad = list(p)
+                x, y = rng.randrange(npts), rng.randrange(npts)
+                if rng.random() < 0.5:
+                    bad[x] = y
+                else:
+                    bad[x], bad[y] = bad[y], bad[x]
+                tables.append(tuple(bad))
+            for q in tables:
+                got = verdict(GSetAction.decompose, act, q)
+                assert got == verdict(oracle_decompose, act, q)
+                seen.add(got == "refused")
+        assert seen == {False, True}, act.group.name
+
+
+def test_decompose_checks_every_generator(s3):
+    # a table on S3's free orbit commuting with one generator a but not
+    # with the other: x -> x k on the right coset H y of H = <a>, with
+    # k = y^-1 a y, and x -> x elsewhere.  It fixes the representative
+    # and the other orbit, so only the equivariance test sees it
+    a, b = s3.generator_data()[0]
+    H = close_under_product(s3, [a])
+    y = next(g for g in s3.elements() if g not in H)
+    k = s3.mul(s3.mul(s3.inv(y), a), y)
+    coset = {s3.mul(h, y) for h in H}
+    act = make_free_action(s3, 2, n_fixed=1)
+    orb = act.free_orbits[0]
+    p = list(range(act.npoints))
+    for g in coset:
+        p[orb[g]] = orb[s3.mul(g, k)]
+    assert sorted(p) == list(range(act.npoints))
+
+    def commutes(s):
+        # the table of s: the fixed point 0, then s . orbits[i][h] =
+        # orbits[i][s h] at each free point
+        table = [0] + [act.free_orbits[i][s3.mul(s, h)]
+                       for i, h in (divmod(act.position[x] - 1, s3.order)
+                                    for x in range(1, act.npoints))]
+        return all(p[table[x]] == table[p[x]] for x in range(act.npoints))
+
+    assert commutes(a) and not commutes(b)
+    for decompose in (GSetAction.decompose, oracle_decompose):
+        with pytest.raises(ActionError):
+            decompose(act, tuple(p))
+
+
+def test_decompose_refuses_a_fixed_part_that_is_not_a_bijection(z2):
+    act = make_free_action(z2, 7, n_fixed=2)
+    p = list(range(act.npoints))
+    p[1] = 0                        # points 0 and 1 both to 0
+    with pytest.raises(ActionError, match="fixed points are sent to one"):
+        act.decompose(tuple(p))
+    with pytest.raises(ActionError):
+        rubik_membership(tuple(p), act)
+    p[0], p[1] = 1, 0                  # the swap is a permutation, odd
+    assert act.decompose(tuple(p))[0] == {0: 1, 1: 0}
+    assert not rubik_membership(tuple(p), act)
+
+
+@pytest.mark.parametrize("case", ["short", "long", "past-the-end",
+                                  "negative"])
+def test_decompose_refuses_tables_off_the_points(z3, case):
+    # a negative entry would wrap in a gather and pass as the last point
+    act = make_free_action(z3, 3, n_fixed=1)
+    n = act.npoints
+    p = list(range(n))
+    table, message = {
+        "short": (p[:-1], "9 entries for 10 points"),
+        "long": (p + [n], "11 entries for 10 points"),
+        "past-the-end": (p[:-1] + [n], "outside 0..9"),
+        "negative": (p[:-1] + [-1], "outside 0..9")}[case]
+    with pytest.raises(ActionError, match=message):
+        act.decompose(tuple(table))
 
 
 def test_rubik_order_values(z2, s3):

@@ -4,9 +4,11 @@ from math import factorial
 
 import pytest
 
+from homcount import perms
+from homcount.circuits import BooleanCircuit, reduce_pipeline
 from homcount.perms import (PermutationGroup, classify_giant, cycle_perm,
                             format_cycles, gather, inverse, is_even, mult,
-                            parse_cycles)
+                            parse_cycles, perm_parity)
 from homcount.groups import FiniteGroup
 from homcount.gsets import make_free_action, rubik_generators, rubik_order
 from conftest import mulclose, oracle_chain_contains, oracle_chain_order
@@ -227,3 +229,53 @@ def test_parity():
     assert is_even(parse_cycles("(0 1 2)"))
     assert not is_even(parse_cycles("(0 1)"))
     assert not is_even(cycle_perm(6, [0, 1, 2, 3]))
+
+
+def transposition_parity(p):
+    """Parity by sorting: swap each point into its place, counting swaps."""
+    p, swaps = list(p), 0
+    for i in range(len(p)):
+        while p[i] != i:
+            j = p[i]
+            p[i], p[j] = p[j], p[i]
+            swaps += 1
+    return swaps & 1
+
+
+def test_parity_matches_transposition_count(monkeypatch):
+    rng = random.Random(37)
+    tables = [(), (0,), tuple(range(9)), (1, 0), (2, 0, 1)]
+    for n in (2, 5, 40, 300):
+        for moved in sorted({2, min(3, n), n // 2, n}):    # sparse to dense
+            p = list(range(n))
+            points = rng.sample(range(n), moved)
+            images = points[:]
+            rng.shuffle(images)
+            for x, y in zip(points, images):
+                p[x] = y
+            tables.append(tuple(p))
+    # the stage-3 lift tables, as built (odd and even) and as emitted
+    # after their parity repair, and the stage-4 relabelling
+    lifts = []
+    real = perms.perm_parity
+    monkeypatch.setattr(perms, "perm_parity",
+                        lambda p: lifts.append(tuple(p)) or real(p))
+    for n, gates, output in [
+            (2, [("AND", (0, 1), (2,))], 2),
+            (3, [("OR", (0, 1), (3,)), ("AND", (3, 2), (4,))], 4),
+            (3, [("NOT", (0,), (3,)), ("AND", (3, 2), (4,)),
+                 ("OR", (3, 4), (5,))], 5)]:
+        r3 = reduce_pipeline(BooleanCircuit(n, gates, output))[2]
+        tables.extend(perm for _, perm in r3.gates)
+    monkeypatch.undo()
+    assert len(lifts) >= 6
+    assert {transposition_parity(p) for p in lifts} == {0, 1}
+    for p in tables + lifts:
+        want = transposition_parity(p)
+        assert perm_parity(p) == want == perm_parity(list(p)), p
+        # the sparse form: a dict on the moved points, or on some fixed
+        # points as well
+        sparse = {x: y for x, y in enumerate(p) if x != y}
+        fixed = [x for x, y in enumerate(p) if x == y][:3]
+        assert perm_parity(sparse) == want
+        assert perm_parity({**sparse, **dict(zip(fixed, fixed))}) == want

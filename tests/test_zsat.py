@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from homcount import zsat
+from homcount import perms, zsat
 from homcount.circuits import BooleanCircuit
 from homcount.counting import CountingLimits, WorkBoundExceeded
 from homcount.groups import FiniteGroup
@@ -314,6 +314,64 @@ def test_extension_follows_the_orbit_map(z3):
     for i, orbit in enumerate(act.free_orbits):
         assert [gate[x] for x in orbit] \
             == list(act.free_orbits[images.get(i, i)])
+
+
+def oracle_extend_to_rubik(orbit_map, zal):
+    """The full in-order fill: every orbit that is not a key goes, in
+    order, to the next orbit that is not an image, the scratch pair orbits
+    held fixed; two scratch orbits swap when the orbit permutation is odd,
+    and each orbit's points go to the image orbit's with a trivial
+    component."""
+    act = zal.square_action
+    n = len(act.free_orbits)
+    scratch = zal.scratch_pair_orbits
+    images = {**orbit_map, **{s: s for s in scratch}}
+    used = set(images.values())
+    free_src = [i for i in range(n) if i not in images]
+    free_dst = [j for j in range(n) if j not in used]
+    assert len(free_src) == len(free_dst)
+    images.update(zip(free_src, free_dst))
+    orbit_perm = [images[i] for i in range(n)]
+    if not perms.is_even(orbit_perm):
+        s1, s2 = scratch[:2]
+        orbit_perm[s1], orbit_perm[s2] = orbit_perm[s2], orbit_perm[s1]
+    table = list(range(act.npoints))
+    for orbit, j in zip(act.free_orbits, orbit_perm):
+        for x, y in zip(orbit, act.free_orbits[j]):
+            table[x] = y
+    return tuple(table)
+
+
+def test_extension_matches_the_full_fill(z2, z3, s3):
+    rng = random.Random(85)
+    for gamma in (z2, z3, s3):
+        zal = ZAlphabet(gamma)
+        n = len(zal.square_action.free_orbits)
+        room = [i for i in range(n) if i not in zal.scratch_pair_orbits]
+        maps = [{}]
+        for size in (1, 2, 5, 40, len(room) // 2):
+            for _ in range(4):
+                keys = rng.sample(room, size)
+                # images that are the keys themselves, or any orbits
+                images = rng.sample(keys if rng.random() < 0.4 else room,
+                                    size)
+                maps.append(dict(zip(keys, images)))
+        # one key beside a long run of keys that are images too
+        maps.append({**{i: i + 1 for i in range(3, 30)}, 30: 3})
+        maps.append({**{i: i for i in range(3, 30)}, 2: 30})
+        assert any(set(m) != set(m.values()) for m in maps)
+        for orbit_map in maps:
+            assert extend_to_rubik(orbit_map, zal) \
+                == oracle_extend_to_rubik(orbit_map, zal)
+        # the lifted data gates, from the map over every data pair
+        data, _, _ = zal.data_quotient()
+        pairs = [(x, y) for x in data for y in data]
+        for _ in range(6):
+            gate = predicate_gate(zal, rng)
+            full = {zal.pair_orbit(*pairs[xy], k): zal.pair_orbit(*pairs[b], k)
+                    for xy, b in enumerate(gate) for k in gamma.elements()}
+            assert compile_gate(gate, zal) \
+                == oracle_extend_to_rubik(full, zal)
 
 
 @pytest.mark.parametrize("case", [
